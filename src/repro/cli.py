@@ -11,7 +11,7 @@ Commands
                 ``--workers N`` runs the sharded multi-process front end
 ``loadgen``     drive load at a running service and report RPS/latency
 ``fuzz``        differential-fuzz the oracle invariant lattice (repro.oracle)
-``lint``        run the reproducibility linter (repro.lint, rules REP001-REP006)
+``lint``        run the reproducibility linter (repro.lint, rules REP001-REP017)
 ``list``        list available experiments
 """
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the reproducibility linter (rules REP001-REP006)",
+        help="run the reproducibility linter (rules REP001-REP017)",
         description=(
             "AST-based static analysis for the repository's numerical and "
             "determinism discipline: tolerance-helper comparisons, seeded "

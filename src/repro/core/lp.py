@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .model import Platform, TaskSet
+
+# scipy is imported inside the two functions that build and solve the LP:
+# it costs ~45 MB and ~0.2 s in every process, and most never solve one.
 
 __all__ = [
     "LPSolution",
@@ -96,6 +97,8 @@ def _build_stress_lp(taskset: TaskSet, platform: Platform):
 
     Variables: u flattened row-major (i*m + j), then beta last.
     """
+    from scipy.sparse import coo_matrix
+
     n = len(taskset)
     m = len(platform)
     w = np.array(taskset.utilizations)
@@ -144,6 +147,8 @@ def lp_solve(taskset: TaskSet, platform: Platform) -> LPSolution:
 
     Returns the assignment matrix at the optimum and ``beta*``.
     """
+    from scipy.optimize import linprog
+
     n = len(taskset)
     if n == 0:
         m = len(platform)

@@ -29,7 +29,7 @@ Layers
     The incremental cache — content-hash keyed, invalidated
     transitively along the import graph.
 :mod:`~repro.lint.rules`
-    The nine domain rules: REP001-REP006 per file, REP007-REP009
+    The seventeen domain rules: REP001-REP006 per file, REP007-REP017
     whole-program.
 :mod:`~repro.lint.noqa`
     ``# repro: noqa[REPxxx]`` line suppressions and

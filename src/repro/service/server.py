@@ -59,6 +59,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"  # keep-alive; we always send Content-Length
+    # Headers and body leave as two writes; with Nagle on, the client's
+    # delayed ACK then holds every keep-alive response for ~40 ms.
+    disable_nagle_algorithm = True
 
     POST_ENDPOINTS = ("/v1/test", "/v1/partition", "/v1/batch")
     GET_ENDPOINTS = ("/healthz", "/metrics")

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +31,11 @@ from repro.core.partition import first_fit_partition
 from repro.io_.serialize import (
     instance_digest,
     partition_result_to_dict,
+    platform_to_dict,
     report_to_dict,
+    taskset_to_dict,
 )
+from repro.loadgen.client import HttpClient
 from repro.service import LRUCache, ServiceClient, ServiceError, make_server
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
@@ -288,6 +292,24 @@ class TestConcurrency:
         for c, rounds in enumerate(results):
             for reports in rounds:
                 assert reports == expected[c]
+
+
+class TestKeepAlive:
+    def test_sequential_requests_on_one_socket_are_not_stalled(self, server):
+        """Nagle plus the client's delayed ACK held each response ~40 ms."""
+        host, port = server.server_address[:2]
+        taskset, platform = _instance(21, n=4)
+        body = json.dumps({
+            "taskset": taskset_to_dict(taskset),
+            "platform": platform_to_dict(platform),
+        }).encode()
+        with HttpClient(host, port) as http:
+            assert http.request("POST", "/v1/test", body)[0] == 200
+            t0 = time.perf_counter()
+            for _ in range(50):
+                assert http.request("POST", "/v1/test", body)[0] == 200
+            elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"50 keep-alive cache hits took {elapsed:.2f} s"
 
 
 class TestErrors:
