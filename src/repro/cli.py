@@ -8,7 +8,7 @@ Commands
 ``experiment``  run an E1–E23 evaluation experiment and print its tables
 ``constants``   verify / re-optimize the proof constants
 ``serve``       run the feasibility-query HTTP service (repro.service);
-                ``--workers N`` runs the sharded multi-process front end
+                ``--workers N`` shards it over N worker processes
 ``loadgen``     drive load at a running service and report RPS/latency
 ``fuzz``        differential-fuzz the oracle invariant lattice (repro.oracle)
 ``lint``        run the reproducibility linter (repro.lint, rules REP001-REP017)
@@ -50,6 +50,13 @@ def _jobs_arg(value: str) -> int:
     if jobs < 0:
         raise argparse.ArgumentTypeError(f"jobs must be >= 0, got {jobs}")
     return jobs
+
+
+def _workers_arg(value: str) -> int:
+    workers = int(value)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"workers must be >= 0, got {workers}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,21 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks an ephemeral port")
     p.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for /v1/batch (0: all cores; 1: serial "
-            "in-process, the default)"
-        ),
-    )
-    p.add_argument(
         "--cache-size",
         type=int,
         default=1024,
         metavar="N",
-        help="canonical-instance verdict cache capacity",
+        help="canonical-instance verdict cache capacity, per shard",
     )
     p.add_argument(
         "--backend",
@@ -180,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_workers_arg,
         default=0,
         metavar="N",
         help=(
-            "run the sharded multi-process front end with N shard "
-            "workers, each owning a private verdict cache (0, the "
-            "default: the single-process threaded server)"
+            "shard the verdict cache over N worker processes (0, the "
+            "default: one in-process shard evaluated on the event-loop "
+            "thread, so a slow miss delays other connections)"
         ),
     )
     p.add_argument(
@@ -563,28 +560,15 @@ def _cmd_slack(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 0:
-        from .service.frontend import serve_sharded
+    from .service.frontend import serve_sharded
 
-        # Shard workers are serial by design (parallelism comes from
-        # the worker pool itself), so --jobs does not apply here.
-        return serve_sharded(
-            args.host,
-            args.port,
-            workers=args.workers,
-            cache_size=args.cache_size,
-            backend=args.backend,
-            chaos=args.chaos,
-            quiet=not args.verbose,
-        )
-    from .service.server import serve
-
-    return serve(
+    return serve_sharded(
         args.host,
         args.port,
-        jobs=args.jobs,
+        workers=args.workers,
         cache_size=args.cache_size,
         backend=args.backend,
+        chaos=args.chaos,
         quiet=not args.verbose,
     )
 

@@ -1,8 +1,8 @@
 """Load generation for the feasibility-query service.
 
-The serving stack (single-process :mod:`repro.service.server` and the
-sharded :mod:`repro.service.frontend`) needs a measurement story of its
-own: verdict micro-benchmarks say nothing about sustained RPS, tail
+The serving stack (:mod:`repro.service.frontend`, in-process at
+``--workers 0`` or sharded over worker processes) needs a measurement
+story of its own: verdict micro-benchmarks say nothing about sustained RPS, tail
 latency, or how a shard's private cache behaves under a real request
 mix.  This package is that story:
 

@@ -493,17 +493,25 @@ def check_service_roundtrip(
     """The serving layer answers exactly like a direct library call.
 
     Submits the instance (and a task-permuted copy, which shares a cache
-    entry) through :class:`repro.service.app.FeasibilityService` and
-    compares verdict, alpha, and — on acceptance — that the remapped
-    partition verifies against the *submitted* task order.
+    entry) through the HTTP front end's own ``/v1/test`` handler over an
+    in-process shard (:class:`repro.service.frontend.ShardedFrontend`
+    at ``workers=0``, no socket) and compares verdict, alpha, and — on
+    acceptance — that the remapped partition verifies against the
+    *submitted* task order.
     """
+    import asyncio
+
     from ..core.partition import PartitionResult
     from ..io_.serialize import partition_result_from_dict
-    from ..service.app import FeasibilityService
+    from ..service.frontend import ShardedFrontend
     from ..service.validation import ValidationError
 
     out: list[Violation] = []
-    service = FeasibilityService(jobs=1, cache_size=16)
+    frontend = ShardedFrontend(workers=0, cache_size=16)
+
+    def handle_test(payload: dict) -> dict:
+        return asyncio.run(frontend.handle_test(payload))
+
     if not taskset.is_implicit:
         # The theorem endpoint must refuse constrained deadlines with a
         # *field-level* validation error (never a mid-evaluation crash).
@@ -514,7 +522,7 @@ def check_service_roundtrip(
             "adversary": "partitioned",
         }
         try:
-            service.handle_test(payload)
+            handle_test(payload)
         except ValidationError as exc:
             if not any("deadline" in e.field for e in exc.errors):
                 out.append(
@@ -542,7 +550,7 @@ def check_service_roundtrip(
                 "scheduler": scheduler,
                 "adversary": "partitioned",
             }
-            response = service.handle_test(payload)
+            response = handle_test(payload)
             report = response["report"]
             if report["accepted"] != direct.accepted:
                 out.append(

@@ -5,14 +5,14 @@ paper's Theorem I.1–I.4 verdicts (plus raw first-fit partitions) over
 HTTP from a long-lived process with canonical-instance caching and
 request-level metrics:
 
-* :class:`~repro.service.app.FeasibilityService` — transport-free logic;
-* :mod:`~repro.service.server` — the single-process
-  ``ThreadingHTTPServer`` front-end (``repro serve`` on the CLI);
-* :mod:`~repro.service.frontend` / :mod:`~repro.service.shard` /
-  :mod:`~repro.service.protocol` — the sharded multi-process front end
-  (``repro serve --workers N``): digest-routed worker processes, each
-  owning a private verdict LRU, byte-identical responses to the
-  single-process server;
+* :mod:`~repro.service.frontend` — the asyncio HTTP front end
+  (``repro serve``): digest-routed shards, one in-process at
+  ``--workers 0`` (the default) or N worker processes at
+  ``--workers N``, each owning a private verdict LRU, byte-identical
+  responses for every worker count;
+* :mod:`~repro.service.shard` / :mod:`~repro.service.protocol` — the
+  shard engine (:class:`~repro.service.shard.ShardCore`) and the frame
+  protocol between the front end and worker processes;
 * :class:`~repro.service.client.ServiceClient` — stdlib client wrapper;
 * :mod:`~repro.service.cache` / :mod:`~repro.service.metrics` /
   :mod:`~repro.service.validation` — the supporting pieces.
@@ -22,12 +22,10 @@ Endpoints: ``POST /v1/test``, ``POST /v1/partition``, ``POST /v1/batch``,
 See ``docs/api.md`` ("Serving") for payload schemas.
 """
 
-from .app import FeasibilityService
 from .cache import CacheStats, LRUCache
 from .client import ServiceClient, ServiceError
 from .frontend import ShardedFrontend, serve_sharded
 from .metrics import MetricsRegistry
-from .server import ReproServer, make_server, serve
 from .shard import ShardCore
 from .validation import (
     FieldError,
@@ -40,17 +38,13 @@ from .validation import (
 )
 
 __all__ = [
-    "FeasibilityService",
     "CacheStats",
     "LRUCache",
     "ServiceClient",
     "ServiceError",
     "MetricsRegistry",
-    "ReproServer",
     "ShardCore",
     "ShardedFrontend",
-    "make_server",
-    "serve",
     "serve_sharded",
     "FieldError",
     "PartitionQuery",

@@ -1,13 +1,18 @@
-"""Sharded multi-process front end: asyncio dispatcher + worker pool.
+"""The HTTP service: asyncio front end over digest-routed shards.
 
-The second service architecture (the first is the single-process
-:mod:`repro.service.server`): one asyncio process owns the HTTP surface
-and routes every verdict request to one of N worker processes
-(:mod:`repro.service.shard`) keyed by a prefix of the canonical
-:func:`~repro.io_.serialize.instance_digest`.  Each worker owns a
-private verdict LRU — the digest routing guarantees a canonical
-instance is only ever seen by one worker, so there is no cross-process
-locking, no shared memory, and no cache-coherence protocol at all.
+One asyncio process owns the HTTP surface and routes every verdict
+request to a shard keyed by a prefix of the canonical
+:func:`~repro.io_.serialize.instance_digest`.  A shard is one
+:class:`~repro.service.shard.ShardCore` with a private verdict LRU:
+
+* ``workers=0`` (the ``repro serve`` default) — one **in-process**
+  shard, called directly on the event-loop thread: no socket, no
+  subprocess, no pickling.  A slow cache miss delays every other
+  connection until it returns.
+* ``workers=N`` — N worker processes (:mod:`repro.service.shard`).  The
+  digest routing guarantees a canonical instance is only ever seen by
+  one worker, so there is no cross-process locking, no shared memory,
+  and no cache-coherence protocol at all.
 
 Division of labour per request:
 
@@ -17,26 +22,36 @@ Division of labour per request:
   payload by shard, fans the sub-batches out concurrently, and
   reassembles the responses positionally (the same
   positional-reduction discipline as :mod:`repro.runner`), so the body
-  is byte-identical to the single-process server's.
-* **worker** — cache lookup and verdict evaluation only, through the
-  same :class:`~repro.service.shard.ShardCore` the single-process
-  service uses.
+  is byte-identical for every worker count.
+* **shard** — cache lookup and verdict evaluation only.
 
-Worker lifecycle: workers are spawned as subprocesses over an
-inherited ``socketpair`` (pre-fork style, no dependence on fork safety
-under threads).  If a worker dies, the front end detects EOF on the
-pair, respawns the shard with an *empty* LRU, replays every in-flight
-frame exactly once, and answers ``503`` only for a request whose
-replay also died.  SIGTERM drains: stop accepting, finish in-flight
-HTTP requests, send every worker a ``shutdown`` frame (FIFO after its
-pending work), then reap the processes.
+Canonical-instance caching: verdicts are computed *on the canonical
+instance* (tasks sorted into canonical order) and cached in canonical
+terms; each response then remaps task indices back to the submitting
+client's order.  Machine indices never need remapping:
+:class:`~repro.core.model.Platform` stores machines speed-sorted, so
+the canonical machine order and any submission's internal order
+coincide.  Because the canonical task order sorts by utilization
+descending — the exact order §III first-fit processes tasks in — the
+canonical run performs the same admission probes as a direct call on
+the submitted instance, and (absent exact utilization ties) the
+remapped response is byte-identical to that direct call.
+
+Worker lifecycle (``workers >= 1``): workers are spawned as
+subprocesses over an inherited ``socketpair`` (pre-fork style, no
+dependence on fork safety under threads).  If a worker dies, the front
+end detects EOF on the pair, respawns the shard with an *empty* LRU,
+replays every in-flight frame exactly once, and answers ``503`` only
+for a request whose replay also died.  SIGTERM drains: stop accepting,
+finish in-flight HTTP requests, send every worker a ``shutdown`` frame
+(FIFO after its pending work), then reap the processes.
 
 Consistency guarantees (see ``docs/service.md``): report and digest
-bytes are identical to the single-process server for every worker
-count and backend; the ``cached`` flags agree whenever the comparison
-is run from a cold start with per-worker capacity at least the working
-set (sharding changes cache *architecture*, so eviction patterns under
-pressure legitimately differ).
+bytes are identical for every worker count and backend; the ``cached``
+flags agree whenever the comparison is run from a cold start with
+per-shard capacity at least the working set (sharding changes cache
+*architecture*, so eviction patterns under pressure legitimately
+differ).
 """
 
 # repro: noqa-file[REP006, REP010] — every object here lives on the
@@ -47,6 +62,7 @@ pressure legitimately differ).
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import os
 import signal
@@ -60,7 +76,6 @@ from typing import Any, Awaitable, Callable
 
 from .. import __version__
 from ..io_.serialize import canonical_task_order, shard_for_digest
-from .app import _remap_partition_dict, _remap_report_dict
 from .metrics import MetricsRegistry, render_shard_prometheus
 from .protocol import (
     PartitionUnit,
@@ -68,16 +83,20 @@ from .protocol import (
     frame_bytes,
     read_frame_async,
 )
-from .server import MAX_BODY_BYTES, _error_body
 from .validation import (
     ValidationError,
     parse_batch_request,
     parse_partition_request,
     parse_test_request,
 )
-from .shard import partition_query_digest, test_query_digest
+from .shard import _Worker, partition_query_digest, test_query_digest
 
 __all__ = ["ShardedFrontend", "serve_sharded"]
+
+#: Largest accepted request body, in bytes.  A MAX_BATCH batch of
+#: MAX_TASKS-task instances would exceed this — by design; the limit is
+#: the serving-path backstop against memory abuse.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: How long a drain waits for in-flight HTTP requests and worker exits
 #: before escalating to cancellation / SIGKILL.
@@ -88,6 +107,8 @@ DRAIN_TIMEOUT = 30.0
 #: stall behind it.
 STATS_TIMEOUT = 2.0
 
+_JSON_TYPE = "application/json; charset=utf-8"
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -95,9 +116,48 @@ _HTTP_REASONS = {
     405: "Method Not Allowed",
     411: "Length Required",
     413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _error_body(message: str, fields: list[dict[str, str]] | None = None) -> dict:
+    return {"error": {"message": message, "fields": fields or []}}
+
+
+def _remap_partition_dict(
+    canon: dict[str, Any], order: list[int]
+) -> dict[str, Any]:
+    """Translate a canonical-order partition dict to submission order.
+
+    ``order[k]`` is the submitted index of the task at canonical
+    position ``k``.  Machine indices are already canonical (speed-sorted)
+    in both views and pass through unchanged.
+    """
+    out = dict(canon)
+    assignment: list[int | None] = [None] * len(order)
+    for k, machine in enumerate(canon["assignment"]):
+        assignment[order[k]] = machine
+    out["assignment"] = assignment
+    out["machine_tasks"] = [
+        [order[k] for k in tasks] for tasks in canon["machine_tasks"]
+    ]
+    out["order"] = [order[k] for k in canon["order"]]
+    failed = canon["failed_task"]
+    out["failed_task"] = order[failed] if failed is not None else None
+    return out
+
+
+def _remap_report_dict(canon: dict[str, Any], order: list[int]) -> dict[str, Any]:
+    """Translate a canonical-order report dict to submission order."""
+    out = dict(canon)
+    out["partition"] = _remap_partition_dict(canon["partition"], order)
+    # Certificate fields are scalars and machine indices — order-free —
+    # but copy so callers can never alias the cached payload.
+    if canon.get("certificate") is not None:
+        out["certificate"] = copy.deepcopy(canon["certificate"])
+    return out
 
 
 class ShardUnavailable(Exception):
@@ -127,7 +187,75 @@ class _PendingCall:
         self.replayed = replayed
 
 
-class _WorkerHandle:
+class _ShardHandle:
+    """Front-end view of one shard, wherever it runs.
+
+    Subclasses provide ``call(op, payload)``, ``shutdown()``, ``state``,
+    ``restarts``, ``pid`` and ``queue_depth``.
+    """
+
+    index: int
+    state: str
+    restarts: int
+    pid: int | None
+    queue_depth: int
+
+    def snapshot(self, stats: dict[str, Any] | None) -> dict[str, Any]:
+        """Front-end view of this shard, for ``/healthz`` and ``/metrics``."""
+        return {
+            "shard": self.index,
+            "state": self.state,
+            "pid": self.pid,
+            "restarts": self.restarts,
+            "queue_depth": self.queue_depth,
+            "stats": stats,
+        }
+
+
+class _InProcessShard(_ShardHandle):
+    """The ``workers=0`` shard: a :class:`~repro.service.shard._Worker`
+    dispatched on the event-loop thread.
+
+    Calls run to completion before returning, so nothing is ever queued
+    and there is no process to crash, respawn, or reap.
+    """
+
+    index = 0
+    restarts = 0
+    queue_depth = 0
+
+    def __init__(self, frontend: "ShardedFrontend"):
+        self.state = "ok"
+        self.worker = _Worker(
+            0,
+            cache_size=frontend.cache_size,
+            backend=frontend.backend,
+            chaos=frontend.chaos,
+        )
+
+    @property
+    def pid(self) -> int:
+        return os.getpid()
+
+    async def start(self) -> None:
+        return None
+
+    async def call(self, op: str, payload: Any) -> Any:
+        """Dispatch on the loop thread; handler bugs surface as in a worker."""
+        if self.state == "dead":
+            raise ShardUnavailable(self.index, "shard is shut down")
+        try:
+            # Blocks the loop by design (--chaos sleeps included): that
+            # is the in-process topology; N >= 1 workers avoid it.
+            return self.worker.dispatch(op, payload)
+        except Exception as exc:  # noqa: BLE001 - mapped like a worker error frame
+            raise _WorkerError(f"{type(exc).__name__}: {exc}") from exc
+
+    async def shutdown(self) -> None:
+        self.state = "dead"
+
+
+class _WorkerHandle(_ShardHandle):
     """Front-end side of one shard worker process."""
 
     def __init__(self, frontend: "ShardedFrontend", index: int):
@@ -319,17 +447,6 @@ class _WorkerHandle:
             self._reader_task.cancel()
         self.state = "dead"
 
-    def snapshot(self, stats: dict[str, Any] | None) -> dict[str, Any]:
-        """Front-end view of this shard, for ``/healthz`` and ``/metrics``."""
-        return {
-            "shard": self.index,
-            "state": self.state,
-            "pid": self.pid,
-            "restarts": self.restarts,
-            "queue_depth": self.queue_depth,
-            "stats": stats,
-        }
-
 
 class _Conn:
     """One HTTP connection's drain-relevant state."""
@@ -342,7 +459,12 @@ class _Conn:
 
 
 class ShardedFrontend:
-    """The sharded service: one of these per listening address."""
+    """The HTTP service: one of these per listening address.
+
+    ``workers=0`` serves from one in-process shard; ``workers=N`` from N
+    worker processes.  The ``handle_*`` and ``metrics_*`` coroutines are
+    the endpoints without the HTTP edge, usable with no socket bound.
+    """
 
     def __init__(
         self,
@@ -355,8 +477,8 @@ class ShardedFrontend:
         chaos: bool = False,
         quiet: bool = True,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.host = host
         self.port = port
         self.workers = workers
@@ -365,7 +487,11 @@ class ShardedFrontend:
         self.chaos = chaos
         self.quiet = quiet
         self.metrics = MetricsRegistry()
-        self.handles: list[_WorkerHandle] = []
+        self.handles: list[_ShardHandle] = (
+            [_InProcessShard(self)]
+            if workers == 0
+            else [_WorkerHandle(self, k) for k in range(workers)]
+        )
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Conn] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -379,11 +505,8 @@ class ShardedFrontend:
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker pool and bind the listening socket."""
+        """Spawn the worker pool (if any) and bind the listening socket."""
         self._started = time.monotonic()
-        self.handles = [
-            _WorkerHandle(self, k) for k in range(self.workers)
-        ]
         for handle in self.handles:
             await handle.start()
         self._server = await asyncio.start_server(
@@ -437,25 +560,22 @@ class ShardedFrontend:
     ) -> None:
         while not self._stopping:
             try:
-                request_line = await reader.readline()
-            except (ConnectionError, OSError, asyncio.LimitOverrunError):
-                return
-            if not request_line or request_line.strip() == b"":
-                return
-            try:
-                method, target, _version = (
-                    request_line.decode("latin-1").strip().split(" ", 2)
-                )
+                head = await _read_head(reader)
             except ValueError:
-                return  # not HTTP; drop the connection
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                if b":" in line:
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
+                # readline() raises this for a line over the stream limit
+                await _respond(
+                    writer,
+                    431,
+                    _json_bytes(_error_body("request or header line too long")),
+                    _JSON_TYPE,
+                    close=True,
+                )
+                return
+            except (ConnectionError, OSError):
+                return
+            if head is None:
+                return
+            method, target, headers = head
             close_after = headers.get("connection", "").lower() == "close"
             conn.busy = True
             try:
@@ -465,20 +585,8 @@ class ShardedFrontend:
             finally:
                 conn.busy = False
             close = close or close_after or self._stopping
-            reason = _HTTP_REASONS.get(status, "Unknown")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body_bytes)}\r\n"
-                + ("Connection: close\r\n" if close else "")
-                + "\r\n"
-            )
-            try:
-                writer.write(head.encode("latin-1") + body_bytes)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return
-            if close:
+            sent = await _respond(writer, status, body_bytes, content_type, close)
+            if close or not sent:
                 return
 
     async def _serve_one(
@@ -490,37 +598,34 @@ class ShardedFrontend:
     ) -> tuple[int, bytes, str, bool]:
         """One request → (status, body, content type, close?).
 
-        Mirrors :mod:`repro.service.server`'s error mapping so the two
-        architectures answer malformed traffic identically.
+        Bad payloads answer ``400`` with field-level errors, unknown paths
+        ``404``, wrong methods ``405``, handler bugs ``500`` with a
+        generic body (the traceback goes to the server log, never to the
+        client); every request, errors included, is timed and counted.
         """
         path, _, query = target.partition("?")
         t0 = time.perf_counter()
         status = 500
         close = False
         body: bytes = b""
-        content_type = "application/json; charset=utf-8"
+        content_type = _JSON_TYPE
         try:
             status, payload, content_type, close = await self._route(
                 method, path, query, reader, headers
             )
-            if isinstance(payload, bytes):
-                body = payload
-            else:
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            body = payload if isinstance(payload, bytes) else _json_bytes(payload)
         except ValidationError as exc:
             status = 400
-            body = json.dumps(exc.as_dict(), sort_keys=True).encode("utf-8")
+            body = _json_bytes(exc.as_dict())
         except ShardUnavailable as exc:
             status = 503
-            body = json.dumps(
-                _error_body(str(exc)), sort_keys=True
-            ).encode("utf-8")
+            body = _json_bytes(_error_body(str(exc)))
         except _HttpError as exc:
             status = exc.status
             close = close or exc.close
-            body = json.dumps(exc.body, sort_keys=True).encode("utf-8")
+            body = _json_bytes(exc.body)
         except (asyncio.IncompleteReadError, ConnectionError):
-            # Client hung up mid-body; same accounting as server.py.
+            # Client hung up mid-body.
             status = 499
             close = True
             body = b""
@@ -529,9 +634,7 @@ class ShardedFrontend:
                 f"unhandled error on {path}:\n{traceback.format_exc()}"
             )
             status = 500
-            body = json.dumps(
-                _error_body("internal server error"), sort_keys=True
-            ).encode("utf-8")
+            body = _json_bytes(_error_body("internal server error"))
         finally:
             self.metrics.observe(path, status, time.perf_counter() - t0)
         return status, body, content_type, close
@@ -551,6 +654,10 @@ class ShardedFrontend:
                 _error_body(f"request body exceeds {MAX_BODY_BYTES} bytes"),
                 close=True,
             )
+        if length < 0:
+            raise _HttpError(
+                400, _error_body("Content-Length must be non-negative"), close=True
+            )
         raw = await reader.readexactly(length)
         try:
             return json.loads(raw)
@@ -568,9 +675,9 @@ class ShardedFrontend:
         headers: dict[str, str],
     ) -> tuple[int, Any, str, bool]:
         post_routes: dict[str, Callable[[Any], Awaitable[Any]]] = {
-            "/v1/test": self._handle_test,
-            "/v1/partition": self._handle_partition,
-            "/v1/batch": self._handle_batch,
+            "/v1/test": self.handle_test,
+            "/v1/partition": self.handle_partition,
+            "/v1/batch": self.handle_batch,
         }
         get_paths = ("/healthz", "/metrics")
         known = list(get_paths) + list(post_routes)
@@ -583,7 +690,7 @@ class ShardedFrontend:
                     )
                 raise _not_found(known)
             payload = await self._read_body(reader, headers)
-            return 200, await handler(payload), "application/json; charset=utf-8", False
+            return 200, await handler(payload), _JSON_TYPE, False
         if method == "GET":
             if path not in get_paths:
                 if path in post_routes:
@@ -592,28 +699,29 @@ class ShardedFrontend:
                     )
                 raise _not_found(known)
             if path == "/healthz":
-                return 200, self._handle_healthz(), "application/json; charset=utf-8", False
+                return 200, self.handle_healthz(), _JSON_TYPE, False
             fmt = "json"
             for part in query.split("&"):
                 if part.startswith("format="):
                     fmt = part[len("format="):]
             if fmt == "prometheus":
-                text = await self._metrics_prometheus()
+                text = await self.metrics_prometheus()
                 return 200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8", False
             if fmt != "json":
                 raise _HttpError(
                     400, _error_body("format must be 'json' or 'prometheus'")
                 )
-            return 200, await self._metrics_json(), "application/json; charset=utf-8", False
+            return 200, await self.metrics_json(), _JSON_TYPE, False
         raise _HttpError(
             405, _error_body("method not allowed; use GET or POST"), close=True
         )
 
     # -- verdict endpoints --------------------------------------------------
-    def _shard_of(self, digest: str) -> _WorkerHandle:
-        return self.handles[shard_for_digest(digest, self.workers)]
+    def _shard_of(self, digest: str) -> _ShardHandle:
+        return self.handles[shard_for_digest(digest, len(self.handles))]
 
-    async def _handle_test(self, payload: Any) -> dict[str, Any]:
+    async def handle_test(self, payload: Any) -> dict[str, Any]:
+        """``POST /v1/test`` — one per-theorem verdict, cached."""
         q = parse_test_request(payload)
         digest, _ = test_query_digest(q)
         order = canonical_task_order(q.taskset)
@@ -633,7 +741,8 @@ class ShardedFrontend:
             "report": _remap_report_dict(canon, order),
         }
 
-    async def _handle_partition(self, payload: Any) -> dict[str, Any]:
+    async def handle_partition(self, payload: Any) -> dict[str, Any]:
+        """``POST /v1/partition`` — a first-fit assignment, cached."""
         q = parse_partition_request(payload)
         digest = partition_query_digest(q)
         order = canonical_task_order(q.taskset)
@@ -652,7 +761,7 @@ class ShardedFrontend:
             "result": _remap_partition_dict(canon, order),
         }
 
-    async def _handle_batch(self, payload: Any) -> dict[str, Any]:
+    async def handle_batch(self, payload: Any) -> dict[str, Any]:
         """Split by shard, fan out concurrently, reassemble positionally."""
         queries = parse_batch_request(payload)
         orders: list[list[int]] = []
@@ -674,7 +783,7 @@ class ShardedFrontend:
                 )
             )
             by_shard.setdefault(
-                shard_for_digest(digest, self.workers), []
+                shard_for_digest(digest, len(self.handles)), []
             ).append(k)
         shard_ids = sorted(by_shard)
         sub_results = await asyncio.gather(
@@ -704,8 +813,8 @@ class ShardedFrontend:
         }
 
     # -- observability endpoints --------------------------------------------
-    def _handle_healthz(self) -> dict[str, Any]:
-        """Aggregate health: degraded when any worker is dead or restarting."""
+    def handle_healthz(self) -> dict[str, Any]:
+        """Aggregate health: degraded when any shard is dead or restarting."""
         shards = [h.snapshot(None) for h in self.handles]
         for s in shards:
             s.pop("stats")
@@ -714,7 +823,7 @@ class ShardedFrontend:
             "status": "degraded" if degraded else "ok",
             "version": __version__,
             "uptime_seconds": time.monotonic() - self._started,
-            "architecture": "sharded",
+            "architecture": "sharded" if self.workers else "in-process",
             "workers": self.workers,
             "backend": self.backend or "scalar",
             "cache_size_per_worker": self.cache_size,
@@ -724,7 +833,7 @@ class ShardedFrontend:
     async def _poll_shards(self) -> list[dict[str, Any]]:
         """Worker stats snapshots; a stuck or dead worker yields ``None``."""
 
-        async def poll(handle: _WorkerHandle) -> dict[str, Any] | None:
+        async def poll(handle: _ShardHandle) -> dict[str, Any] | None:
             if handle.state != "ok":
                 return None
             try:
@@ -743,7 +852,7 @@ class ShardedFrontend:
         stats = await asyncio.gather(*(poll(h) for h in self.handles))
         return [h.snapshot(s) for h, s in zip(self.handles, stats)]
 
-    async def _metrics_json(self) -> dict[str, Any]:
+    async def metrics_json(self) -> dict[str, Any]:
         return {
             "frontend": self.metrics.as_dict(),
             "uptime_seconds": time.monotonic() - self._started,
@@ -752,10 +861,61 @@ class ShardedFrontend:
             "shards": await self._poll_shards(),
         }
 
-    async def _metrics_prometheus(self) -> str:
+    async def metrics_prometheus(self) -> str:
         return self.metrics.render_prometheus() + render_shard_prometheus(
             await self._poll_shards()
         )
+
+
+def _json_bytes(body: Any) -> bytes:
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str]] | None:
+    """(method, target, headers) of the next request; ``None`` to hang up."""
+    request_line = await reader.readline()
+    if not request_line or request_line.strip() == b"":
+        return None
+    try:
+        method, target, _version = (
+            request_line.decode("latin-1").strip().split(" ", 2)
+        )
+    except ValueError:
+        return None  # not HTTP; drop the connection
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return method, target, headers
+        if b":" in line:
+            key, _, value = line.decode("latin-1").partition(":")
+            headers[key.strip().lower()] = value.strip()
+
+
+async def _respond(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    content_type: str,
+    close: bool,
+) -> bool:
+    """Write one response; ``False`` if the client is gone."""
+    reason = _HTTP_REASONS.get(status, "Unknown")
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    )
+    try:
+        writer.write(head.encode("latin-1") + body)
+        await writer.drain()
+    except (ConnectionError, OSError):
+        return False
+    return True
 
 
 class _HttpError(Exception):
@@ -786,7 +946,7 @@ def serve_sharded(
     chaos: bool = False,
     quiet: bool = True,
 ) -> int:
-    """Run the sharded front end until SIGTERM/SIGINT, drain, exit 0."""
+    """Run the service until SIGTERM/SIGINT, drain, exit 0."""
 
     async def main() -> int:
         frontend = ShardedFrontend(

@@ -19,8 +19,6 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from .cache import CacheStats
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "LatencyHistogram",
@@ -107,16 +105,6 @@ class MetricsRegistry:
         self._requests: dict[tuple[str, int], int] = {}
         #: endpoint -> histogram
         self._latency: dict[str, LatencyHistogram] = {}
-        #: evaluation backend -> feasibility tests computed (cache
-        #: misses only; hits never re-run a backend)
-        self._backend_tests: dict[str, int] = {}
-
-    def observe_backend(self, backend: str, count: int = 1) -> None:
-        """Record ``count`` feasibility tests evaluated by ``backend``."""
-        with self._lock:
-            self._backend_tests[backend] = (
-                self._backend_tests.get(backend, 0) + count
-            )
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
         """Record one finished request."""
@@ -137,7 +125,7 @@ class MetricsRegistry:
                 if endpoint is None or ep == endpoint
             )
 
-    def as_dict(self, cache: CacheStats | None = None) -> dict[str, Any]:
+    def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot of every metric."""
         with self._lock:
             requests: dict[str, dict[str, int]] = {}
@@ -146,17 +134,9 @@ class MetricsRegistry:
             latency = {
                 ep: hist.as_dict() for ep, hist in sorted(self._latency.items())
             }
-            backend_tests = dict(sorted(self._backend_tests.items()))
-        out: dict[str, Any] = {
-            "requests": requests,
-            "latency": latency,
-            "backend_tests": backend_tests,
-        }
-        if cache is not None:
-            out["cache"] = cache.as_dict()
-        return out
+        return {"requests": requests, "latency": latency}
 
-    def render_prometheus(self, cache: CacheStats | None = None) -> str:
+    def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: list[str] = []
         with self._lock:
@@ -165,7 +145,6 @@ class MetricsRegistry:
                 (ep, hist.cumulative(), hist.total, hist.count)
                 for ep, hist in sorted(self._latency.items())
             ]
-            backend_tests = sorted(self._backend_tests.items())
         lines.append("# HELP repro_requests_total Requests served, by endpoint and status.")
         lines.append("# TYPE repro_requests_total counter")
         for (ep, status), count in requests:
@@ -186,32 +165,6 @@ class MetricsRegistry:
             lines.append(
                 f'repro_request_latency_seconds_count{{endpoint="{ep}"}} {count}'
             )
-        lines.append(
-            "# HELP repro_backend_tests_total Feasibility tests evaluated,"
-            " by backend."
-        )
-        lines.append("# TYPE repro_backend_tests_total counter")
-        for backend, count in backend_tests:
-            lines.append(
-                f'repro_backend_tests_total{{backend="{backend}"}} {count}'
-            )
-        if cache is not None:
-            for name, value, help_text in (
-                ("repro_cache_hits_total", cache.hits, "Verdict cache hits."),
-                ("repro_cache_misses_total", cache.misses, "Verdict cache misses."),
-                ("repro_cache_evictions_total", cache.evictions, "Verdict cache evictions."),
-            ):
-                lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {value}")
-            for name, value, help_text in (
-                ("repro_cache_size", float(cache.size), "Cached verdicts."),
-                ("repro_cache_capacity", float(cache.capacity), "Cache capacity."),
-                ("repro_cache_hit_ratio", cache.hit_ratio, "Hits / lookups."),
-            ):
-                lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {value!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -59,8 +59,7 @@ class TestUnit:
 
     The front end has already validated the payload, computed the
     canonical ``digest`` and task ``order``; the worker subsets the
-    taskset into canonical order only on a cache miss — the same lazy
-    discipline as the single-process service.
+    taskset into canonical order only on a cache miss.
     """
 
     digest: str

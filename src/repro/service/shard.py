@@ -1,14 +1,13 @@
-"""Shard worker: a private-cache canonical-verdict engine in its own process.
+"""Shard worker: a private-cache canonical-verdict engine.
 
 Two layers live here:
 
 * :class:`ShardCore` — the transport-free unit of serving state: one
   bounded LRU of canonical verdicts plus the evaluation paths (scalar /
-  kernel-batch) that fill it.  Both the single-process
-  :class:`~repro.service.app.FeasibilityService` and every shard worker
-  run *this exact code*, which is what makes sharded responses
-  bit-identical to the single-process server by construction rather
-  than by testing luck.
+  kernel-batch) that fill it.  Every shard runs *this exact code*,
+  in-process at ``--workers 0`` or in a worker process otherwise, which
+  is what makes responses bit-identical across worker counts by
+  construction rather than by testing luck.
 * :func:`worker_main` — the shard worker process entry point
   (``python -m repro.service.shard --fd N``): a blocking frame loop
   over the socketpair inherited from the front end.  One worker owns
@@ -17,8 +16,8 @@ Two layers live here:
   each worker needs no coordination at all.
 
 Canonical-query digest helpers (:func:`test_query_digest`,
-:func:`partition_query_digest`) also live here so the front end and the
-single-process service can never disagree on a cache key.
+:func:`partition_query_digest`) also live here so the front end and
+the shards can never disagree on a cache key.
 """
 
 # repro: noqa-file[REP006, REP010] — a shard worker is serial by
@@ -34,8 +33,7 @@ import signal
 import socket
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..core.feasibility import feasibility_test, theorem_alpha
 from ..core.partition import first_fit_partition
@@ -45,7 +43,6 @@ from ..io_.serialize import (
     report_to_dict,
 )
 from ..kernels import resolve_backend, test_feasibility_batch
-from ..runner import run_trials
 from .cache import LRUCache
 from .protocol import PartitionUnit, TestUnit, recv_frame, send_frame
 from .validation import PartitionQuery, TestQuery
@@ -102,29 +99,6 @@ def partition_query_digest(q: PartitionQuery) -> str:
     )
 
 
-@dataclass(frozen=True)
-class _BatchItem:
-    """Picklable unit of batch work (crosses the runner's pool)."""
-
-    taskset: Any  # canonical-order TaskSet
-    platform: Any
-    scheduler: str
-    adversary: str
-    alpha: float | None
-
-
-def _evaluate_batch_item(item: _BatchItem) -> dict[str, Any]:
-    """Per-trial function for the runner: one canonical verdict dict."""
-    report = feasibility_test(
-        item.taskset,
-        item.platform,
-        item.scheduler,
-        item.adversary,
-        alpha=item.alpha,
-    )
-    return report_to_dict(report)
-
-
 class ShardCore:
     """Canonical-verdict evaluation plus one private LRU.
 
@@ -132,28 +106,18 @@ class ShardCore:
     into canonical order — done lazily, only on a miss) and cached in
     canonical terms under the caller-supplied digest; index remapping
     back to submission order is the caller's job (it owns the
-    submission-order view).  ``on_backend`` is invoked once per
-    evaluated miss group with ``(backend_name, count)`` so the host —
-    service metrics registry or worker counter — can account for
-    computed verdicts without this class knowing about either.
+    submission-order view).  ``backend_tests`` counts computed verdicts
+    (cache misses only; hits never re-run a backend) per backend name.
     """
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = 1024,
-        backend: str | None = None,
-        jobs: int = 1,
-        on_backend: Callable[[str, int], None] | None = None,
-    ):
+    def __init__(self, *, cache_size: int = 1024, backend: str | None = None):
         self.backend = resolve_backend(backend) if backend is not None else None
-        self.jobs = jobs
         self.cache = LRUCache(cache_size)
-        self._on_backend = on_backend
+        self.backend_tests: dict[str, int] = {}
 
     def _observe_backend(self, count: int = 1) -> None:
-        if self._on_backend is not None:
-            self._on_backend(self.backend or "scalar", count)
+        name = self.backend or "scalar"
+        self.backend_tests[name] = self.backend_tests.get(name, 0) + count
 
     # -- single verdicts ----------------------------------------------------
     def test(self, unit: TestUnit) -> tuple[dict[str, Any], bool]:
@@ -203,11 +167,9 @@ class ShardCore:
     def batch(self, units: list[TestUnit]) -> list[tuple[dict[str, Any], bool]]:
         """Cache-aware batch evaluation, results in ``units`` order.
 
-        The discipline is the single-process server's, verbatim: scan
-        every unit against the cache first (classifying hit/miss),
+        Scan every unit against the cache first (classifying hit/miss),
         dedup misses by digest (permutations of one instance evaluate
-        once), evaluate the distinct misses — scalar path through
-        :func:`repro.runner.run_trials` (in-process at ``jobs=1``), or
+        once), evaluate the distinct misses — one scalar call each, or
         one kernel call per theorem config — then fill results
         positionally.  Both copies of a deduped digest report
         ``cached=False``: they were misses at scan time.
@@ -222,28 +184,24 @@ class ShardCore:
         pending: dict[str, list[int]] = {}
         for k in misses:
             pending.setdefault(units[k].digest, []).append(k)
-        items = [
-            _BatchItem(
-                taskset=units[ks[0]].taskset.subset(list(units[ks[0]].order)),
-                platform=units[ks[0]].platform,
-                scheduler=units[ks[0]].scheduler,
-                adversary=units[ks[0]].adversary,
-                alpha=units[ks[0]].alpha,
-            )
-            for ks in pending.values()
-        ]
-        if items:
+        firsts = [units[ks[0]] for ks in pending.values()]
+        if firsts:
             if self.backend is None:
-                run = run_trials(
-                    _evaluate_batch_item,
-                    items,
-                    jobs=self.jobs,
-                    label="service/batch",
-                )
-                records = list(run.records)
+                records = [
+                    report_to_dict(
+                        feasibility_test(
+                            unit.taskset.subset(list(unit.order)),
+                            unit.platform,
+                            unit.scheduler,  # type: ignore[arg-type]
+                            unit.adversary,  # type: ignore[arg-type]
+                            alpha=unit.alpha,
+                        )
+                    )
+                    for unit in firsts
+                ]
             else:
-                records = self._evaluate_batch_kernel(items)
-            self._observe_backend(len(items))
+                records = self._evaluate_batch_kernel(firsts)
+            self._observe_backend(len(firsts))
             for (digest, ks), canon in zip(pending.items(), records):
                 self.cache.put(digest, canon)
                 for k in ks:
@@ -254,7 +212,7 @@ class ShardCore:
         ]
 
     def _evaluate_batch_kernel(
-        self, items: list[_BatchItem]
+        self, units: list[TestUnit]
     ) -> list[dict[str, Any]]:
         """Batch-evaluate misses through the kernel backend.
 
@@ -264,14 +222,17 @@ class ShardCore:
         group the kernels further shard by instance shape.
         """
         groups: dict[tuple[str, str, float | None], list[int]] = {}
-        for t, item in enumerate(items):
+        for t, unit in enumerate(units):
             groups.setdefault(
-                (item.scheduler, item.adversary, item.alpha), []
+                (unit.scheduler, unit.adversary, unit.alpha), []
             ).append(t)
-        out: list[dict[str, Any]] = [{} for _ in items]
+        out: list[dict[str, Any]] = [{} for _ in units]
         for (scheduler, adversary, alpha), idxs in groups.items():
             reports = test_feasibility_batch(
-                [(items[t].taskset, items[t].platform) for t in idxs],
+                [
+                    (units[t].taskset.subset(list(units[t].order)), units[t].platform)
+                    for t in idxs
+                ],
                 scheduler,  # type: ignore[arg-type]
                 adversary,  # type: ignore[arg-type]
                 alpha=alpha,
@@ -298,20 +259,9 @@ class _Worker:
     ):
         self.shard = shard
         self.chaos = chaos
-        self._backend_tests: dict[str, int] = {}
         self._requests: dict[str, int] = {}
         self._items = 0
-        self.core = ShardCore(
-            cache_size=cache_size,
-            backend=backend,
-            jobs=1,  # a shard is single-process serial by design
-            on_backend=self._count_backend,
-        )
-
-    def _count_backend(self, backend: str, count: int) -> None:
-        self._backend_tests[backend] = (
-            self._backend_tests.get(backend, 0) + count
-        )
+        self.core = ShardCore(cache_size=cache_size, backend=backend)
 
     def _apply_chaos(self, units: list[TestUnit | PartitionUnit]) -> None:
         """Honour fault-injection task names (``--chaos`` runs only)."""
@@ -337,7 +287,7 @@ class _Worker:
             "requests": dict(sorted(self._requests.items())),
             "items": self._items,
             "cache": self.core.cache.stats().as_dict(),
-            "backend_tests": dict(sorted(self._backend_tests.items())),
+            "backend_tests": dict(sorted(self.core.backend_tests.items())),
         }
 
     def dispatch(self, op: str, payload: Any) -> Any:

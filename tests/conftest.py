@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import pytest
 os.environ.setdefault("PYTHONHASHSEED", "0")
 
 from repro.core.model import Platform, Task, TaskSet
+from repro.service.frontend import ShardedFrontend
 from repro.workloads.platforms import (
     big_little_platform,
     geometric_platform,
@@ -54,3 +57,49 @@ def hetero_platform() -> Platform:
 @pytest.fixture
 def biglittle() -> Platform:
     return big_little_platform(2, 4, big_speed=3.0, little_speed=1.0)
+
+
+class InThreadServer:
+    """A ``repro serve --workers 0`` front end on an ephemeral port,
+    serving from its own event-loop thread inside the test process."""
+
+    def __init__(self, **kwargs):
+        self.frontend = ShardedFrontend(workers=0, **kwargs)
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+        self._run(self.frontend.start())
+        self.host = self.frontend.host
+        self.port = self.frontend.bound_port
+        self.url = f"http://{self.host}:{self.port}"
+
+    def _run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout=60)
+
+    def close(self) -> None:
+        self._run(self.frontend.drain())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=10)
+        self.loop.close()
+
+
+@pytest.fixture
+def start_server():
+    """Factory for extra in-thread servers, drained at test teardown."""
+    servers: list[InThreadServer] = []
+
+    def start(**kwargs) -> InThreadServer:
+        servers.append(InThreadServer(**kwargs))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture(scope="module")
+def live_server():
+    """One shared in-thread server per test module (256-entry cache)."""
+    server = InThreadServer(cache_size=256)
+    yield server
+    server.close()

@@ -31,20 +31,24 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.jobs == 1
+        assert args.workers == 0
         assert args.cache_size == 1024
 
     def test_serve_options(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--jobs", "4", "--cache-size", "64"]
+            ["serve", "--port", "0", "--workers", "4", "--cache-size", "64"]
         )
         assert args.port == 0
-        assert args.jobs == 4
+        assert args.workers == 4
         assert args.cache_size == 64
 
-    def test_serve_rejects_negative_jobs(self):
+    def test_serve_rejects_negative_workers(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--jobs", "-1"])
+            build_parser().parse_args(["serve", "--workers", "-3"])
+
+    def test_serve_has_no_jobs_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--jobs", "4"])
 
 
 class TestCommands:

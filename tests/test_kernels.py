@@ -10,6 +10,7 @@ backend fails these tests, not just a flipped verdict.
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import numpy as np
@@ -533,45 +534,46 @@ class TestServiceBackendRouting:
         return out
 
     def test_legacy_default_has_no_backend_key(self):
-        from repro.service.app import FeasibilityService
+        from repro.service.frontend import ShardedFrontend
 
-        service = FeasibilityService()
-        response = service.handle_test(self._payloads(1)[0])
+        service = ShardedFrontend(workers=0)
+        response = asyncio.run(service.handle_test(self._payloads(1)[0]))
         assert "backend" not in response["report"]
         assert service.handle_healthz()["backend"] == "scalar"
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_backend_stamped_and_counted(self, backend):
-        from repro.service.app import FeasibilityService
+        from repro.service.frontend import ShardedFrontend
 
         payloads = self._payloads()
-        service = FeasibilityService(backend=backend)
-        single = service.handle_test(payloads[0])
+        service = ShardedFrontend(workers=0, backend=backend)
+        single = asyncio.run(service.handle_test(payloads[0]))
         assert single["report"]["backend"] == backend
-        batch = service.handle_batch({"instances": payloads})
+        batch = asyncio.run(service.handle_batch({"instances": payloads}))
         assert [r["report"]["backend"] for r in batch["results"]] == (
             [backend] * len(payloads)
         )
-        # 1 /v1/test miss + the batch misses (payloads[0] already cached)
-        counted = service.metrics.as_dict()["backend_tests"]
-        assert counted == {backend: len(payloads)}
-        prom = service.metrics_prometheus()
+        # 1 /v1/test miss + the batch misses (payloads[0] already cached),
+        # all counted by the one in-process shard
+        (shard,) = asyncio.run(service.metrics_json())["shards"]
+        assert shard["stats"]["backend_tests"] == {backend: len(payloads)}
+        prom = asyncio.run(service.metrics_prometheus())
         assert (
-            f'repro_backend_tests_total{{backend="{backend}"}} '
+            f'repro_shard_backend_tests_total{{shard="0",backend="{backend}"}} '
             f"{len(payloads)}" in prom
         )
         assert service.handle_healthz()["backend"] == backend
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_backend_reports_equal_legacy_apart_from_key(self, backend):
-        from repro.service.app import FeasibilityService
+        from repro.service.frontend import ShardedFrontend
 
         payloads = self._payloads()
-        legacy = FeasibilityService()
-        routed = FeasibilityService(backend=backend)
+        legacy = ShardedFrontend(workers=0)
+        routed = ShardedFrontend(workers=0, backend=backend)
         for payload in payloads:
-            want = legacy.handle_test(payload)
-            got = routed.handle_test(payload)
+            want = asyncio.run(legacy.handle_test(payload))
+            got = asyncio.run(routed.handle_test(payload))
             report = dict(got["report"])
             assert report.pop("backend") == backend
             assert report == want["report"]

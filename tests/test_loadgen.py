@@ -3,15 +3,14 @@
 The generator's whole value is replayability — every sequence it emits
 (corpus bodies, access order, arrival times) must be a pure function of
 the profile seed — so most tests here are determinism tests.  The
-harness smoke tests drive a real in-thread single-process server, the
-same topology the CI loadgen smoke job exercises against the sharded
-one.
+harness smoke tests drive a real in-thread ``--workers 0`` server, the
+default topology the CI loadgen smoke job also exercises (next to the
+sharded one).
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro.loadgen.profiles import (
     stream_seed,
     zipf_draws,
 )
-from repro.service.server import make_server
 from repro.service.validation import parse_test_request
 
 
@@ -220,21 +218,9 @@ class TestProfiles:
         assert d["arrivals"] == "poisson" and d["rate"] == 200.0
 
 
-@pytest.fixture(scope="module")
-def live_server():
-    srv = make_server(port=0, cache_size=256)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    host, port = srv.server_address[:2]
-    yield host, port
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
-
-
 class TestHttpClient:
     def test_keep_alive_get_and_post(self, live_server):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         corpus = build_corpus(PROFILES["smoke"])
         with HttpClient(host, port) as http:
             status, body = http.request("GET", "/healthz")
@@ -247,7 +233,7 @@ class TestHttpClient:
             assert status == 200
 
     def test_error_statuses_are_returned_not_raised(self, live_server):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         with HttpClient(host, port) as http:
             status, body = http.request("POST", "/v1/test", b"not json")
             assert status == 400
@@ -261,7 +247,7 @@ class TestHttpClient:
 
 class TestRunLoad:
     def test_closed_loop_smoke(self, live_server):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         profile = PROFILES["smoke"].with_overrides(duration=1.0)
         report = run_load(host, port, profile)
         assert report.requests > 0
@@ -274,7 +260,7 @@ class TestRunLoad:
         assert "req/s" in report.summary()
 
     def test_open_loop_smoke(self, live_server):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         profile = PROFILES["open-poisson"].with_overrides(
             duration=1.0, rate=40.0
         )
@@ -294,7 +280,7 @@ class TestRunLoad:
         assert "offered" in report.summary()
 
     def test_report_round_trips_through_json(self, live_server):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         profile = PROFILES["smoke"].with_overrides(duration=0.5)
         report = run_load(host, port, profile)
         decoded = json.loads(json.dumps(report.as_dict()))
@@ -320,7 +306,7 @@ class TestLoadgenCli:
     def test_end_to_end_against_live_server(
         self, live_server, capsys, tmp_path
     ):
-        host, port = live_server
+        host, port = live_server.host, live_server.port
         out_json = tmp_path / "report.json"
         code = cli_main(
             [

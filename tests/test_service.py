@@ -1,9 +1,10 @@
 """Live-server tests for the feasibility-query service.
 
-A real ``ThreadingHTTPServer`` on an ephemeral port, exercised through
-``ServiceClient`` and raw sockets: correctness-vs-direct-call
-equivalence, canonical-instance cache behaviour, concurrent clients,
-structured error paths, metrics, and graceful shutdown.
+A real ``--workers 0`` front end (one in-process shard) on an ephemeral
+port, exercised through ``ServiceClient`` and raw sockets:
+correctness-vs-direct-call equivalence, canonical-instance cache
+behaviour, concurrent clients, structured error paths, HTTP edge
+hardening, metrics, and the ``repro serve`` process lifecycle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -36,7 +38,7 @@ from repro.io_.serialize import (
     taskset_to_dict,
 )
 from repro.loadgen.client import HttpClient
-from repro.service import LRUCache, ServiceClient, ServiceError, make_server
+from repro.service import LRUCache, ServiceClient, ServiceError
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -59,25 +61,19 @@ def _rejected_instance():
 
 
 @pytest.fixture(scope="module")
-def server():
-    srv = make_server(port=0, jobs=1, cache_size=256)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
-
-
-@pytest.fixture(scope="module")
-def base_url(server):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}"
+def base_url(live_server):
+    return live_server.url
 
 
 @pytest.fixture(scope="module")
 def client(base_url):
     return ServiceClient(base_url, timeout=30.0)
+
+
+def _cache_stats(client: ServiceClient) -> dict:
+    """The in-process shard's verdict-cache counters."""
+    (shard,) = client.metrics()["shards"]
+    return shard["stats"]["cache"]
 
 
 def _raw_post(base_url: str, path: str, body: bytes):
@@ -100,7 +96,12 @@ class TestHealth:
         assert health["status"] == "ok"
         assert health["version"] == repro.__version__
         assert health["uptime_seconds"] >= 0
-        assert health["cache"]["capacity"] == 256
+        assert health["architecture"] == "in-process"
+        assert health["workers"] == 0
+        (shard,) = health["shards"]
+        assert shard["state"] == "ok"
+        assert shard["pid"] == os.getpid()  # the in-thread server's process
+        assert _cache_stats(client)["capacity"] == 256
 
 
 class TestEquivalence:
@@ -145,14 +146,14 @@ class TestCache:
 
     def test_repeat_query_is_cached(self, client):
         taskset, platform = _instance(100)
-        hits_before = client.health()["cache"]["hits"]
+        hits_before = _cache_stats(client)["hits"]
         first = client.test(taskset, platform)
         second = client.test(taskset, platform)
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["report"] == first["report"]
         assert second["digest"] == first["digest"]
-        assert client.health()["cache"]["hits"] > hits_before
+        assert _cache_stats(client)["hits"] > hits_before
 
     def test_task_permutation_hits_cache_with_correct_indices(self, client):
         taskset, platform = _instance(101)
@@ -295,9 +296,9 @@ class TestConcurrency:
 
 
 class TestKeepAlive:
-    def test_sequential_requests_on_one_socket_are_not_stalled(self, server):
+    def test_sequential_requests_on_one_socket_are_not_stalled(self, live_server):
         """Nagle plus the client's delayed ACK held each response ~40 ms."""
-        host, port = server.server_address[:2]
+        host, port = live_server.host, live_server.port
         taskset, platform = _instance(21, n=4)
         body = json.dumps({
             "taskset": taskset_to_dict(taskset),
@@ -394,6 +395,65 @@ class TestErrors:
         assert any(e["field"] == "scheduler" for e in exc_info.value.fields)
 
 
+def _raw_exchange(live_server, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes."""
+    with socket.create_connection((live_server.host, live_server.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _split_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in header_lines:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(status_line.split(" ")[1]), headers, body
+
+
+class TestHttpEdge:
+    """Malformed framing gets a JSON error and a closed connection, never a
+    500 or a silent drop, and the server keeps serving afterwards."""
+
+    def _assert_still_serving(self, live_server):
+        with HttpClient(live_server.host, live_server.port) as http:
+            assert http.request("GET", "/healthz")[0] == 200
+
+    def test_negative_content_length_is_400(self, live_server):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /v1/test HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+        )
+        status, headers, body = _split_response(raw)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "non-negative" in json.loads(body)["error"]["message"]
+        self._assert_still_serving(live_server)
+
+    def test_overlong_header_line_is_431(self, live_server):
+        raw = _raw_exchange(
+            live_server,
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        status, headers, body = _split_response(raw)
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert headers["content-type"].startswith("application/json")
+        assert "too long" in json.loads(body)["error"]["message"]
+        self._assert_still_serving(live_server)
+
+    def test_overlong_request_line_is_431(self, live_server):
+        raw = _raw_exchange(
+            live_server, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        )
+        assert _split_response(raw)[0] == 431
+        self._assert_still_serving(live_server)
+
+
 class TestConstrainedValidation:
     """Deadline-axis validation (constrained-family satellites): the
     tolerant implicit check snaps float-round-trip deadlines, and the
@@ -440,7 +500,7 @@ class TestConstrainedValidation:
             for e in body["error"]["fields"]
         )
 
-    def test_batch_rejection_is_backend_identical(self, base_url):
+    def test_batch_rejection_is_backend_identical(self, base_url, start_server):
         # a constrained instance inside /v1/batch must fail up front in
         # validation with the same indexed field errors on every backend
         # — never as a mid-batch ValueError from a kernel
@@ -466,18 +526,8 @@ class TestConstrainedValidation:
         assert "instances[1].taskset.tasks[0].deadline" in fields
 
         for backend in ("kernel", "numpy"):
-            srv = make_server(port=0, jobs=1, cache_size=16, backend=backend)
-            thread = threading.Thread(target=srv.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = srv.server_address[:2]
-                status, body = _raw_post(
-                    f"http://{host}:{port}", "/v1/batch", payload
-                )
-            finally:
-                srv.shutdown()
-                thread.join(timeout=10)
-                srv.server_close()
+            srv = start_server(cache_size=16, backend=backend)
+            status, body = _raw_post(srv.url, "/v1/batch", payload)
             assert status == scalar_status, backend
             assert body == scalar_body, backend
 
@@ -486,18 +536,20 @@ class TestMetrics:
     def test_json_snapshot_structure(self, client):
         client.health()  # ensure at least one observed request
         metrics = client.metrics()
-        assert set(metrics) >= {"requests", "latency", "cache", "uptime_seconds"}
-        assert "/healthz" in metrics["requests"]
-        assert metrics["requests"]["/healthz"]["200"] >= 1
-        hist = metrics["latency"]["/healthz"]
+        assert set(metrics) >= {"frontend", "shards", "workers", "uptime_seconds"}
+        assert metrics["workers"] == 0
+        frontend = metrics["frontend"]
+        assert "/healthz" in frontend["requests"]
+        assert frontend["requests"]["/healthz"]["200"] >= 1
+        hist = frontend["latency"]["/healthz"]
         assert hist["count"] >= 1
         assert hist["buckets"]["+Inf"] == hist["count"]
-        cache = metrics["cache"]
+        cache = _cache_stats(client)
         assert 0.0 <= cache["hit_ratio"] <= 1.0
         assert cache["hits"] + cache["misses"] > 0
 
     def test_latency_counts_match_request_counts(self, client):
-        metrics = client.metrics()
+        metrics = client.metrics()["frontend"]
         for endpoint, by_status in metrics["requests"].items():
             assert metrics["latency"][endpoint]["count"] == sum(
                 by_status.values()
@@ -511,57 +563,19 @@ class TestMetrics:
             r'repro_requests_total\{endpoint="/healthz",status="200"\} \d+', text
         )
         assert 'repro_request_latency_seconds_bucket{endpoint="/healthz",le="+Inf"}' in text
-        assert "repro_cache_hits_total" in text
-        assert "repro_cache_hit_ratio" in text
+        assert re.search(r'repro_shard_cache_hits_total\{shard="0"\} \d+', text)
+        assert re.search(r'repro_shard_cache_misses_total\{shard="0"\} \d+', text)
+        assert 'repro_shard_up{shard="0"} 1' in text
 
     def test_error_requests_are_counted(self, client, base_url):
-        before = client.metrics()["requests"].get("/v1/test", {}).get("400", 0)
+        def count() -> int:
+            requests = client.metrics()["frontend"]["requests"]
+            return requests.get("/v1/test", {}).get("400", 0)
+
+        before = count()
         _raw_post(base_url, "/v1/test", b"{not json")
-        after = client.metrics()["requests"]["/v1/test"]["400"]
+        after = count()
         assert after == before + 1
-
-
-class TestGracefulShutdown:
-    def test_inflight_request_drains_before_close(self):
-        srv = make_server(port=0, jobs=1, cache_size=16)
-        host, port = srv.server_address[:2]
-        accept_thread = threading.Thread(target=srv.serve_forever)
-        accept_thread.start()
-        started = threading.Event()
-        release = threading.Event()
-
-        def hold(endpoint: str) -> None:
-            if endpoint == "/v1/test":
-                started.set()
-                assert release.wait(timeout=30)
-
-        srv.service.before_handle = hold
-        local_client = ServiceClient(f"http://{host}:{port}")
-        taskset, platform = _instance(9)
-        box = {}
-
-        def request():
-            box["response"] = local_client.test(taskset, platform)
-
-        request_thread = threading.Thread(target=request)
-        request_thread.start()
-        try:
-            assert started.wait(timeout=30)
-            # Stop the accept loop while the request is still in flight.
-            srv.shutdown()
-            accept_thread.join(timeout=10)
-            assert not accept_thread.is_alive()
-            assert request_thread.is_alive()
-        finally:
-            release.set()
-        request_thread.join(timeout=30)
-        srv.server_close()  # joins the handler thread (block_on_close)
-        assert box["response"]["report"] == report_to_dict(
-            feasibility_test(taskset, platform)
-        )
-        # the drained server no longer accepts connections
-        with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
-            local_client.health()
 
 
 class TestServeProcess:
@@ -581,7 +595,10 @@ class TestServeProcess:
             assert match, f"no listening banner, got: {banner!r}"
             url = f"http://{match.group(1)}:{match.group(2)}"
             with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
-                assert json.loads(resp.read())["status"] == "ok"
+                health = json.loads(resp.read())
+            assert health["status"] == "ok"
+            assert health["architecture"] == "in-process"
+            assert health["shards"][0]["pid"] == proc.pid
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=20) == 0
         finally:

@@ -6,12 +6,12 @@ Three layers:
   socketpair, and the per-shard Prometheus rendering;
 * cross-process determinism — the sharded server's ``/v1/test``,
   ``/v1/partition``, and ``/v1/batch`` responses must be byte-identical
-  to the single-process server for every worker count (1, 2, 4) and
-  evaluation backend;
+  to the ``--workers 0`` in-process server for every worker count
+  (1, 2, 4) and evaluation backend;
 * robustness — a worker killed mid-request (chaos fault injection) is
   respawned with an empty cache, the poisoned request is replayed once
   before surfacing a 503, and a SIGTERM drain under load finishes the
-  in-flight request before exiting 0.
+  in-flight request before exiting 0 at every worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.service.server import make_server
 from repro.service.shard import CHAOS_EXIT_NAME, CHAOS_SLEEP_PREFIX
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
@@ -258,29 +257,22 @@ class TestHealthzAggregation:
         bad.frontend, bad.index, bad.state, bad.restarts = frontend, 1, "restarting", 1
         bad.proc, bad.pending = None, {}
         frontend.handles = [ok, bad]
-        health = frontend._handle_healthz()
+        health = frontend.handle_healthz()
         assert health["status"] == "degraded"
         assert [s["state"] for s in health["shards"]] == ["ok", "restarting"]
         bad.state = "ok"
-        assert frontend._handle_healthz()["status"] == "ok"
+        assert frontend.handle_healthz()["status"] == "ok"
 
 
 @pytest.fixture()
-def reference():
-    """Fresh single-process reference server per test.
+def reference(start_server):
+    """Fresh ``--workers 0`` reference server per test.
 
     Function-scoped on purpose: the byte-identity tests compare cold
     verdicts (``cached: false``) on both sides, so the reference cache
     must not stay warm across parametrized runs.
     """
-    srv = make_server(port=0, cache_size=4096)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    host, port = srv.server_address[:2]
-    yield f"http://{host}:{port}"
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
+    return start_server(cache_size=4096).url
 
 
 class TestCrossProcessDeterminism:
@@ -432,10 +424,11 @@ class TestWorkerCrashRobustness:
 
 
 class TestShardedDrain:
-    def test_sigterm_finishes_inflight_request_then_exits_zero(self):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_sigterm_finishes_inflight_request_then_exits_zero(self, workers):
         slow = _request_body(5)
         slow["taskset"]["tasks"][0]["name"] = f"{CHAOS_SLEEP_PREFIX}800__"
-        with _ShardedProc(2, "--chaos") as sharded:
+        with _ShardedProc(workers, "--chaos") as sharded:
             results: list[tuple[int, bytes]] = []
 
             def fire():
