@@ -2,8 +2,8 @@
 
 Times :func:`repro.kernels.test_feasibility_batch` against the
 equivalent ``feasibility_test`` loop on the fixed E18 corpus (256
-instances, the campaign/service batch shape) for every available
-backend and both theorem schedulers, then archives the table under
+instances, the campaign/service batch shape) for the ``numpy`` backend
+and both theorem schedulers, then archives the table under
 ``results/e20.txt`` / ``.csv`` and the machine-readable summary as
 ``BENCH_kernels.json`` at the repository root (the CI ``bench-kernels``
 job uploads it as an artifact).
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.feasibility import feasibility_test
 from repro.io_.serialize import report_to_dict
-from repro.kernels import available_backends, reset_kernel_caches
+from repro.kernels import BACKENDS, reset_kernel_caches
 from repro.kernels import test_feasibility_batch as feasibility_batch
 from repro.experiments.base import ExperimentResult
 from repro.workloads.builder import generate_taskset
@@ -100,7 +100,7 @@ def _assert_equivalent(corpus, scheduler, backend):
 
 def _measure(corpus):
     """Block-interleaved best-of over every (scheduler, arm) pair."""
-    backends = [b for b in available_backends() if b != "scalar"]
+    backends = [b for b in BACKENDS if b != "scalar"]
     best: dict[tuple[str, str], float] = {}
     for scheduler in ("edf", "rms"):
         for backend in backends:
@@ -132,7 +132,7 @@ def test_e19_kernel_throughput(run_once, record_result):
     # steady state a batch consumer lives in.
     for scheduler in ("edf", "rms"):
         _scalar_arm(corpus, scheduler)
-        for backend in available_backends():
+        for backend in BACKENDS:
             if backend != "scalar":
                 _kernel_arm(corpus, scheduler, backend)
 

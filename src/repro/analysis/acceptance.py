@@ -30,7 +30,7 @@ from ..baselines.exact import (
 from ..core.lp import lp_feasible
 from ..core.model import Platform, TaskSet
 from ..core.partition import first_fit_partition
-from ..kernels import first_fit_batch
+from ..kernels import BATCH_TESTS, first_fit_batch
 from ..runner import run_trials
 from ..workloads.builder import generate_taskset
 from ..workloads.campaigns import Campaign, Trial, campaign_seed
@@ -162,10 +162,6 @@ def _acceptance_trial(
     }
 
 
-#: Admission tests :func:`repro.kernels.first_fit_batch` implements.
-_KERNEL_FF_TESTS = ("edf", "rms-ll", "edf-dbf")
-
-
 @dataclass(frozen=True)
 class _AcceptanceBatch:
     """Picklable whole-chunk evaluator for :func:`acceptance_sweep`.
@@ -209,7 +205,7 @@ class _AcceptanceBatch:
         for _, tester in self.testers:
             if (
                 isinstance(tester, FirstFitTester)
-                and tester.test in _KERNEL_FF_TESTS
+                and tester.test in BATCH_TESTS
             ):
                 results = first_fit_batch(
                     instances,
@@ -260,7 +256,7 @@ def acceptance_sweep(
     resulting curve is bit-identical for every ``jobs`` value.  ``name``
     labels the campaign and is folded into the trial seeds.
 
-    ``backend`` (``scalar`` / ``kernel`` / ``numpy``) routes the
+    ``backend`` (``scalar`` / ``numpy``) routes the
     first-fit testers through :func:`repro.kernels.first_fit_batch`, a
     whole trial chunk per call; ``None`` keeps the per-trial scalar
     path.  The curve is bit-identical either way.

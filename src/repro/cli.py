@@ -38,6 +38,7 @@ from .io_.serialize import (
     taskset_to_dict,
 )
 from .io_.tables import write_csv
+from .kernels import BACKENDS
 from .sim.multiprocessor import simulate_partitioned
 from .workloads.builder import generate_taskset
 from .workloads.platforms import geometric_platform
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["scalar", "kernel", "numpy"],
+        choices=BACKENDS,
         default=None,
         help=(
             "evaluation backend (repro.kernels); verdicts are "
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["scalar", "kernel", "numpy"],
+        choices=BACKENDS,
         default=None,
         help=(
             "batch evaluation backend for experiments with kernel-backed "
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["scalar", "kernel", "numpy"],
+        choices=BACKENDS,
         default=None,
         help=(
             "evaluation backend for cache misses (default: legacy scalar "
@@ -273,17 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default=None,
         help="invariant to check (repeatable; default: the full lattice)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["kernel", "numpy"],
-        action="append",
-        dest="backends",
-        default=None,
-        help=(
-            "kernel backend the backend-equivalence invariant audits "
-            "(repeatable; default: every available one)"
-        ),
     )
     p.add_argument(
         "--campaign",
@@ -627,7 +617,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         profiles=args.profiles,
         checks=args.checks,
-        backends=args.backends,
         shrink=not args.no_shrink,
         out_dir=args.out_dir,
         campaign_name=args.campaign,

@@ -182,7 +182,7 @@ def report_to_dict(
     :func:`report_from_dict`.
 
     ``backend`` records which evaluation backend produced the report
-    (``scalar`` / ``kernel`` / ``numpy``); it is provenance only — the
+    (``scalar`` / ``numpy``); it is provenance only — the
     key is omitted when ``None`` and ignored by :func:`report_from_dict`,
     so reports from different backends remain dict-identical apart from
     it (the ``backend-equivalence`` oracle check relies on that).

@@ -1,93 +1,40 @@
 """Kernel backend registry and resolution.
 
-Three backends evaluate batches of feasibility instances:
+Two backends evaluate batches of feasibility instances:
 
 ``scalar``
     The reference path: a per-instance loop over
-    :func:`repro.core.feasibility.feasibility_test`.  Always available;
-    every other backend is defined as bit-identical to it.
-``kernel``
-    Pure-Python structure-of-arrays loop over preallocated stdlib
-    ``array('d')`` buffers (:mod:`repro.kernels.pyloop`).  No third-party
-    dependency; replays the scalar arithmetic operation-for-operation.
+    :func:`repro.core.feasibility.feasibility_test`.  The other backend
+    is defined as bit-identical to it.
 ``numpy``
-    Vectorized lockstep first-fit over the same flat buffers viewed as
-    ndarrays (:mod:`repro.kernels.lockstep`).  Optional acceleration —
-    gated on numpy being importable.
+    Vectorized lockstep first-fit over flat structure-of-arrays buffers
+    viewed as ndarrays (:mod:`repro.kernels.lockstep`); ``edf-dbf``
+    routes through the sequential QPA walk in
+    :mod:`repro.kernels.dbfloop`.
 
-Resolution order for the backend actually used: an explicit argument
-wins, then the ``REPRO_KERNEL_BACKEND`` environment variable, then
-``auto`` (numpy when importable, else ``kernel``).  An explicitly
-requested backend is never silently substituted: asking for ``numpy``
-without numpy installed raises instead of falling back, so benchmark
-and equivalence results always name the code path that produced them.
+``None`` resolves to ``numpy``.  Any other name must be one of
+:data:`BACKENDS`; nothing is ever substituted, so benchmark and
+equivalence results always name the code path that produced them.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = [
-    "BACKENDS",
-    "KERNEL_BACKENDS",
-    "BACKEND_ENV_VAR",
-    "numpy_available",
-    "available_backends",
-    "available_kernel_backends",
-    "resolve_backend",
-]
+__all__ = ["BACKENDS", "resolve_backend"]
 
 #: Every recognized backend name, reference path first.
-BACKENDS: tuple[str, ...] = ("scalar", "kernel", "numpy")
-
-#: The non-reference backends (the ones the equivalence oracle audits).
-KERNEL_BACKENDS: tuple[str, ...] = ("kernel", "numpy")
-
-#: Environment variable consulted when no explicit backend is passed.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-try:  # numpy is a hard dependency of the repo, but the kernel layer
-    import numpy  # noqa: F401  # only probed for availability
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _HAVE_NUMPY = False
-
-
-def numpy_available() -> bool:
-    """Is the numpy backend usable in this process?"""
-    return _HAVE_NUMPY
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable right now, reference path first."""
-    return tuple(b for b in BACKENDS if b != "numpy" or _HAVE_NUMPY)
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """The usable non-scalar backends (equivalence-audit targets)."""
-    return tuple(b for b in KERNEL_BACKENDS if b != "numpy" or _HAVE_NUMPY)
+BACKENDS: tuple[str, ...] = ("scalar", "numpy")
 
 
 def resolve_backend(backend: str | None = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    ``None`` consults :data:`BACKEND_ENV_VAR`, then falls back to
-    ``auto``.  ``auto`` picks numpy when importable, else ``kernel``.
-    Explicit names are validated and never substituted.
+    ``None`` means ``numpy``; explicit names are validated, never
+    substituted.
     """
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "auto"
-    backend = backend.strip().lower()
-    if backend == "auto":
-        return "numpy" if _HAVE_NUMPY else "kernel"
+        return "numpy"
     if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)} (or auto)"
-        )
-    if backend == "numpy" and not _HAVE_NUMPY:
-        raise RuntimeError(
-            "numpy backend requested but numpy is not importable; "
-            "use backend='kernel' or install numpy"
+            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
         )
     return backend

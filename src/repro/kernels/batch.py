@@ -10,15 +10,14 @@ flat preallocated buffers instead of instance-at-a-time over objects.
 A **shard** is the maximal sub-batch sharing one (task count, machine
 speed vector) shape; instances are grouped automatically and results
 scattered back to input order, so callers can mix shapes freely.  Within
-a shard the structure-of-arrays machine state lets the pure-Python
-``kernel`` backend skip all per-probe object work, and the ``numpy``
-backend run every instance's first-fit step as one vectorized
-operation.  Empty task sets take the scalar path (nothing to batch).
+a shard the ``numpy`` backend runs every instance's first-fit step as
+one vectorized operation (``edf-dbf`` walks the shard through the
+sequential QPA loop in :mod:`repro.kernels.dbfloop`).  Empty task sets
+take the scalar path (nothing to batch).
 
-Backend choice follows :func:`repro.kernels.backends.resolve_backend`:
-explicit argument > ``REPRO_KERNEL_BACKEND`` > auto.  ``scalar`` is the
-reference loop itself, so equivalence tests can run all three through
-one entry point.
+Backend choice follows :func:`repro.kernels.backends.resolve_backend`
+(``None`` means ``numpy``).  ``scalar`` is the reference loop itself, so
+equivalence tests can run both through one entry point.
 """
 
 from __future__ import annotations
@@ -37,19 +36,20 @@ from ..core.feasibility import (
 )
 from ..core.model import Platform, TaskSet
 from ..core.partition import PartitionResult, first_fit_partition
-from . import pyloop
 from .backends import resolve_backend
 from .batchmeta import ReportMeta
 from .buffers import TasksetEntry, platform_entry, taskset_entry
+from .dbfloop import RawResult, solve_shard_dbf
 
-__all__ = ["Instance", "test_feasibility_batch", "first_fit_batch"]
+__all__ = ["BATCH_TESTS", "Instance", "test_feasibility_batch", "first_fit_batch"]
 
 #: One batch element: the task set and the platform to place it on.
 Instance = tuple[TaskSet, Platform]
 
-#: Admission tests the kernels implement: the paper's O(1)-state pair
-#: plus the exact constrained-deadline QPA walk (see ``dbfloop``).
-_KERNEL_TESTS = ("edf", "rms-ll", "edf-dbf")
+#: Admission tests :func:`first_fit_batch` evaluates in batch: the
+#: paper's O(1)-state pair plus the exact constrained-deadline QPA walk
+#: (see ``dbfloop``).
+BATCH_TESTS = ("edf", "rms-ll", "edf-dbf")
 
 #: The error every entry point raises on a constrained task set reaching
 #: a theorem test — one string, so service error bodies cannot drift
@@ -76,7 +76,7 @@ def _ll_table(n: int) -> list[float]:
 
 
 def _assemble(
-    raw: pyloop.RawResult,
+    raw: RawResult,
     ent: TasksetEntry,
     platform: Platform,
     m: int,
@@ -84,7 +84,7 @@ def _assemble(
     test_name: str,
     meta: ReportMeta | None,
 ) -> PartitionResult | FeasibilityReport:
-    """Expand one pure-Python raw triple into the scalar result shape."""
+    """Expand one ``dbfloop`` raw triple into the scalar result shape."""
     chosen, failed_k, loads = raw
     order = ent.order
     success = failed_k < 0
@@ -130,44 +130,32 @@ def _run_shard(
     test_name: str,
     rms: bool,
     alpha: float,
-    backend: str,
     meta: ReportMeta | None,
 ) -> list:
     """Evaluate one uniform (task count, speeds) shard."""
     pfe = platform_entry(speeds, alpha)
-    m = len(speeds)
     if test_name == "edf-dbf":
-        # QPA admission is a sequential fixed-point iteration, so both
-        # kernel backends share the structure-of-arrays demand walk;
-        # verdicts are memoized jointly with the scalar path
-        from . import dbfloop
-
-        raw_dbf = dbfloop.solve_shard_dbf(entries, pfe)
+        # QPA admission is a sequential fixed-point iteration, so it runs
+        # as a per-instance demand walk, not in lockstep; verdicts are
+        # memoized jointly with the scalar path
+        m = len(speeds)
+        raw = solve_shard_dbf(entries, pfe)
         return [
-            _assemble(
-                raw_dbf[t], entries[t], platforms[t], m, alpha, test_name, meta
-            )
+            _assemble(raw[t], entries[t], platforms[t], m, alpha, test_name, meta)
             for t in range(len(entries))
         ]
-    ll_tab = _ll_table(n) if rms else []
-    if backend == "numpy":
-        from . import lockstep  # deferred: numpy is optional here
+    from . import lockstep  # deferred: only lockstep shards need it
 
-        return lockstep.evaluate_shard(
-            entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
-        )
-    raw = pyloop.solve_shard(entries, pfe, rms, ll_tab)
-    return [
-        _assemble(raw[t], entries[t], platforms[t], m, alpha, test_name, meta)
-        for t in range(len(entries))
-    ]
+    ll_tab = _ll_table(n) if rms else []
+    return lockstep.evaluate_shard(
+        entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
+    )
 
 
 def _evaluate_sharded(
     instances: list[Instance],
     test_name: str,
     alpha: float,
-    backend: str,
     meta: ReportMeta | None,
     scalar_one: Callable[[TaskSet, Platform], object],
 ) -> list:
@@ -188,7 +176,6 @@ def _evaluate_sharded(
             test_name,
             rms,
             alpha,
-            backend,
             meta,
         )
     shards: dict[tuple[int, tuple[float, ...]], list[int]] = {}
@@ -214,7 +201,6 @@ def _evaluate_sharded(
             test_name,
             rms,
             alpha,
-            backend,
             meta,
         )
         for t, i in enumerate(idxs):
@@ -243,8 +229,7 @@ def test_feasibility_batch(
     alpha:
         Override the theorem's speed augmentation (must be positive).
     backend:
-        ``scalar`` / ``kernel`` / ``numpy``; ``None`` resolves via
-        ``REPRO_KERNEL_BACKEND`` then auto-detection.
+        ``scalar`` / ``numpy``; ``None`` means ``numpy``.
     """
     items = list(instances)
     try:
@@ -272,14 +257,7 @@ def test_feasibility_batch(
     if resolved == "scalar" or not items:
         return [scalar_one(ts, pf) for ts, pf in items]
     meta = ReportMeta(scheduler=scheduler, adversary=adversary, theorem=theorem)
-    return _evaluate_sharded(
-        items,
-        _TEST_NAME[scheduler],
-        a,
-        resolved,
-        meta,
-        scalar_one,
-    )
+    return _evaluate_sharded(items, _TEST_NAME[scheduler], a, meta, scalar_one)
 
 
 def first_fit_batch(
@@ -297,10 +275,10 @@ def first_fit_batch(
     ``rms-ll``) and the exact constrained-deadline QPA walk
     (``edf-dbf``); other admission tests keep the scalar partitioner.
     """
-    if test not in _KERNEL_TESTS:
+    if test not in BATCH_TESTS:
         raise ValueError(
             f"first_fit_batch supports the admission tests "
-            f"{', '.join(repr(t) for t in _KERNEL_TESTS)}, not {test!r}; "
+            f"{', '.join(repr(t) for t in BATCH_TESTS)}, not {test!r}; "
             f"use repro.core.partition.partition for other tests"
         )
     if alpha <= 0:
@@ -313,4 +291,4 @@ def first_fit_batch(
 
     if resolved == "scalar" or not items:
         return [scalar_one(ts, pf) for ts, pf in items]
-    return _evaluate_sharded(items, test, alpha, resolved, None, scalar_one)
+    return _evaluate_sharded(items, test, alpha, None, scalar_one)

@@ -1,9 +1,9 @@
-"""Shared report metadata threaded through the kernel backends.
+"""Shared report metadata threaded through the batch evaluation.
 
 Lives in its own tiny module so :mod:`repro.kernels.batch` (the public
-API and pure-Python assembler) and :mod:`repro.kernels.lockstep` (the
-numpy backend, imported lazily) can both depend on it without importing
-each other.
+API and ``edf-dbf`` report assembler) and :mod:`repro.kernels.lockstep`
+(the lockstep numpy kernel, imported lazily) can both depend on it
+without importing each other.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
 """Structure-of-arrays batch buffers and their bounded caches.
 
-The canonical storage for every batch quantity is a flat stdlib
-``array('d')`` in row-major layout — ``B`` instances by ``n`` tasks (or
-``m`` machines) — addressed through ``memoryview`` slices by the
-pure-Python backend and through zero-copy ``np.frombuffer`` views by the
-numpy backend.  One layout, two consumers, so the two kernel backends
-cannot drift structurally.
+Per task set and per platform, the batch quantities live in flat stdlib
+``array`` storage that the numpy backend reads through zero-copy
+``np.frombuffer`` views, so this module itself stays numpy-free.
 
-Three caches make repeat batches cheap; all are bounded LRU with
+Two caches make repeat batches cheap; both are bounded LRU with
 hit/miss/eviction counters (mirroring the ``core/dbf.py`` profile cache
 discipline):
 
@@ -17,10 +14,7 @@ discipline):
   while its entry is live);
 * **platform entries** — per (speeds, alpha): the alpha-scaled speed
   row and its ``max(1, ·)`` companion for the tolerance term, keyed by
-  *value* so equal-speed platforms share one entry across objects;
-* **scratch buffers** — per (B, m) shard shape: the running Neumaier
-  (sum, compensation) state and the RMS per-machine task counts,
-  zero-filled on reuse.
+  *value* so equal-speed platforms share one entry across objects.
 
 Utilizations are computed via the same ``Task.utilization`` property the
 scalar path reads (one division per task), so the buffered values are
@@ -31,18 +25,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.model import TaskSet
 
 __all__ = [
     "TasksetEntry",
     "PlatformEntry",
-    "ShardScratch",
     "KernelCacheStats",
     "taskset_entry",
     "platform_entry",
-    "shard_scratch",
     "kernel_cache_stats",
     "reset_kernel_caches",
 ]
@@ -50,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TasksetEntry:
-    """Sorted per-task-set arrays (shared by both kernel backends)."""
+    """Sorted per-task-set arrays."""
 
     taskset: TaskSet
     #: utilizations in non-increasing order (stable on ties)
@@ -83,26 +75,6 @@ class PlatformEntry:
     thr_rms: Any = field(default=None, compare=False)
 
 
-class ShardScratch:
-    """Reusable mutable state for one (B, m) shard evaluation."""
-
-    __slots__ = ("b_m", "sums", "comps", "counts", "_zeros_d", "_zeros_q")
-
-    def __init__(self, b_m: int):
-        self.b_m = b_m
-        self.sums = array("d", bytes(8 * b_m))
-        self.comps = array("d", bytes(8 * b_m))
-        self.counts = array("q", bytes(8 * b_m))
-        self._zeros_d = array("d", bytes(8 * b_m))
-        self._zeros_q = array("q", bytes(8 * b_m))
-
-    def reset(self) -> None:
-        """Zero-fill every working array (slice copy, no realloc)."""
-        self.sums[:] = self._zeros_d
-        self.comps[:] = self._zeros_d
-        self.counts[:] = self._zeros_q
-
-
 @dataclass(frozen=True)
 class KernelCacheStats:
     """Aggregate counters over the kernel layer's caches."""
@@ -133,8 +105,6 @@ _TS_CACHE: dict[int, TasksetEntry] = {}
 _TS_CACHE_MAX = 4096
 _PF_CACHE: dict[tuple[tuple[float, ...], float], PlatformEntry] = {}
 _PF_CACHE_MAX = 512
-_SCRATCH: dict[int, ShardScratch] = {}
-_SCRATCH_MAX = 8
 _HITS = 0
 _MISSES = 0
 _EVICTIONS = 0
@@ -191,21 +161,6 @@ def platform_entry(speeds: tuple[float, ...], alpha: float) -> PlatformEntry:
     return ent
 
 
-def shard_scratch(b_m: int) -> ShardScratch:
-    """A zeroed scratch buffer of ``B * m`` slots (pooled by size)."""
-    scratch = _SCRATCH.get(b_m)
-    if scratch is None:
-        scratch = ShardScratch(b_m)
-        if len(_SCRATCH) >= _SCRATCH_MAX:
-            _SCRATCH.pop(next(iter(_SCRATCH)))
-        _SCRATCH[b_m] = scratch
-    else:
-        del _SCRATCH[b_m]
-        _SCRATCH[b_m] = scratch
-        scratch.reset()
-    return scratch
-
-
 def kernel_cache_stats() -> KernelCacheStats:
     """Counters aggregated over the task-set and platform caches."""
     return KernelCacheStats(
@@ -222,10 +177,5 @@ def reset_kernel_caches() -> None:
     global _HITS, _MISSES, _EVICTIONS
     _TS_CACHE.clear()
     _PF_CACHE.clear()
-    _SCRATCH.clear()
     _HITS = _MISSES = _EVICTIONS = 0
 
-
-def as_float_list(values: Iterable[float]) -> array:
-    """Copy ``values`` into canonical flat ``array('d')`` storage."""
-    return array("d", values)

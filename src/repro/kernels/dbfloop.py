@@ -1,9 +1,9 @@
 """Batched DBF demand walk — first-fit with the exact QPA admission.
 
-The ``edf-dbf`` counterpart of :mod:`repro.kernels.pyloop`: per shard,
-the §III first-fit loop over structure-of-arrays machine state, with the
-O(1) utilization probe replaced by the pseudo-polynomial QPA probe of
-:func:`repro.core.dbf.qpa_feasible_params`.
+The ``edf-dbf`` path of the ``numpy`` backend: per shard, the §III
+first-fit loop over plain per-instance machine state, with the O(1)
+utilization probe of :mod:`repro.kernels.lockstep` replaced by the
+pseudo-polynomial QPA probe of :func:`repro.core.dbf.qpa_feasible_params`.
 
 Bit-identity with the scalar partitioner is *by construction*, not by
 replication: both paths resolve every probe through the same
@@ -18,23 +18,26 @@ across a shard, the profile cache turns repeated candidate sets (common
 in campaign sweeps over nearby utilizations) into dictionary hits.
 
 The reported loads replay :class:`~repro.core.bounds._NeumaierSum`
-exactly as :mod:`repro.kernels.pyloop` does (inlined peek/add on
-non-negative utilization streams), so ``PartitionResult.loads`` matches
+exactly: per instance, two local ``[0.0] * m`` lists hold each machine's
+running (sum, compensation) pair, updated by ``add`` inlined on
+non-negative utilization streams, so ``PartitionResult.loads`` matches
 the scalar result bit for bit.
 
 There is no vectorized variant: QPA is an inherently sequential
-fixed-point iteration, so the ``numpy`` backend routes here too — the
-backends still agree verdict-for-verdict, which is what the
-``backend-equivalence`` oracle check asserts.
+fixed-point iteration.  The backends still agree verdict-for-verdict,
+which is what the ``backend-equivalence`` oracle check asserts.
 """
 
 from __future__ import annotations
 
 from ..core.dbf import TaskParams, qpa_feasible_params
-from .buffers import PlatformEntry, TasksetEntry, shard_scratch
-from .pyloop import RawResult
+from .buffers import PlatformEntry, TasksetEntry
 
-__all__ = ["solve_shard_dbf"]
+__all__ = ["RawResult", "solve_shard_dbf"]
+
+#: Raw per-instance outcome: (machine per sorted position, sorted
+#: position of the first failure or -1, final per-machine loads).
+RawResult = tuple[list[int], int, list[float]]
 
 
 def solve_shard_dbf(
@@ -44,11 +47,7 @@ def solve_shard_dbf(
     """First-fit every instance of one uniform shard under QPA admission."""
     S = pf.scaled
     m = len(S)
-    scratch = shard_scratch(len(entries) * m)
-    sums = memoryview(scratch.sums)
-    comps = memoryview(scratch.comps)
     out: list[RawResult] = []
-    base = 0
     for ent in entries:
         ts = ent.taskset
         # candidate parameters in the processing (utilization-descending)
@@ -59,6 +58,8 @@ def solve_shard_dbf(
         # per-machine assigned params in placement order: exactly the
         # list _DBFState._tasks holds on the scalar path
         machines: list[list[TaskParams]] = [[] for _ in range(m)]
+        sums = [0.0] * m
+        comps = [0.0] * m
         chosen: list[int] = []
         failed_k = -1
         for k, cand in enumerate(params):
@@ -67,23 +68,21 @@ def solve_shard_dbf(
                 if qpa_feasible_params((*machines[j], cand), S[j]):
                     placed = j
                     machines[j].append(cand)
-                    i = base + j
                     u = ent.u_sorted[k]
-                    s = sums[i]
+                    s = sums[j]
                     # _NeumaierSum.add, inlined (operands non-negative)
                     t = s + u
                     if s >= u:
                         pre = (s - t) + u
                     else:
                         pre = (u - t) + s
-                    sums[i] = t
-                    comps[i] = comps[i] + pre
+                    sums[j] = t
+                    comps[j] = comps[j] + pre
                     break
             if placed < 0:
                 failed_k = k
                 break
             chosen.append(placed)
-        loads = [sums[base + j] + comps[base + j] for j in range(m)]
+        loads = [sums[j] + comps[j] for j in range(m)]
         out.append((chosen, failed_k, loads))
-        base += m
     return out

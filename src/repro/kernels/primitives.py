@@ -16,16 +16,17 @@ bit-identical rewrite of its scalar reference:
   (scale-aware ``tol_floor((t - d)/p) + 1`` jobs, ``lt(t, d)`` deadline
   gate, fsum) element-for-element.
 
-Both accept the same ``backend`` knob as the batch tests; the ``kernel``
-and ``numpy`` paths differ only in how the per-task parameter walk is
-executed, never in a floating-point result.
+Both accept the same ``backend`` knob as the batch tests; ``scalar``
+calls the reference functions, ``numpy`` only changes how the per-task
+parameter walk is executed, never a floating-point result.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Sequence
+
+import numpy as np
 
 from ..core.bounds import liu_layland_bound
 from ..core.dbf import dbf_taskset
@@ -80,53 +81,20 @@ def dbf_demand_batch(
             [dbf_taskset(ts.tasks, t) for t in grid] for ts in ts_list
         ]
     out: list[list[float]] = []
-    if resolved == "numpy":
-        import numpy as np
-
-        for ts in ts_list:
-            if not len(ts):
-                out.append([0.0] * len(grid))
-                continue
-            dl = np.array([t.deadline for t in ts.tasks], dtype=float)
-            pr = np.array([t.period for t in ts.tasks], dtype=float)
-            wc = np.array([t.wcet for t in ts.tasks], dtype=float)
-            row = []
-            for t in grid:
-                # _DemandProfile.dbf, replayed on local arrays
-                q = (t - dl) / pr
-                jobs = np.floor(q + EPS * np.maximum(1.0, np.abs(q))) + 1.0
-                tol = EPS * np.maximum(1.0, np.maximum(abs(t), np.abs(dl)))
-                demand = np.where(dl > t + tol, 0.0, jobs * wc)
-                row.append(math.fsum(demand))
-            out.append(row)
-        return out
-    floor = math.floor
     for ts in ts_list:
-        n = len(ts)
-        if not n:
+        if not len(ts):
             out.append([0.0] * len(grid))
             continue
-        dl = array("d", (t.deadline for t in ts.tasks))
-        pr = array("d", (t.period for t in ts.tasks))
-        wc = array("d", (t.wcet for t in ts.tasks))
+        dl = np.array([t.deadline for t in ts.tasks], dtype=float)
+        pr = np.array([t.period for t in ts.tasks], dtype=float)
+        wc = np.array([t.wcet for t in ts.tasks], dtype=float)
         row = []
         for t in grid:
-            # inlined lt(t, d) gate and tol_floor((t - d)/p), same
-            # expressions as the scalar dbf()
-            row.append(
-                math.fsum(
-                    0.0
-                    if dl[i] > t + EPS * max(1.0, abs(t), dl[i])
-                    else (
-                        floor(
-                            (q := (t - dl[i]) / pr[i])
-                            + EPS * max(1.0, abs(q))
-                        )
-                        + 1.0
-                    )
-                    * wc[i]
-                    for i in range(n)
-                )
-            )
+            # _DemandProfile.dbf, replayed on local arrays
+            q = (t - dl) / pr
+            jobs = np.floor(q + EPS * np.maximum(1.0, np.abs(q))) + 1.0
+            tol = EPS * np.maximum(1.0, np.maximum(abs(t), np.abs(dl)))
+            demand = np.where(dl > t + tol, 0.0, jobs * wc)
+            row.append(math.fsum(demand))
         out.append(row)
     return out

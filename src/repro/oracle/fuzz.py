@@ -153,7 +153,6 @@ def _shrink_predicate(invariant: str, config: OracleConfig):
         tests=config.tests,
         overrides=config.overrides,
         checks=(invariant,),
-        backends=config.backends,
         margin=config.margin,
         edf_node_limit=config.edf_node_limit,
         rms_node_limit=config.rms_node_limit,
@@ -172,7 +171,6 @@ def _config_to_dict(config: OracleConfig) -> dict[str, Any]:
     return {
         "tests": list(config.tests),
         "checks": list(config.active_checks()),
-        "backends": list(config.backends),
         "margin": config.margin,
         "edf_node_limit": config.edf_node_limit,
         "rms_node_limit": config.rms_node_limit,
@@ -221,7 +219,6 @@ def run_fuzz(
     jobs: int | None = 1,
     profiles: Sequence[str] | None = None,
     checks: Sequence[str] | None = None,
-    backends: Sequence[str] | None = None,
     config: OracleConfig | None = None,
     shrink: bool = True,
     shrink_budget: int = 400,
@@ -242,10 +239,6 @@ def run_fuzz(
     checks:
         Invariant names to check (default: the full lattice); mutually
         exclusive with passing a full ``config``.
-    backends:
-        Kernel backends the ``backend-equivalence`` invariant audits
-        (default: every available one); mutually exclusive with
-        ``config``.
     shrink, shrink_budget:
         Delta-debug each violation (in the parent) to a minimal
         counterexample, spending at most ``shrink_budget`` re-evaluations.
@@ -258,13 +251,10 @@ def run_fuzz(
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    if config is not None and (checks is not None or backends is not None):
-        raise ValueError("pass either config or checks/backends, not both")
+    if config is not None and checks is not None:
+        raise ValueError("pass either config or checks, not both")
     if config is None:
-        config = OracleConfig(
-            checks=tuple(checks) if checks else (),
-            backends=tuple(backends) if backends else (),
-        )
+        config = OracleConfig(checks=tuple(checks) if checks else ())
     profile_tuple = tuple(profiles) if profiles else tuple(PROFILES)
     for p in profile_tuple:
         if p not in PROFILES:
@@ -376,7 +366,6 @@ def replay_counterexample(
         config = OracleConfig(
             tests=tuple(recorded.get("tests", OracleConfig().tests)),
             checks=(data["invariant"],),
-            backends=tuple(recorded.get("backends", ())),
             margin=float(recorded.get("margin", 1e-6)),
         )
     return [

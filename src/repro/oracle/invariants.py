@@ -102,9 +102,6 @@ class OracleConfig:
     overrides: Mapping[str, AdmissionTest] | None = None
     #: invariant names to run (default: all of :data:`CHECKS`)
     checks: tuple[str, ...] = ()
-    #: kernel backends the ``backend-equivalence`` invariant audits
-    #: (empty: every available non-scalar backend)
-    backends: tuple[str, ...] = ()
     #: robustness margin for cross-test implications (see module docs)
     margin: float = 1e-6
     #: node budgets for the exact branch-and-bound adversaries
@@ -587,9 +584,10 @@ def check_service_roundtrip(
 def check_backend_equivalence(
     taskset: TaskSet, platform: Platform, config: OracleConfig
 ) -> list[Violation]:
-    """Every :mod:`repro.kernels` backend reproduces the scalar path
-    **bit-for-bit** — same verdict, same partition (assignment, loads,
-    order), same certificate — with no tolerance margin.
+    """The ``numpy`` backend of :mod:`repro.kernels` reproduces the
+    scalar path **bit-for-bit** — same verdict, same partition
+    (assignment, loads, order), same certificate — with no tolerance
+    margin.
 
     This is a same-path comparison in the module-docstring sense: the
     kernels are required to replay the scalar float operations exactly
@@ -603,17 +601,13 @@ def check_backend_equivalence(
     from ..core.bounds import liu_layland_bound
     from ..core.dbf import dbf_taskset
     from ..kernels import (
-        available_kernel_backends,
         dbf_demand_batch,
         first_fit_batch,
         test_feasibility_batch,
         utilization_bounds_batch,
     )
 
-    audited = tuple(
-        b for b in (config.backends or available_kernel_backends())
-        if b != "scalar"
-    )
+    backend = "numpy"
     out: list[Violation] = []
     reversed_ts = taskset.subset(range(len(taskset) - 1, -1, -1))
     if taskset.is_implicit:
@@ -627,79 +621,77 @@ def check_backend_equivalence(
                     )
                     for ts in (taskset, reversed_ts)
                 ]
-                for backend in audited:
-                    got = [
-                        report_to_dict(r)
-                        for r in test_feasibility_batch(
-                            [(taskset, platform), (reversed_ts, platform)],
-                            scheduler,
-                            "partitioned",
-                            alpha=alpha,
-                            backend=backend,
-                        )
-                    ]
-                    single = report_to_dict(
-                        test_feasibility_batch(
-                            [(taskset, platform)],
-                            scheduler,
-                            "partitioned",
-                            alpha=alpha,
-                            backend=backend,
-                        )[0]
+                got = [
+                    report_to_dict(r)
+                    for r in test_feasibility_batch(
+                        [(taskset, platform), (reversed_ts, platform)],
+                        scheduler,
+                        "partitioned",
+                        alpha=alpha,
+                        backend=backend,
                     )
-                    for label, scalar_d, batch_d in (
-                        ("batch[0]", direct[0], got[0]),
-                        ("batch[1]", direct[1], got[1]),
-                        ("singleton", direct[0], single),
-                    ):
-                        if batch_d != scalar_d:
-                            keys = sorted(
-                                k
-                                for k in set(scalar_d) | set(batch_d)
-                                if scalar_d.get(k) != batch_d.get(k)
+                ]
+                single = report_to_dict(
+                    test_feasibility_batch(
+                        [(taskset, platform)],
+                        scheduler,
+                        "partitioned",
+                        alpha=alpha,
+                        backend=backend,
+                    )[0]
+                )
+                for label, scalar_d, batch_d in (
+                    ("batch[0]", direct[0], got[0]),
+                    ("batch[1]", direct[1], got[1]),
+                    ("singleton", direct[0], single),
+                ):
+                    if batch_d != scalar_d:
+                        keys = sorted(
+                            k
+                            for k in set(scalar_d) | set(batch_d)
+                            if scalar_d.get(k) != batch_d.get(k)
+                        )
+                        out.append(
+                            Violation(
+                                "backend-equivalence",
+                                f"{backend} {label} report != scalar for "
+                                f"{scheduler}/partitioned alpha={alpha!r};"
+                                f" differing keys: {keys}",
                             )
-                            out.append(
-                                Violation(
-                                    "backend-equivalence",
-                                    f"{backend} {label} report != scalar for "
-                                    f"{scheduler}/partitioned alpha={alpha!r};"
-                                    f" differing keys: {keys}",
-                                )
-                            )
+                        )
     else:
         # The theorem batch path refuses constrained input up front with
-        # the scalar path's exact error text — on every backend, never a
-        # mid-evaluation crash from inside a shard.
+        # the scalar path's exact error text, never a mid-evaluation
+        # crash from inside a shard.
         try:
             feasibility_test(taskset, platform, "edf", "partitioned")
             want: str | None = None
         except ValueError as exc:
             want = str(exc)
-        for backend in audited:
-            try:
-                test_feasibility_batch(
-                    [(taskset, platform), (reversed_ts, platform)],
-                    "edf",
-                    "partitioned",
-                    backend=backend,
-                )
-            except ValueError as exc:
-                if want is None or str(exc) != want:
-                    out.append(
-                        Violation(
-                            "backend-equivalence",
-                            f"{backend} constrained rejection error differs "
-                            f"from the scalar path",
-                        )
-                    )
-            else:
+        try:
+            test_feasibility_batch(
+                [(taskset, platform), (reversed_ts, platform)],
+                "edf",
+                "partitioned",
+                backend=backend,
+            )
+        except ValueError as exc:
+            if want is None or str(exc) != want:
                 out.append(
                     Violation(
                         "backend-equivalence",
-                        f"{backend} evaluated a constrained batch the "
-                        f"scalar path refuses",
+                        f"{backend} constrained rejection error differs "
+                        f"from the scalar path",
                     )
                 )
+        else:
+            out.append(
+                Violation(
+                    "backend-equivalence",
+                    f"{backend} evaluated a constrained batch the "
+                    f"scalar path refuses",
+                )
+            )
     # Batched primitives: exact equality against their scalar definitions.
     times = sorted({t.deadline for t in taskset} | {t.period for t in taskset})
     scalar_bounds = [
@@ -710,29 +702,26 @@ def check_backend_equivalence(
         [dbf_taskset(ts.tasks, t) for t in times]
         for ts in (taskset, reversed_ts)
     ]
-    for backend in audited:
-        if (
-            utilization_bounds_batch(
-                [taskset, reversed_ts], backend=backend
+    if (
+        utilization_bounds_batch([taskset, reversed_ts], backend=backend)
+        != scalar_bounds
+    ):
+        out.append(
+            Violation(
+                "backend-equivalence",
+                f"{backend} utilization_bounds_batch != scalar",
             )
-            != scalar_bounds
-        ):
-            out.append(
-                Violation(
-                    "backend-equivalence",
-                    f"{backend} utilization_bounds_batch != scalar",
-                )
+        )
+    if (
+        dbf_demand_batch([taskset, reversed_ts], times, backend=backend)
+        != scalar_dbf
+    ):
+        out.append(
+            Violation(
+                "backend-equivalence",
+                f"{backend} dbf_demand_batch != scalar",
             )
-        if (
-            dbf_demand_batch([taskset, reversed_ts], times, backend=backend)
-            != scalar_dbf
-        ):
-            out.append(
-                Violation(
-                    "backend-equivalence",
-                    f"{backend} dbf_demand_batch != scalar",
-                )
-            )
+        )
     # First-fit with the exact QPA admission runs on *every* deadline
     # model; the dbfloop kernel must reproduce the scalar partitioner
     # bit-for-bit (assignment, failed index, compensated loads).
@@ -741,28 +730,27 @@ def check_backend_equivalence(
         first_fit_partition(ts, platform, qpa_test, alpha=1.0)
         for ts in (taskset, reversed_ts)
     ]
-    for backend in audited:
-        got_ff = first_fit_batch(
-            [(taskset, platform), (reversed_ts, platform)],
-            "edf-dbf",
-            backend=backend,
-        )
-        single_ff = first_fit_batch(
-            [(taskset, platform)], "edf-dbf", backend=backend
-        )[0]
-        for label, want_r, have_r in (
-            ("batch[0]", scalar_ff[0], got_ff[0]),
-            ("batch[1]", scalar_ff[1], got_ff[1]),
-            ("singleton", scalar_ff[0], single_ff),
-        ):
-            if have_r != want_r:
-                out.append(
-                    Violation(
-                        "backend-equivalence",
-                        f"{backend} first_fit_batch('edf-dbf') {label} != "
-                        f"scalar first-fit partition",
-                    )
+    got_ff = first_fit_batch(
+        [(taskset, platform), (reversed_ts, platform)],
+        "edf-dbf",
+        backend=backend,
+    )
+    single_ff = first_fit_batch(
+        [(taskset, platform)], "edf-dbf", backend=backend
+    )[0]
+    for label, want_r, have_r in (
+        ("batch[0]", scalar_ff[0], got_ff[0]),
+        ("batch[1]", scalar_ff[1], got_ff[1]),
+        ("singleton", scalar_ff[0], single_ff),
+    ):
+        if have_r != want_r:
+            out.append(
+                Violation(
+                    "backend-equivalence",
+                    f"{backend} first_fit_batch('edf-dbf') {label} != "
+                    f"scalar first-fit partition",
                 )
+            )
     return out
 
 

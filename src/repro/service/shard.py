@@ -214,7 +214,7 @@ class ShardCore:
     def _evaluate_batch_kernel(
         self, units: list[TestUnit]
     ) -> list[dict[str, Any]]:
-        """Batch-evaluate misses through the kernel backend.
+        """Batch-evaluate misses through the selected backend.
 
         Misses are grouped by theorem config (scheduler, adversary,
         alpha) so each group becomes *one*

@@ -23,13 +23,10 @@ from repro.core.model import Machine, Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.io_.serialize import report_from_dict, report_to_dict
 from repro.kernels import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    available_kernel_backends,
+    BACKENDS,
     dbf_demand_batch,
     first_fit_batch,
     kernel_cache_stats,
-    numpy_available,
     reset_kernel_caches,
     resolve_backend,
     utilization_bounds_batch,
@@ -39,8 +36,8 @@ from repro.oracle.generators import PROFILES, draw_instance
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
-ALL_BACKENDS = available_backends()
-KERNEL_BACKENDS = available_kernel_backends()
+#: the name of the removed pure-Python backend, which must now be rejected
+REMOVED_BACKEND = 'kernel'
 CONFIGS = (("edf", "partitioned"), ("rms", "partitioned"),
            ("edf", "any"), ("rms", "any"))
 
@@ -90,7 +87,7 @@ def _corpus(seed, size, n_range=(3, 17), mixed_platforms=False):
 class TestBatchEquivalence:
     """test_feasibility_batch ≡ the scalar loop, bit-for-bit."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
     def test_batch_sizes(self, backend, batch_size):
         instances = _corpus(batch_size, batch_size)
@@ -99,7 +96,7 @@ class TestBatchEquivalence:
             got = _batch_reports(instances, scheduler, adversary, backend)
             assert got == want
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_generator_profiles(self, backend, profile):
         rng = np.random.default_rng(hash(profile) % 2**32)
@@ -124,14 +121,14 @@ class TestBatchEquivalence:
                 == want
             )
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_mixed_shapes_and_platforms_shard_correctly(self, backend):
         instances = _corpus(99, 64, mixed_platforms=True)
         want = _scalar_reports(instances, "rms", "partitioned")
         got = _batch_reports(instances, "rms", "partitioned", backend)
         assert got == want
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_alpha_override(self, backend):
         instances = _corpus(5, 16)
         for alpha in (1.0, 1.7, 2.0):
@@ -141,12 +138,12 @@ class TestBatchEquivalence:
             )
             assert got == want
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_batch(self, backend):
         assert feasibility_batch([], "edf", backend=backend) == []
         assert first_fit_batch([], "edf", backend=backend) == []
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_task_instances(self, backend):
         pf = geometric_platform(3, 4.0)
         instances = [
@@ -158,14 +155,14 @@ class TestBatchEquivalence:
             got = _batch_reports(instances, scheduler, "partitioned", backend)
             assert got == want
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_taskset_takes_scalar_path(self, backend):
         pf = geometric_platform(2, 2.0)
         want = _scalar_reports([(TaskSet([]), pf)], "edf", "partitioned")
         got = _batch_reports([(TaskSet([]), pf)], "edf", "partitioned", backend)
         assert got == want
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_certificates_identical_on_rejection(self, backend):
         # Overloaded instances: every theorem must reject with the same
         # certificate bytes as the scalar path.
@@ -191,7 +188,7 @@ class TestBatchEquivalence:
         with pytest.raises(ValueError, match="unknown combination"):
             feasibility_batch([(ts, pf)], "edf", "nope")
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_constrained_deadlines_rejected_like_scalar(self, backend):
         pf = geometric_platform(2, 2.0)
         ts = TaskSet([Task(wcet=1.0, period=10.0, deadline=5.0)])
@@ -200,7 +197,7 @@ class TestBatchEquivalence:
         with pytest.raises(ValueError, match="implicit deadlines"):
             feasibility_batch([(ts, pf)], "edf", backend=backend)
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_constrained_rejection_is_up_front_and_text_identical(self, backend):
         # the constrained instance sits *last*: the batch must still fail
         # before producing any result (up-front validation, not a
@@ -220,7 +217,7 @@ class TestBatchEquivalence:
 
 
 class TestFirstFitBatch:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("test", ["edf", "rms-ll"])
     def test_matches_scalar_partitioner(self, backend, test):
         instances = _corpus(7, 48, mixed_platforms=True)
@@ -234,7 +231,7 @@ class TestFirstFitBatch:
             )
             assert got == want
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_edf_dbf_matches_scalar_on_constrained_corpus(self, backend):
         # the deadline-ratio axis end to end: constrained instances on
         # mixed platforms, partitioned by exact QPA admission
@@ -286,7 +283,7 @@ class TestFirstFitBatch:
 
 
 class TestPrimitives:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_utilization_bounds(self, backend):
         tasksets = [ts for ts, _ in _corpus(3, 17)]
         want = [
@@ -295,7 +292,7 @@ class TestPrimitives:
         ]
         assert utilization_bounds_batch(tasksets, backend=backend) == want
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_dbf_demand(self, backend):
         tasksets = [ts for ts, _ in _corpus(4, 9)]
         times = [0.0, 1.0, 5.5, 12.0, 100.0]
@@ -307,38 +304,28 @@ class TestPrimitives:
 
 class TestBackendResolution:
     def test_explicit_names(self):
+        assert BACKENDS == ("scalar", "numpy")
         assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend("kernel") == "kernel"
+        assert resolve_backend("numpy") == "numpy"
+        assert resolve_backend(None) == "numpy"
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("cuda")
 
-    def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "kernel")
-        assert resolve_backend(None) == "kernel"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert resolve_backend(None) in ("kernel", "numpy")
-
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        expected = "numpy" if numpy_available() else "kernel"
-        assert resolve_backend(None) == expected
-        assert resolve_backend("auto") == expected
-
-    def test_available_lists_are_consistent(self):
-        assert ALL_BACKENDS[0] == "scalar"
-        assert set(KERNEL_BACKENDS) == set(ALL_BACKENDS) - {"scalar"}
+    def test_deleted_kernel_backend_is_unknown(self):
+        with pytest.raises(ValueError, match="known: scalar, numpy$"):
+            resolve_backend(REMOVED_BACKEND)
 
 
 class TestCaches:
     def test_stats_count_hits_and_misses(self):
         reset_kernel_caches()
         instances = _corpus(21, 8)
-        feasibility_batch(instances, "edf", backend=KERNEL_BACKENDS[0])
+        feasibility_batch(instances, "edf", backend="numpy")
         first = kernel_cache_stats()
         assert first.misses > 0
-        feasibility_batch(instances, "edf", backend=KERNEL_BACKENDS[0])
+        feasibility_batch(instances, "edf", backend="numpy")
         second = kernel_cache_stats()
         assert second.hits > first.hits
         assert second.misses == first.misses
@@ -346,7 +333,7 @@ class TestCaches:
         cleared = kernel_cache_stats()
         assert (cleared.hits, cleared.misses, cleared.size) == (0, 0, 0)
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_reset_does_not_change_results(self, backend):
         instances = _corpus(22, 12)
         before = _batch_reports(instances, "rms", "partitioned", backend)
@@ -355,7 +342,6 @@ class TestCaches:
         assert after == before
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend absent")
 class TestCrossoverThresholds:
     """The numpy backend's admission thresholds replay scalar ``leq``."""
 
@@ -475,7 +461,7 @@ class TestAcceptanceSweepBackend:
             name="kernels-test",
         )
         want = acceptance_sweep(42, pf, testers, **kw)
-        for backend in ALL_BACKENDS:
+        for backend in BACKENDS:
             got = acceptance_sweep(42, pf, testers, backend=backend, **kw)
             assert got == want
 
@@ -492,17 +478,7 @@ class TestOracleBackendEquivalence:
                 rng, 4 + k, (0.7 + 0.03 * k) * pf.total_speed
             )
             assert check_instance(ts, pf, cfg) == []
-
-    def test_backend_narrowing(self):
-        from repro.oracle.invariants import OracleConfig, check_instance
-
-        pf = geometric_platform(2, 2.0)
-        ts = TaskSet([Task(wcet=1.0, period=10.0)])
-        cfg = OracleConfig(
-            checks=("backend-equivalence",), backends=("kernel",)
-        )
-        assert check_instance(ts, pf, cfg) == []
-        # constrained deadlines: trivially clean (all paths raise alike)
+        # constrained deadlines: clean (both paths raise alike)
         constrained = TaskSet([Task(wcet=1.0, period=10.0, deadline=4.0)])
         assert check_instance(constrained, pf, cfg) == []
 
@@ -541,7 +517,7 @@ class TestServiceBackendRouting:
         assert "backend" not in response["report"]
         assert service.handle_healthz()["backend"] == "scalar"
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_stamped_and_counted(self, backend):
         from repro.service.frontend import ShardedFrontend
 
@@ -564,7 +540,7 @@ class TestServiceBackendRouting:
         )
         assert service.handle_healthz()["backend"] == backend
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_backend_reports_equal_legacy_apart_from_key(self, backend):
         from repro.service.frontend import ShardedFrontend
 
@@ -601,10 +577,27 @@ class TestCLIBackend:
         )
         rc0 = main(["test", str(instance), "--json"])
         plain = json.loads(capsys.readouterr().out)
-        backend = KERNEL_BACKENDS[-1]
+        backend = "numpy"
         rc1 = main(["test", str(instance), "--json", "--backend", backend])
         stamped = json.loads(capsys.readouterr().out)
         assert rc1 == rc0
         assert stamped.pop("backend") == backend
         assert "backend" not in plain
         assert stamped == plain
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "inst.json", "--backend", REMOVED_BACKEND],
+            ["experiment", "e02", "--backend", REMOVED_BACKEND],
+            ["serve", "--backend", REMOVED_BACKEND],
+        ],
+        ids=["test", "experiment", "serve"],
+    )
+    def test_deleted_kernel_backend_is_rejected(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        assert f"invalid choice: {REMOVED_BACKEND!r}" in capsys.readouterr().err

@@ -525,11 +525,10 @@ class TestConstrainedValidation:
         fields = {e["field"] for e in scalar_body["error"]["fields"]}
         assert "instances[1].taskset.tasks[0].deadline" in fields
 
-        for backend in ("kernel", "numpy"):
-            srv = start_server(cache_size=16, backend=backend)
-            status, body = _raw_post(srv.url, "/v1/batch", payload)
-            assert status == scalar_status, backend
-            assert body == scalar_body, backend
+        srv = start_server(cache_size=16, backend="numpy")
+        status, body = _raw_post(srv.url, "/v1/batch", payload)
+        assert status == scalar_status
+        assert body == scalar_body
 
 
 class TestMetrics:
