@@ -163,7 +163,7 @@ class TaskSet(Sequence[Task]):
     to tasks by their index in the task set.
     """
 
-    __slots__ = ("_tasks",)
+    __slots__ = ("_tasks", "__weakref__")  # weakref: kernel buffer entries
 
     def __init__(self, tasks: Iterable[Task]):
         self._tasks: tuple[Task, ...] = tuple(tasks)

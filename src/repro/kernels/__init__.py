@@ -19,7 +19,7 @@ Public surface:
 * :data:`BATCH_TESTS` — the admission tests :func:`first_fit_batch`
   evaluates in batch;
 * :func:`kernel_cache_stats` / :func:`reset_kernel_caches` — the
-  bounded-LRU buffer cache counters.
+  buffer cache counters.
 
 See ``docs/kernels.md`` for the design and the bit-identity argument.
 """

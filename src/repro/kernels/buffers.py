@@ -1,20 +1,20 @@
-"""Structure-of-arrays batch buffers and their bounded caches.
+"""Structure-of-arrays batch buffers and their caches.
 
 Per task set and per platform, the batch quantities live in flat stdlib
 ``array`` storage that the numpy backend reads through zero-copy
 ``np.frombuffer`` views, so this module itself stays numpy-free.
 
-Two caches make repeat batches cheap; both are bounded LRU with
-hit/miss/eviction counters (mirroring the ``core/dbf.py`` profile cache
-discipline):
+Two caches make repeat batches cheap; both feed one set of hit/miss/
+eviction counters (mirroring the ``core/dbf.py`` profile cache discipline):
 
 * **task-set entries** — per :class:`~repro.core.model.TaskSet`:
   utilizations sorted non-increasing plus the processing order, keyed by
-  object identity (a strong reference is held, so an id cannot be reused
-  while its entry is live);
+  object identity; a weak reference's callback drops the entry with its
+  task set, so no task set is pinned and no reused id hits a dead entry;
 * **platform entries** — per (speeds, alpha): the alpha-scaled speed
   row and its ``max(1, ·)`` companion for the tolerance term, keyed by
-  *value* so equal-speed platforms share one entry across objects.
+  *value* so equal-speed platforms share one entry across objects; a
+  bounded LRU, the only cache that evicts or that ``capacity`` counts.
 
 Utilizations are computed via the same ``Task.utilization`` property the
 scalar path reads (one division per task), so the buffered values are
@@ -23,6 +23,7 @@ bit-identical to what ``MachineState.admits`` sees.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import Any
@@ -42,22 +43,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TasksetEntry:
-    """Sorted per-task-set arrays."""
+    """Sorted per-task-set arrays, cached for as long as the task set lives."""
 
-    taskset: TaskSet
+    ref: weakref.ref[TaskSet]  # read the task set through ``taskset``
     #: utilizations in non-increasing order (stable on ties)
     u_sorted: array
     #: original index of the task at each sorted position
     order: tuple[int, ...]
     #: ``order`` again as a flat int64 array (zero-copy ndarray view)
     order_arr: array
-    #: cached ``taskset.is_implicit`` (validated per batch, not per walk)
-    implicit: bool
-    #: lazily memoized zero-copy ndarray views of the two arrays above
-    #: (set by the numpy backend via object.__setattr__; this module
-    #: stays numpy-free)
+    #: zero-copy ndarray views of the two arrays above, memoized by the
+    #: numpy backend via object.__setattr__ (this module stays numpy-free)
     u_np: Any = field(default=None, compare=False)
     order_np: Any = field(default=None, compare=False)
+
+    @property
+    def taskset(self) -> TaskSet:
+        """The task set; callers hold it alive while they use the entry."""
+        return self.ref()  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ class KernelCacheStats:
 
 
 _TS_CACHE: dict[int, TasksetEntry] = {}
-_TS_CACHE_MAX = 4096
 _PF_CACHE: dict[tuple[tuple[float, ...], float], PlatformEntry] = {}
 _PF_CACHE_MAX = 512
 _HITS = 0
@@ -112,28 +114,26 @@ _EVICTIONS = 0
 
 def taskset_entry(taskset: TaskSet) -> TasksetEntry:
     """The cached sorted-utilization entry for ``taskset``."""
-    global _HITS, _MISSES, _EVICTIONS
+    global _HITS, _MISSES
     key = id(taskset)
     ent = _TS_CACHE.get(key)
-    if ent is not None and ent.taskset is taskset:
+    if ent is not None and ent.ref() is taskset:
         _HITS += 1
-        if len(_TS_CACHE) > _TS_CACHE_MAX // 2:
-            del _TS_CACHE[key]  # refresh LRU recency (matters near capacity)
-            _TS_CACHE[key] = ent
         return ent
     _MISSES += 1
     u = [t.utilization for t in taskset.tasks]
     order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
+
+    def drop(ref: weakref.ref[TaskSet], cache: dict = _TS_CACHE) -> None:
+        if (live := cache.get(key)) is not None and live.ref is ref:
+            del cache[key]  # its own entry, never a successor's at a reused id
+
     ent = TasksetEntry(
-        taskset=taskset,
+        ref=weakref.ref(taskset, drop),
         u_sorted=array("d", (u[i] for i in order)),
         order=tuple(order),
         order_arr=array("q", order),
-        implicit=taskset.is_implicit,
     )
-    if len(_TS_CACHE) >= _TS_CACHE_MAX:
-        _TS_CACHE.pop(next(iter(_TS_CACHE)))
-        _EVICTIONS += 1
     _TS_CACHE[key] = ent
     return ent
 
@@ -168,7 +168,7 @@ def kernel_cache_stats() -> KernelCacheStats:
         misses=_MISSES,
         evictions=_EVICTIONS,
         size=len(_TS_CACHE) + len(_PF_CACHE),
-        capacity=_TS_CACHE_MAX + _PF_CACHE_MAX,
+        capacity=_PF_CACHE_MAX,
     )
 
 

@@ -119,8 +119,8 @@ def _crossover(cap: float, sm: float) -> float:
 #: Multi-tester sweeps and repeated service shards re-evaluate the same
 #: entry sequence at different alphas; the gathered matrices are
 #: alpha-independent, so they are cached keyed by the entry identities.
-#: The held entries list pins the ids against reuse (same discipline as
-#: the buffers layer's id-keyed task-set cache).
+#: Held entries pin their ids, not their task sets: a hit needs the
+#: caller's live entries, so a dead entry's ``taskset`` is never read.
 _SHARD_CACHE: dict[tuple, tuple] = {}
 _SHARD_CACHE_MAX = 8
 

@@ -24,6 +24,7 @@ from repro.core.partition import first_fit_partition
 from repro.io_.serialize import report_from_dict, report_to_dict
 from repro.kernels import (
     BACKENDS,
+    buffers,
     dbf_demand_batch,
     first_fit_batch,
     kernel_cache_stats,
@@ -340,6 +341,52 @@ class TestCaches:
         reset_kernel_caches()
         after = _batch_reports(instances, "rms", "partitioned", backend)
         assert after == before
+
+    def test_dropped_tasksets_leave_no_entries(self):
+        reset_kernel_caches()
+        instances = _corpus(23, 50)
+        feasibility_batch(instances, "edf", backend="numpy")
+        platforms = len(buffers._PF_CACHE)
+        assert platforms and kernel_cache_stats().size == 50 + platforms
+        del instances
+        assert kernel_cache_stats().size == platforms
+
+    def test_live_tasksets_hit_across_testers(self):
+        # one instance list under two first-fit testers, as an
+        # acceptance-sweep chunk evaluates it
+        reset_kernel_caches()
+        instances = _corpus(24, 30)
+        first_fit_batch(instances, "edf", alpha=1.0, backend="numpy")
+        first_fit_batch(instances, "rms-ll", alpha=1.5, backend="numpy")
+        stats = kernel_cache_stats()
+        assert stats.misses - len(buffers._PF_CACHE) == len(instances)
+        assert stats.hits >= len(instances)
+
+    def test_id_reuse_after_drop_matches_scalar(self):
+        reset_kernel_caches()
+        pf = geometric_platform(4, 8.0)
+        rng = np.random.default_rng(25)
+        for k in range(40):
+            ts = generate_taskset(
+                rng, 3 + k % 9, (0.6 + 0.01 * k) * pf.total_speed,
+                u_max=pf.fastest_speed,
+            )
+            got = _batch_reports([(ts, pf)], "edf", "partitioned", "numpy")
+            assert got == _scalar_reports([(ts, pf)], "edf", "partitioned")
+            del ts  # frees the id for the next, value-different task set
+        assert kernel_cache_stats().size == len(buffers._PF_CACHE)
+
+    def test_stale_callback_spares_successor_entry(self):
+        reset_kernel_caches()
+        ts = _corpus(26, 1)[0][0]
+        stale = buffers.taskset_entry(ts)
+        reset_kernel_caches()
+        live = buffers.taskset_entry(ts)
+        assert live is not stale
+        stale.ref.__callback__(stale.ref)  # an old entry's late callback
+        assert buffers.taskset_entry(ts) is live
+        del ts
+        assert not buffers._TS_CACHE
 
 
 class TestCrossoverThresholds:

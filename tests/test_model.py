@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given
@@ -141,6 +143,14 @@ class TestTaskSet:
     def test_rejects_non_tasks(self):
         with pytest.raises(TypeError):
             TaskSet([1, 2])  # type: ignore[list-item]
+
+    def test_weakref_slot_keeps_slots_and_pickling(self, small_taskset):
+        ref = weakref.ref(small_taskset)
+        assert ref() is small_taskset
+        assert not hasattr(small_taskset, "__dict__")
+        clone = pickle.loads(pickle.dumps(small_taskset, pickle.HIGHEST_PROTOCOL))
+        assert clone == small_taskset
+        assert [t.name for t in clone] == [t.name for t in small_taskset]
 
 
 class TestMachine:

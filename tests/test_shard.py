@@ -33,7 +33,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.io_.serialize import SHARD_KEY_HEX_DIGITS, shard_for_digest
+from repro.io_.serialize import (
+    SHARD_KEY_HEX_DIGITS,
+    canonical_task_order,
+    shard_for_digest,
+)
+from repro.kernels import buffers, reset_kernel_caches
 from repro.service.frontend import ShardedFrontend
 from repro.service.metrics import render_shard_prometheus
 from repro.service.protocol import (
@@ -42,7 +47,8 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.service.shard import CHAOS_EXIT_NAME, CHAOS_SLEEP_PREFIX
+from repro.service.protocol import TestUnit as Unit  # not a test class
+from repro.service.shard import CHAOS_EXIT_NAME, CHAOS_SLEEP_PREFIX, ShardCore
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -200,6 +206,34 @@ class TestFrameProtocol:
         finally:
             a.close()
             b.close()
+
+
+class TestShardCoreMemory:
+    def test_misses_leave_no_kernel_taskset_entries(self):
+        """A worker's kernel buffers do not grow with its miss count."""
+        reset_kernel_caches()
+        core = ShardCore(cache_size=1024, backend="numpy")
+        pf = geometric_platform(4, 4.0)
+        rng = np.random.default_rng(41)
+        a, b = socket.socketpair()
+        try:
+            for k in range(600):
+                ts = generate_taskset(
+                    rng, 8, 0.7 * pf.total_speed, u_max=pf.fastest_speed
+                )
+                send_frame(a, Unit(
+                    f"{k:064x}", ts, tuple(canonical_task_order(ts)), pf,
+                    "edf", "partitioned", None,
+                ))
+                unit = recv_frame(b)
+                _, cached = core.test(unit)
+                assert not cached
+            del ts, unit
+        finally:
+            a.close()
+            b.close()
+        assert core.backend_tests == {"numpy": 600}
+        assert not buffers._TS_CACHE
 
 
 class TestShardPrometheus:
