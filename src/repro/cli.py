@@ -22,13 +22,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# Each handler imports the modules only it runs (numpy, the experiments,
+# the simulator, the workload generators), so `repro serve` does not
+# load them into a front end that never evaluates anything.
 from . import __version__
 from .core import constants as C
 from .core.feasibility import feasibility_test
 from .core.partition import first_fit_partition
-from .experiments import all_experiments, get_experiment
 from .io_.serialize import (
     load_json,
     platform_from_dict,
@@ -39,9 +39,6 @@ from .io_.serialize import (
 )
 from .io_.tables import write_csv
 from .kernels import BACKENDS
-from .sim.multiprocessor import simulate_partitioned
-from .workloads.builder import generate_taskset
-from .workloads.platforms import geometric_platform
 
 __all__ = ["main", "build_parser"]
 
@@ -384,6 +381,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .workloads.builder import generate_taskset
+    from .workloads.platforms import geometric_platform
+
     rng = np.random.default_rng(args.seed)
     platform = geometric_platform(args.machines, args.ratio)
     taskset = generate_taskset(
@@ -405,6 +407,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .sim.multiprocessor import simulate_partitioned
+
     taskset, platform = _load_instance(args.instance)
     test = "edf" if args.policy == "edf" else "rms-ll"
     result = first_fit_partition(taskset, platform, test, alpha=args.alpha)
@@ -435,6 +441,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import inspect
 
+    from .experiments import get_experiment
     from .runner import telemetry
 
     fn = get_experiment(args.id)
@@ -494,6 +501,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
     from .sim.gantt import render_gantt
+    from .sim.multiprocessor import simulate_partitioned
 
     taskset, platform = _load_instance(args.instance)
     test = "edf" if args.policy == "edf" else "rms-ll"
@@ -632,6 +640,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from .experiments import all_experiments
+
     for eid, title in all_experiments().items():
         print(f"{eid}  {title}")
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from importlib import import_module
 from typing import Iterable, Sequence
 
 from .model import Task, leq
@@ -47,6 +48,8 @@ __all__ = [
     "RMSResponseTimeTest",
     "admission_test",
     "ADMISSION_TESTS",
+    "ADMISSION_TEST_MODULES",
+    "ADMISSION_TEST_NAMES",
 ]
 
 LN2 = math.log(2.0)
@@ -375,12 +378,31 @@ ADMISSION_TESTS: dict[str, AdmissionTest] = {
 }
 
 
+#: Admission tests defined outside this module, each with the module
+#: that registers it into :data:`ADMISSION_TESTS` when imported.
+#: :func:`admission_test` imports that module on first use, so a name
+#: resolves in every process, whatever the process imported before.
+ADMISSION_TEST_MODULES: dict[str, str] = {
+    "edf-dbf": "repro.core.dbf",
+    "edf-dbf-approx": "repro.core.dbf_approx",
+    "han-zhao": "repro.baselines.han_zhao",
+    "chen-dm": "repro.baselines.chen_fp_dbf",
+}
+
+#: Every name :func:`admission_test` resolves without a caller's own
+#: registration — the set the service accepts for ``/v1/partition``.
+ADMISSION_TEST_NAMES: tuple[str, ...] = tuple(
+    sorted({*ADMISSION_TESTS, *ADMISSION_TEST_MODULES})
+)
+
+
 def admission_test(name: str) -> AdmissionTest:
-    """Look up an admission test by name (``edf``, ``rms-ll``,
-    ``rms-hyperbolic``, ``rms-rta``)."""
+    """Look up an admission test by name (one of
+    :data:`ADMISSION_TEST_NAMES`, or any test registered since)."""
+    if name not in ADMISSION_TESTS and name in ADMISSION_TEST_MODULES:
+        import_module(ADMISSION_TEST_MODULES[name])
     try:
         return ADMISSION_TESTS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown admission test {name!r}; known: {sorted(ADMISSION_TESTS)}"
-        ) from None
+        known = sorted({*ADMISSION_TESTS, *ADMISSION_TEST_MODULES})
+        raise KeyError(f"unknown admission test {name!r}; known: {known}") from None

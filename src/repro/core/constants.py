@@ -40,9 +40,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .model import geq
+
+# numpy is imported inside the two grid searches that use it: a serving
+# front end imports this module for the alpha constants alone.
 
 __all__ = [
     "SQRT2",
@@ -270,6 +271,8 @@ def best_constants_for_alpha(
     def evaluate(c_s: float, f_w: float) -> float:
         return slow_case_slack(alpha, c_s, f_w, scheduler)
 
+    import numpy as np
+
     best = (-math.inf, c_s_lo, 0.5)
     c_s_grid = np.geomspace(c_s_lo, c_s_hi, grid)
     f_w_grid = np.linspace(f_lo, f_hi, grid)
@@ -370,6 +373,8 @@ def alpha_frontier(
     Traces how the choice of the fast-machine threshold constant trades
     against the achievable approximation factor (experiment E12 / Fig. 7).
     """
+
+    import numpy as np
 
     def feasible(alpha: float, c_f: float) -> bool:
         c_s_lo = 2.0 + 1e-9 if scheduler == "edf" else 1.0 / LN2 + 1e-9

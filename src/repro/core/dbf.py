@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .bounds import AdmissionTest, MachineState, _NeumaierSum
 from .model import EPS, Task, leq, lt, tol_floor
 
@@ -120,6 +118,9 @@ class _DemandProfile:
     memoized per query.  All sums go through ``math.fsum`` (exactly
     rounded, order-independent), so cached answers are bit-identical to
     the uncached formulas they replace.
+
+    numpy is imported inside the methods that use it, so importing this
+    module stays numpy-free.
     """
 
     __slots__ = (
@@ -139,6 +140,8 @@ class _DemandProfile:
     )
 
     def __init__(self, tasks: tuple[Task, ...]):
+        import numpy as np
+
         self.tasks = tasks
         self.deadlines = np.array([t.deadline for t in tasks], dtype=float)
         self.periods = np.array([t.period for t in tasks], dtype=float)
@@ -165,6 +168,8 @@ class _DemandProfile:
         order, so the fsum over this array equals the fsum over
         per-task scalar calls bit for bit.
         """
+        import numpy as np
+
         q = (t - self.deadlines) / self.periods
         jobs = np.floor(q + EPS * np.maximum(1.0, np.abs(q))) + 1.0
         tol = EPS * np.maximum(1.0, np.maximum(abs(t), np.abs(self.deadlines)))

@@ -23,13 +23,17 @@ could be slowed while staying LP-feasible).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import Platform, TaskSet
 
+if TYPE_CHECKING:
+    from numpy import ndarray
+
 # scipy is imported inside the two functions that build and solve the LP:
 # it costs ~45 MB and ~0.2 s in every process, and most never solve one.
+# numpy likewise, in each function that computes with it: a serving
+# front end imports this module through `repro` and never touches an LP.
 
 __all__ = [
     "LPSolution",
@@ -57,6 +61,8 @@ def tol_leq(a, b, *, tol: float = LP_TOL):
     this one helper so the two verifiers can never disagree about what
     "on the boundary" means.
     """
+    import numpy as np
+
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return a <= b + tol * scale
 
@@ -71,7 +77,7 @@ class LPSolution:
     """A solved LP instance."""
 
     #: n x m utilization-assignment matrix (or None when infeasible)
-    u: np.ndarray | None
+    u: ndarray | None
     #: minimum uniform relaxation beta* of constraints (2)+(3)
     stress: float
 
@@ -97,6 +103,7 @@ def _build_stress_lp(taskset: TaskSet, platform: Platform):
 
     Variables: u flattened row-major (i*m + j), then beta last.
     """
+    import numpy as np
     from scipy.sparse import coo_matrix
 
     n = len(taskset)
@@ -147,6 +154,7 @@ def lp_solve(taskset: TaskSet, platform: Platform) -> LPSolution:
 
     Returns the assignment matrix at the optimum and ``beta*``.
     """
+    import numpy as np
     from scipy.optimize import linprog
 
     n = len(taskset)
@@ -187,13 +195,15 @@ def lp_feasible(taskset: TaskSet, platform: Platform) -> bool:
 
 
 def check_lp_solution(
-    u: np.ndarray,
+    u: ndarray,
     taskset: TaskSet,
     platform: Platform,
     *,
     tol: float = LP_TOL,
 ) -> bool:
     """Independently verify a candidate assignment matrix against (1)-(4)."""
+    import numpy as np
+
     n, m = len(taskset), len(platform)
     u = np.asarray(u, dtype=float)
     if u.shape != (n, m):
@@ -213,7 +223,7 @@ def check_lp_solution(
 
 
 def verify_lemma_ii1(
-    u: np.ndarray,
+    u: ndarray,
     taskset: TaskSet,
     platform: Platform,
     alpha: float,
@@ -243,6 +253,8 @@ def verify_lemma_ii1(
     """
     if alpha <= 1.0:
         raise ValueError("Lemma II.1 needs alpha > 1")
+    import numpy as np
+
     n, m = len(taskset), len(platform)
     u = np.asarray(u, dtype=float)
     s = platform.speeds

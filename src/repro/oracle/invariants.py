@@ -599,7 +599,7 @@ def check_backend_equivalence(
     primitives.
     """
     from ..core.bounds import liu_layland_bound
-    from ..core.dbf import dbf_taskset
+    from ..core.dbf import dbf
     from ..kernels import (
         dbf_demand_batch,
         first_fit_batch,
@@ -692,14 +692,15 @@ def check_backend_equivalence(
                     f"scalar path refuses",
                 )
             )
-    # Batched primitives: exact equality against their scalar definitions.
+    # Batched primitives: exact equality against their scalar definitions
+    # (the batched dbf against the per-task sum, not the profile it uses).
     times = sorted({t.deadline for t in taskset} | {t.period for t in taskset})
     scalar_bounds = [
         (ts.total_utilization, liu_layland_bound(len(ts)))
         for ts in (taskset, reversed_ts)
     ]
     scalar_dbf = [
-        [dbf_taskset(ts.tasks, t) for t in times]
+        [math.fsum(dbf(task, t) for task in ts.tasks) for t in times]
         for ts in (taskset, reversed_ts)
     ]
     if (

@@ -22,9 +22,10 @@ Endpoints: ``POST /v1/test``, ``POST /v1/partition``, ``POST /v1/batch``,
 See ``docs/api.md`` ("Serving") for payload schemas.
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from .cache import CacheStats, LRUCache
-from .client import ServiceClient, ServiceError
-from .frontend import ShardedFrontend, serve_sharded
 from .metrics import MetricsRegistry
 from .shard import ShardCore
 from .validation import (
@@ -36,6 +37,30 @@ from .validation import (
     parse_partition_request,
     parse_test_request,
 )
+
+if TYPE_CHECKING:
+    from .client import ServiceClient, ServiceError
+    from .frontend import ShardedFrontend, serve_sharded
+
+#: Names resolved on first access, so a shard worker importing
+#: ``repro.service.shard`` loads neither asyncio (the front end) nor
+#: the HTTP client stack.
+_LAZY = {
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ShardedFrontend": "frontend",
+    "serve_sharded": "frontend",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CacheStats",

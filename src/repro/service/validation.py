@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.bounds import ADMISSION_TESTS
+from ..core.bounds import ADMISSION_TEST_NAMES
 from ..core.model import Machine, Platform, Task, TaskSet, close
 
 __all__ = [
@@ -262,9 +262,9 @@ def parse_partition_request(payload: Any) -> PartitionQuery:
     )
     platform = _parse_platform(payload.get("platform"), "platform", errors)
     test = payload.get("test", "edf")
-    if test not in ADMISSION_TESTS:
+    if test not in ADMISSION_TEST_NAMES:
         errors.append(
-            FieldError("test", f"must be one of {sorted(ADMISSION_TESTS)}")
+            FieldError("test", f"must be one of {list(ADMISSION_TEST_NAMES)}")
         )
     alpha = 1.0
     if payload.get("alpha") is not None:

@@ -1,11 +1,17 @@
-"""Only solving the §II LP may load scipy.
+"""Each process imports only what it runs.
 
-scipy costs each interpreter that imports it ~45 MB of peak RSS and
-~0.2 s of start-up, and the serving processes, the campaign pool and
-the first-fit test never solve an LP.  Each check runs in a fresh
-interpreter, so modules other tests imported cannot hide a regression.
-Forked pool workers inherit their parent's modules, so checking the
-parent covers the campaign pool too.
+* Only solving the §II LP may load scipy: it costs each interpreter
+  ~45 MB of peak RSS and ~0.2 s of start-up, and the serving processes,
+  the campaign pool and the first-fit test never solve an LP.  Forked
+  pool workers inherit their parent's modules, so checking the parent
+  covers the campaign pool too.
+* A ``repro serve --workers N`` front end never evaluates, so it loads
+  neither numpy nor the experiments, simulator or workload generators;
+  a shard worker never speaks HTTP, so it loads neither asyncio nor the
+  client stack.  numpy arrives with the first numpy-backend verdict.
+
+Each check runs in a fresh interpreter, so modules other tests imported
+cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -72,3 +78,97 @@ def test_lp_imports_scipy_on_first_solve():
         """
     ))
     assert out == ["False", "True", "0.5", "True"]
+
+
+def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    probe = (
+        textwrap.dedent(code)
+        + "\nimport sys\n"
+        + f"print(*[m in sys.modules for m in {modules!r}])\n"
+    )
+    return [m for m, hit in zip(modules, _run(probe)) if hit == "True"]
+
+
+def test_front_end_loads_no_evaluation_code():
+    code = """
+    import repro.cli
+    repro.cli.build_parser()
+    import repro.service.frontend
+    """
+    heavy = ("numpy", "repro.experiments", "repro.sim", "repro.workloads")
+    assert _loaded(code, heavy) == []
+
+
+def test_shard_worker_loads_no_http_stack():
+    code = "from repro.service.shard import worker_main"
+    http = (
+        "asyncio",
+        "http.client",
+        "urllib.request",
+        "repro.service.frontend",
+        "repro.service.client",
+    )
+    assert _loaded(code, http) == []
+
+
+def test_numpy_arrives_with_the_first_numpy_verdict():
+    out = _run(textwrap.dedent(
+        """
+        import sys
+        from repro import Platform, Task, TaskSet
+        import repro.service.shard
+        from repro.kernels import test_feasibility_batch
+        print('numpy' in sys.modules)
+        taskset = TaskSet([Task(wcet=2, period=10), Task(wcet=6, period=8)])
+        platform = Platform.from_speeds([1.0, 2.0])
+        [report] = test_feasibility_batch([(taskset, platform)], backend="numpy")
+        print(report.accepted, 'numpy' in sys.modules)
+        """
+    ))
+    assert out == ["False", "True", "True"]
+
+
+def test_admission_tests_resolve_without_their_modules_preloaded():
+    out = _run(textwrap.dedent(
+        """
+        import sys
+        from repro.core.bounds import ADMISSION_TEST_NAMES, admission_test
+        from repro.service.shard import worker_main
+        print('repro.baselines' in sys.modules)
+        print(all(admission_test(name).name == name for name in ADMISSION_TEST_NAMES))
+        """
+    ))
+    assert out == ["False", "True"]
+
+
+def test_admission_test_table_names_every_registration():
+    """A module that registers an admission test on import must be in
+    ``ADMISSION_TEST_MODULES``, or worker processes would refuse it."""
+    out = _run(textwrap.dedent(
+        """
+        import importlib, pkgutil, repro
+        from repro.core.bounds import ADMISSION_TESTS, ADMISSION_TEST_NAMES
+        for info in pkgutil.walk_packages(repro.__path__, 'repro.'):
+            if not info.name.endswith('.__main__'):
+                importlib.import_module(info.name)
+        print(*sorted(ADMISSION_TESTS))
+        print('|', *ADMISSION_TEST_NAMES)
+        """
+    ))
+    split = out.index("|")
+    assert out[:split] == out[split + 1:]
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.core", "repro.kernels", "repro.service"]
+)
+def test_public_names_still_resolve(package):
+    out = _run(textwrap.dedent(
+        f"""
+        import importlib
+        module = importlib.import_module({package!r})
+        print(len(module.__all__))
+        print(*[name for name in module.__all__ if not hasattr(module, name)])
+        """
+    ))
+    assert int(out[0]) > 0 and out[1:] == []

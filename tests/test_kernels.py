@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import liu_layland_bound
-from repro.core.dbf import dbf_taskset
+from repro.core.dbf import dbf
 from repro.core.feasibility import feasibility_test
 from repro.core.model import Machine, Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
@@ -298,7 +298,8 @@ class TestPrimitives:
         tasksets = [ts for ts, _ in _corpus(4, 9)]
         times = [0.0, 1.0, 5.5, 12.0, 100.0]
         want = [
-            [dbf_taskset(ts.tasks, t) for t in times] for ts in tasksets
+            [math.fsum(dbf(task, t) for task in ts.tasks) for t in times]
+            for ts in tasksets
         ]
         assert dbf_demand_batch(tasksets, times, backend=backend) == want
 

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.bounds import ADMISSION_TEST_NAMES
 from repro.io_.serialize import (
     SHARD_KEY_HEX_DIGITS,
     canonical_task_order,
@@ -385,6 +386,32 @@ class TestCrossProcessDeterminism:
                     == _post(reference + path, body)
                 )
             sharded.terminate()
+
+    def test_every_admission_test_answers_at_every_worker_count(self):
+        """The accepted ``test`` names do not depend on what a serving
+        process imported: each answers 200, byte for byte the same, from
+        the in-process shard and from one or two worker processes."""
+        body = _request_body(0)
+        queries = [
+            {
+                "taskset": body["taskset"],
+                "platform": body["platform"],
+                "test": name,
+                "alpha": 2.0,
+            }
+            for name in ADMISSION_TEST_NAMES
+        ]
+        answers = {}
+        for workers in (0, 1, 2):
+            with _ShardedProc(workers) as server:
+                answers[workers] = [
+                    _post(server.url + "/v1/partition", query)
+                    for query in queries
+                ]
+                server.terminate()
+        for i, name in enumerate(ADMISSION_TEST_NAMES):
+            assert answers[0][i][0] == 200, (name, answers[0][i])
+            assert answers[1][i] == answers[2][i] == answers[0][i], name
 
     def test_same_instance_lands_on_same_shard_cache(self):
         body = _request_body(99)
