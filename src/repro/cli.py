@@ -11,7 +11,7 @@ Commands
                 ``--workers N`` shards it over N worker processes
 ``loadgen``     drive load at a running service and report RPS/latency
 ``fuzz``        differential-fuzz the oracle invariant lattice (repro.oracle)
-``lint``        run the reproducibility linter (repro.lint, rules REP001-REP017)
+``lint``        run the reproducibility linter (repro.lint, 14 rules, REP001-REP016)
 ``list``        list available experiments
 """
 
@@ -308,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the reproducibility linter (rules REP001-REP017)",
+        help="run the reproducibility linter (14 rules, REP001-REP016)",
         description=(
             "AST-based static analysis for the repository's numerical and "
             "determinism discipline: tolerance-helper comparisons, seeded "
             "randomness, monotonic clocks, compensated accumulation, "
-            "ordered iteration, and service lock discipline. See "
+            "ordered iteration, lock discipline, and quantity dimensions. See "
             "docs/lint.md for the rule catalogue."
         ),
     )

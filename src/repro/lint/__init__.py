@@ -20,17 +20,18 @@ Layers
     registry.
 :mod:`~repro.lint.summaries`
     Phase 1's interprocedural output: per-module summaries of imports,
-    function facts (produces-float, derives-from-trial-seed,
-    holds-lock), and the pending sites phase 2 judges.
+    function facts (produces-float, derives-from-trial-seed, effects
+    and mutations), and the pending sites phase 2 judges.
 :mod:`~repro.lint.callgraph`
     Phase 2's project graph: import edges, cross-module call
-    resolution, the float/seed fixpoints, registry reachability.
+    resolution, the float/seed/effect/unit fixpoints, the caller
+    index, registry reachability.
 :mod:`~repro.lint.cache`
     The incremental cache — content-hash keyed, invalidated
     transitively along the import graph.
 :mod:`~repro.lint.rules`
-    The seventeen domain rules: REP001-REP006 per file, REP007-REP017
-    whole-program.
+    The fourteen domain rules, one per bug class: REP002-REP005 per
+    file, the rest whole-program.
 :mod:`~repro.lint.noqa`
     ``# repro: noqa[REPxxx]`` line suppressions and
     ``# repro: noqa-file[REPxxx]`` file pragmas, with unused-suppression
@@ -52,20 +53,55 @@ Layers
 
 from __future__ import annotations
 
-from .baseline import Baseline
-from .callgraph import ProjectGraph
-from .config import LintConfig
-from .engine import (
-    EngineStats,
-    LintResult,
-    lint_changed,
-    lint_paths,
-    lint_source,
-    lint_sources,
-)
-from .findings import Finding
-from .registry import ProgramRule, Rule, all_rules, get_rule
-from .selftest import run_self_test
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .baseline import Baseline
+    from .callgraph import ProjectGraph
+    from .config import LintConfig
+    from .engine import (
+        EngineStats,
+        LintResult,
+        lint_changed,
+        lint_paths,
+        lint_source,
+        lint_sources,
+    )
+    from .findings import Finding
+    from .registry import ProgramRule, Rule, all_rules, get_rule
+    from .selftest import run_self_test
+
+#: Names resolved on first access, so a process that only builds the
+#: ``repro`` argument parser (``repro.lint.cli`` needs the format names
+#: and the baseline filename) never loads the analysis itself.
+_LAZY = {
+    "Baseline": "baseline",
+    "EngineStats": "engine",
+    "Finding": "findings",
+    "LintConfig": "config",
+    "LintResult": "engine",
+    "ProgramRule": "registry",
+    "ProjectGraph": "callgraph",
+    "Rule": "registry",
+    "all_rules": "registry",
+    "get_rule": "registry",
+    "lint_changed": "engine",
+    "lint_paths": "engine",
+    "lint_source": "engine",
+    "lint_sources": "engine",
+    "run_self_test": "selftest",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Baseline",

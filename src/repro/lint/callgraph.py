@@ -8,7 +8,7 @@ The graph answers the three interprocedural questions the program rules
 ask:
 
 * does ``module.function`` produce a float on some return path
-  (REP007), following ``return helper(...)`` chains across modules with
+  (REP001), following ``return helper(...)`` chains across modules with
   a pessimistic fixpoint (cycles resolve to "not proven float");
 * does ``module.function`` derive its return value from blessed seed
   material (REP008), with an optimistic fixpoint (a self-recursive
@@ -18,9 +18,9 @@ ask:
 * what a function's **transitive effect set** is (REP011/REP012) — own
   effects plus everything reachable over resolved call edges, computed
   as a monotone set-once-per-tag fixpoint over the whole program;
-* who calls ``module.function`` and from under which locks (REP010's
+* who calls ``module.function`` and from under which locks (REP006's
   caller-chain lock proof, REP013's fan-out provenance); and
-* what **dimension** ``module.function`` returns (REP014-017) — a
+* what **dimension** ``module.function`` returns (REP014-016) — a
   Kleene fixpoint from all-``unknown`` over every function's return
   dimension term.  The evaluator is monotone (``unknown`` absorbs), so
   each function's fact moves at most once and the iteration converges
@@ -99,9 +99,6 @@ class ProjectGraph:
         #: surfaced by ``repro lint --stats``)
         self.unit_iterations: int = 0
         self._return_dim_memo: dict[tuple[str, str], str] | None = None
-        self._unit_mismatch_memo: list[
-            tuple[ModuleSummary, UnitSite, str, str]
-        ] | None = None
 
     # -- symbol resolution ---------------------------------------------------
 
@@ -135,13 +132,13 @@ class ProjectGraph:
             return None
         return self._functions[resolved[0]][resolved[1]]
 
-    # -- produces-float fixpoint (REP007) ------------------------------------
+    # -- produces-float fixpoint (REP001) ------------------------------------
 
     def returns_float(self, module: str, name: str) -> bool:
         """Can a call to ``module.name`` produce a float?
 
         Pessimistic on cycles: a mutually recursive chain with no
-        direct float evidence stays unproven, so REP007 never flags on
+        direct float evidence stays unproven, so REP001 never flags on
         speculation.
         """
         return self._returns_float((module, name), ())
@@ -223,7 +220,7 @@ class ProjectGraph:
             return False, prov.unknown
         return False, "value has no seed provenance"
 
-    # -- transitive effects fixpoint (REP010-013) ----------------------------
+    # -- transitive effects fixpoint (REP011-013) ----------------------------
 
     def effects(
         self, module: str, name: str
@@ -298,7 +295,7 @@ class ProjectGraph:
         self.effect_iterations = rounds
         return facts
 
-    # -- return-dimension fixpoint (REP014-017) ------------------------------
+    # -- return-dimension fixpoint (REP014-016) ------------------------------
 
     def return_dim(self, module: str, name: str) -> str:
         """Dimension ``module.name`` returns (``unknown`` when unproven)."""
@@ -358,21 +355,18 @@ class ProjectGraph:
     ) -> list[tuple[ModuleSummary, UnitSite, str, str]]:
         """Every recorded unit site whose operand dimensions clash.
 
-        Evaluated once per run (REP014 and REP017 partition the same
-        list); module order is sorted, site order is the deterministic
-        phase-1 walk order.
+        Module order is sorted, site order is the deterministic phase-1
+        walk order.
         """
-        if self._unit_mismatch_memo is None:
-            out: list[tuple[ModuleSummary, UnitSite, str, str]] = []
-            for module in sorted(self.modules):
-                summary = self.modules[module]
-                for site in summary.unit_sites:
-                    left = self.eval_dim(site.left)
-                    right = self.eval_dim(site.right)
-                    if dims_clash(left, right):
-                        out.append((summary, site, left, right))
-            self._unit_mismatch_memo = out
-        return self._unit_mismatch_memo
+        out: list[tuple[ModuleSummary, UnitSite, str, str]] = []
+        for module in sorted(self.modules):
+            summary = self.modules[module]
+            for site in summary.unit_sites:
+                left = self.eval_dim(site.left)
+                right = self.eval_dim(site.right)
+                if dims_clash(left, right):
+                    out.append((summary, site, left, right))
+        return out
 
     def param_expectations(
         self, module: str, name: str
@@ -383,7 +377,7 @@ class ProjectGraph:
             return (), {}
         return fn.param_order, dict(fn.param_dims)  # type: ignore[attr-defined]
 
-    # -- caller index (REP010, REP013) ---------------------------------------
+    # -- caller index (REP006, REP013) ---------------------------------------
 
     def callers_of(
         self, module: str, name: str

@@ -14,15 +14,18 @@ from pathlib import Path
 
 from .baseline import Baseline, BaselineEntry
 from .config import DEFAULT_BASELINE, config_from_sources
-from .engine import lint_changed, lint_paths
 from .reporters import FORMATS, render
-from .selftest import run_self_test
 
 __all__ = ["add_lint_arguments", "run_lint"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro lint`` flags to an (sub)parser."""
+    """Attach the ``repro lint`` flags to an (sub)parser.
+
+    Imports nothing from the analysis, so building the ``repro`` parser
+    in a process that never lints (a serving front end, a campaign) does
+    not load the engine, summaries, call graph or type inference.
+    """
     parser.add_argument(
         "paths",
         nargs="*",
@@ -183,6 +186,9 @@ def _prune_baseline(path: Path, stale: list[BaselineEntry]) -> int:
 
 
 def run_lint(args: argparse.Namespace) -> int:
+    from .engine import lint_changed, lint_paths
+    from .selftest import run_self_test
+
     if args.self_test:
         result = run_self_test()
         print(result.summary())

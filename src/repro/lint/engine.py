@@ -16,10 +16,10 @@ interchangeable without changing results:
 
 Phase 2 — whole program, always fresh: build the
 :class:`~repro.lint.callgraph.ProjectGraph` from every module summary
-and run the :class:`~repro.lint.registry.ProgramRule` set (REP007-013)
-over it.  Phase 2 is a pure function of the summaries — including the
-effect-inference fixpoint behind REP010-013 — so caching phase 1 can
-never change interprocedural findings.
+and run the :class:`~repro.lint.registry.ProgramRule` set (REP001,
+REP006, REP008-016) over it.  Phase 2 is a pure function of the
+summaries — including the float, effect and unit fixpoints — so
+caching phase 1 can never change interprocedural findings.
 
 Suppression, baseline absorption, and sorting happen last, on the
 merged per-file + program findings.
@@ -38,7 +38,7 @@ from .callgraph import ProjectGraph
 from .config import LintConfig
 from .findings import Finding
 from .noqa import NoqaScanner, Suppression, apply_suppressions
-from .registry import FileContext, ProgramRule, Rule, resolve_selection
+from .registry import FileContext, ProgramRule, Rule, all_rules, resolve_selection
 from .summaries import ModuleSummary, build_module_summary
 
 __all__ = [
@@ -287,21 +287,15 @@ def lint_source(
     *,
     apply_noqa: bool = True,
 ) -> list[Finding]:
-    """Lint a source string with the per-file rules only.
+    """Lint a source string as a one-module program.
 
-    The backbone of the single-file fixture tests and the per-file half
-    of the fault-injection self-test: rule path scoping applies to the
-    virtual path, no filesystem or baseline involved.  Program rules
-    need a program — use :func:`lint_sources` for those.
+    The backbone of the single-file fixture tests and the single-module
+    half of the fault-injection self-test: both phases run, rule path
+    scoping applies to the virtual path, no filesystem or baseline
+    involved.  Calls into other modules stay unresolved — use
+    :func:`lint_sources` for multi-module programs.
     """
-    config = config or LintConfig()
-    analysis = _analyze_file(virtual_path, source, config)
-    if analysis.error is not None:
-        raise SyntaxError(analysis.error)
-    findings = analysis.findings
-    if apply_noqa:
-        findings = apply_suppressions(findings, analysis.suppressions)
-    return findings
+    return lint_sources({virtual_path: source}, config, apply_noqa=apply_noqa)
 
 
 def lint_sources(
@@ -312,8 +306,8 @@ def lint_sources(
 ) -> list[Finding]:
     """Lint a set of in-memory modules as one whole program.
 
-    Runs both phases — per-file rules and the interprocedural REP007+
-    set — exactly like :func:`lint_paths`, but with no filesystem,
+    Runs both phases — per-file rules and the whole-program rules —
+    exactly like :func:`lint_paths`, but with no filesystem,
     cache, or baseline.  This is how the multi-module fixtures and the
     planted-program self-test drive the analyzer.
     """
@@ -408,6 +402,7 @@ def _merge_result(
     """Noqa + baseline + sort over the merged two-phase findings."""
     result = LintResult(stats=stats)
     result.parse_errors.extend(read_errors)
+    known = set(all_rules())
     baseline = (
         Baseline.load(config.baseline_path)
         if config.baseline_path is not None
@@ -430,7 +425,14 @@ def _merge_result(
             active = baseline.absorb(active)
             result.baselined += before - len(active)
         result.findings.extend(active)
-        result.unused_suppressions.extend(s for s in suppressions if not s.used)
+        for supp in suppressions:
+            # a code no rule has can never match, even inside a
+            # multi-code suppression that some other code put to use
+            unknown = tuple(c for c in supp.codes or () if c not in known)
+            if not supp.used:
+                result.unused_suppressions.append(supp)
+            elif unknown:
+                result.unused_suppressions.append(replace(supp, codes=unknown))
     if baseline is not None:
         result.stale_baseline = baseline.stale
     result.findings.sort()

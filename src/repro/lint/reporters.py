@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
-from .engine import LintResult
-from .registry import all_rules
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import LintResult
 
 __all__ = [
     "render",
@@ -91,6 +92,8 @@ def _partial_fingerprint(finding) -> str:
 
 def render_sarif(result: LintResult) -> str:
     """SARIF 2.1.0 for GitHub code scanning upload."""
+    from .registry import all_rules
+
     rules = list(all_rules().values())
     rule_index = {rule.id: i for i, rule in enumerate(rules)}
     results = []

@@ -9,17 +9,14 @@ from . import (  # noqa: F401 - registration side effects
     rep004_accumulation,
     rep005_unordered,
     rep006_lock_discipline,
-    rep007_tolerance_escape,
     rep008_seed_provenance,
     rep009_orphaned_registration,
-    rep010_caller_lock_discipline,
     rep011_impure_memo,
     rep012_async_blocking,
     rep013_process_capture,
     rep014_mixed_dimension,
     rep015_absolute_tolerance,
     rep016_dimension_call,
-    rep017_unnormalized_speed,
 )
 
 __all__ = [
@@ -29,15 +26,12 @@ __all__ = [
     "rep004_accumulation",
     "rep005_unordered",
     "rep006_lock_discipline",
-    "rep007_tolerance_escape",
     "rep008_seed_provenance",
     "rep009_orphaned_registration",
-    "rep010_caller_lock_discipline",
     "rep011_impure_memo",
     "rep012_async_blocking",
     "rep013_process_capture",
     "rep014_mixed_dimension",
     "rep015_absolute_tolerance",
     "rep016_dimension_call",
-    "rep017_unnormalized_speed",
 ]

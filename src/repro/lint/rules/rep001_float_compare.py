@@ -8,9 +8,17 @@ campaign caught raw comparisons bypassing the helpers (the hyperbolic
 early exit in ``core/bounds.py``, LP-side checks in ``core/lp.py``) —
 this rule catches the pattern statically.
 
-Flagged: ``<=`` / ``>=`` / ``==`` where both operands infer as floats
-(including hand-rolled ``x <= y * (1.0 + EPS)`` tolerances, which the
-repo unifies on the helpers).  Exempt:
+Flagged: ``<=`` / ``>=`` / ``==`` where both operands are
+float-bearing — inferred as floats locally (including hand-rolled
+``x <= y * (1.0 + EPS)`` tolerances, which the repo unifies on the
+helpers), or a call to a project function that produces a float.  The
+second case is why the rule runs over the whole program:
+``demand(ts, t) <= capacity`` is invisible to one file when ``demand``
+lives in another module, so phase 1 records every candidate comparison
+and phase 2 asks the project graph whether the callee returns a float
+(directly, by annotation, or through ``return helper(...)`` chains — a
+pessimistic fixpoint, so recursion without float evidence never
+flags).  Exempt, at summary-extraction time:
 
 * comparisons against a zero or integer literal (sign tests and
   sentinels, which the tolerance helpers do not address);
@@ -21,47 +29,22 @@ repo unifies on the helpers).  Exempt:
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
+from ..registry import ProgramRule, register
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..callgraph import ProjectGraph
+    from ..summaries import ComparisonSite
 
 __all__ = ["BareFloatComparison"]
 
-_FLAGGED_OPS = (ast.LtE, ast.GtE, ast.Eq)
-
-_OP_TEXT = {ast.LtE: "<=", ast.GtE: ">=", ast.Eq: "=="}
-
-
-def _is_exempt_literal(node: ast.expr) -> bool:
-    """Zero or integer literals: sign/sentinel tests, not boundaries."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return True  # covers booleans too; fine either way
-    if isinstance(node, ast.Constant) and node.value == 0.0:
-        return True
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _is_exempt_literal(node.operand)
-    return False
-
-
-def _guards_raise(ctx: FileContext, node: ast.Compare) -> bool:
-    """Is this comparison (part of) an ``if``-test guarding a raise?"""
-    cur: ast.AST = node
-    for parent in ctx.parents(node):
-        if isinstance(parent, ast.If) and cur is parent.test:
-            return len(parent.body) == 1 and isinstance(parent.body[0], ast.Raise)
-        if isinstance(parent, ast.Assert):
-            return True
-        if isinstance(parent, (ast.BoolOp, ast.UnaryOp)):
-            cur = parent
-            continue
-        break
-    return False
+_HELPER = {"==": "close", "<=": "leq", ">=": "geq"}
 
 
 @register
-class BareFloatComparison(Rule):
+class BareFloatComparison(ProgramRule):
     id = "REP001"
     name = "bare-float-comparison"
     summary = (
@@ -73,33 +56,55 @@ class BareFloatComparison(Rule):
         "comparison can flip a boundary instance on rounding noise and "
         "make two oracles disagree about the same instance.  All "
         "verdict-bearing comparisons go through the tolerance helpers "
-        "so every module agrees on what 'on the boundary' means."
+        "so every module agrees on what 'on the boundary' means — "
+        "including when the float was produced by a function in "
+        "another module."
     )
-    default_paths = ("repro/core/", "repro/baselines/")
+    default_paths = ("repro/core/", "repro/baselines/", "repro/analysis/")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for i, op in enumerate(node.ops):
-                if not isinstance(op, _FLAGGED_OPS):
-                    continue
-                left, right = operands[i], operands[i + 1]
-                if _is_exempt_literal(left) or _is_exempt_literal(right):
-                    continue
-                if not (ctx.types.is_float(left) and ctx.types.is_float(right)):
-                    continue
-                if _guards_raise(ctx, node):
-                    continue
-                op_text = _OP_TEXT[type(op)]
-                helper = "close" if isinstance(op, ast.Eq) else (
-                    "leq" if isinstance(op, ast.LtE) else "geq"
+    def check_program(self, program: "ProjectGraph") -> Iterator[Finding]:
+        for summary in program.modules.values():
+            for site in summary.comparisons:
+                calls = [
+                    (module, name)
+                    for kind, module, name in (site.left, site.right)
+                    if kind == "call"
+                ]
+                if all(program.returns_float(*call) for call in calls):
+                    yield self._finding(program, summary.path, site, calls)
+
+    def _finding(
+        self,
+        program: "ProjectGraph",
+        path: str,
+        site: "ComparisonSite",
+        calls: list[tuple[str, str]],
+    ) -> Finding:
+        helper = _HELPER[site.op_text]
+        if calls:
+            who = " and ".join(
+                "`{1}()` (defined in {0})".format(
+                    *(program.resolve(*call) or call)
                 )
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"bare float comparison `{op_text}`; route through "
-                    f"`{helper}` (or `tol_leq`/`tol_geq` on the LP side) "
-                    "so boundary verdicts cannot flip on rounding noise",
-                )
+                for call in calls
+            )
+            message = (
+                f"{who} returns a float; bare `{site.op_text}` at this "
+                "call site escapes the tolerance helpers — route through "
+                f"`{helper}` (or `tol_leq`/`tol_geq` on the LP side)"
+            )
+        else:
+            message = (
+                f"bare float comparison `{site.op_text}`; route through "
+                f"`{helper}` (or `tol_leq`/`tol_geq` on the LP side) so "
+                "boundary verdicts cannot flip on rounding noise"
+            )
+        return Finding(
+            path=path,
+            line=site.line,
+            col=site.col,
+            rule=self.id,
+            message=message,
+            snippet=site.snippet,
+            end_line=site.end_line,
+        )

@@ -17,8 +17,15 @@ the sites where two *concrete* dimensions with different exponent
 vectors meet.  ``unknown`` never fires, and ``speed`` vs ``rate``
 (same work/time vector) is the core feasibility test — always allowed.
 
-The work-vs-time special case has its own rule (REP017): that mismatch
-almost always means a missing division by machine speed.
+The work-vs-time pair gets its own message.  On a unit-speed machine,
+demand (work) and interval length (time) are numerically
+interchangeable — ``dbf(tasks, t) <= t`` looks right and *is* right for
+speed 1.  On a heterogeneous platform it is the classic porting bug:
+the feasibility test is ``demand <= speed * t`` (or ``demand / speed <=
+t``), and the unnormalized form silently admits task sets that overload
+slow machines.  The fix is specific and mechanical, so the message
+names it: divide the work by the machine ``speed`` (or multiply the
+interval by it) before comparing.
 """
 
 from __future__ import annotations
@@ -48,30 +55,44 @@ class MixedDimension(ProgramRule):
         "speed type-checks as float arithmetic but is dimensionally "
         "meaningless; the unit fixpoint proves both operand dimensions, "
         "including through cross-module return values, so the mix is a "
-        "lint-time error instead of a wrong curve in a campaign plot."
+        "lint-time error instead of a wrong curve in a campaign plot.  "
+        "Work against time is the missing speed normalization: demand "
+        "<= t is only correct at unit speed, the test is demand <= "
+        "speed * t."
     )
     default_paths = ("repro/core/", "repro/baselines/", "repro/kernels/")
 
     def check_program(self, program: "ProjectGraph") -> Iterator[Finding]:
         for summary, site, left, right in program.unit_mismatches():
             if {left, right} == {WORK, TIME}:
-                continue  # REP017's finding: unnormalized speed
-            action = (
-                "mixed in arithmetic"
-                if site.context == "arith"
-                else f"compared with `{site.op_text}`"
-            )
+                work, time = (
+                    (site.left_display, site.right_display)
+                    if left == WORK
+                    else (site.right_display, site.left_display)
+                )
+                message = (
+                    f"`{work}` is work but `{time}` is time; normalize by "
+                    "the machine speed first (`work / speed` vs time, or "
+                    "work vs `speed * t`)"
+                )
+            else:
+                action = (
+                    "mixed in arithmetic"
+                    if site.context == "arith"
+                    else f"compared with `{site.op_text}`"
+                )
+                message = (
+                    f"`{site.left_display}` is {left}-dimensioned but "
+                    f"`{site.right_display}` is {right}-dimensioned; "
+                    f"quantities of different dimensions cannot be "
+                    f"{action}"
+                )
             yield Finding(
                 path=summary.path,
                 line=site.line,
                 col=site.col,
                 rule=self.id,
-                message=(
-                    f"`{site.left_display}` is {left}-dimensioned but "
-                    f"`{site.right_display}` is {right}-dimensioned; "
-                    f"quantities of different dimensions cannot be "
-                    f"{action}"
-                ),
+                message=message,
                 snippet=site.snippet,
                 end_line=site.end_line,
             )

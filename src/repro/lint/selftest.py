@@ -7,12 +7,12 @@ default scope.  If the rule reports anything other than exactly that
 ``rule@line``, the analyzer itself is broken — a linter that silently
 stops firing is worse than no linter.
 
-The per-file rules (REP001-006) are planted as single modules run
-through :func:`lint_source`.  The interprocedural rules (REP007-013) are
-planted as *programs* — each violation is split across two or more
+Single-module cases run through :func:`lint_source` (both phases over
+one module).  *Program* cases split the violation across two or more
 modules so that detecting it requires the call graph, and run through
-:func:`lint_sources`.  A registered rule with neither kind of planted
-case fails the self-test outright.
+:func:`lint_sources`.  A rule whose bug class has both a local and a
+cross-module shape (REP001, REP006, REP014) is planted once per shape.
+A registered rule with no planted case fails the self-test outright.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ class PlantedProgram:
 
 
 PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
-    # REP007: the float is produced in one module, compared bare in
-    # another — invisible to per-file analysis by construction.
+    # REP001 across modules: the float is produced in one module,
+    # compared bare in another — invisible to one file by construction.
     PlantedProgram(
-        rule="REP007",
+        rule="REP001",
         files=(
             (
                 "src/repro/core/planted_demand.py",
@@ -166,7 +166,7 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
                 ),
             ),
             (
-                "src/repro/core/planted_rep007.py",
+                "src/repro/core/planted_rep001_call.py",
                 textwrap.dedent(
                     """\
                     from repro.core.planted_demand import demand
@@ -178,7 +178,7 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
                 ),
             ),
         ),
-        path="src/repro/core/planted_rep007.py",
+        path="src/repro/core/planted_rep001_call.py",
         line=5,
     ),
     # REP008: the taint (PYTHONHASHSEED-dependent hash) is two calls
@@ -235,12 +235,12 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
         line=1,
         registries=(("repro.plugins", "p*"),),
     ),
-    # REP010: the defining module alone is safe — its only caller wraps
-    # the call in `with _LOCK:` — so the finding only appears because a
-    # *second* module calls the mutator unlocked.  Detecting it
-    # genuinely requires the cross-module caller index.
+    # REP006 across modules: the defining module alone is safe — its
+    # only caller wraps the call in `with _LOCK:` — so the finding only
+    # appears because a *second* module calls the mutator unlocked.
+    # Detecting it genuinely requires the cross-module caller index.
     PlantedProgram(
-        rule="REP010",
+        rule="REP006",
         files=(
             (
                 "src/repro/service/planted_state.py",
@@ -263,7 +263,7 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
                 ),
             ),
             (
-                "src/repro/service/planted_rep010.py",
+                "src/repro/service/planted_rep006_caller.py",
                 textwrap.dedent(
                     """\
                     from repro.service.planted_state import bump
@@ -478,11 +478,11 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
         path="src/repro/core/planted_rep016.py",
         line=5,
     ),
-    # REP017: total demand (work) compared straight against a horizon
-    # (time) — the missing speed normalization only provable once the
-    # callee's work dimension crosses the module boundary.
+    # REP014, work against time: total demand compared straight against
+    # a horizon — the missing speed normalization only provable once
+    # the callee's work dimension crosses the module boundary.
     PlantedProgram(
-        rule="REP017",
+        rule="REP014",
         files=(
             (
                 "src/repro/core/planted_total_demand.py",
@@ -494,7 +494,7 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
                 ),
             ),
             (
-                "src/repro/core/planted_rep017.py",
+                "src/repro/core/planted_rep014_speed.py",
                 textwrap.dedent(
                     """\
                     from repro.core.planted_total_demand import total_demand
@@ -506,7 +506,7 @@ PLANTED_PROGRAMS: tuple[PlantedProgram, ...] = (
                 ),
             ),
         ),
-        path="src/repro/core/planted_rep017.py",
+        path="src/repro/core/planted_rep014_speed.py",
         line=5,
     ),
 )

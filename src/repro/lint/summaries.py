@@ -3,13 +3,13 @@
 Phase 1 (per file, parallelizable) reduces every module to a
 :class:`ModuleSummary` of plain picklable data: which project modules it
 imports, which functions it defines and what they return
-("produces-float", "derives-from-trial-seed", "holds-lock"), plus the
+("produces-float", "derives-from-trial-seed"), plus the
 *pending sites* the interprocedural rules will judge once every summary
-is available — bare comparisons whose operand is a call into another
-module (REP007), RNG constructions whose seed argument's provenance
-crosses function boundaries (REP008), per-function **effect sets** with
-call/mutation sites (REP010-012), and capture sites where callables or
-globals cross a process boundary (REP013).
+is available — bare comparisons whose operands are floats or calls into
+project functions (REP001), RNG constructions whose seed argument's
+provenance crosses function boundaries (REP008), per-function **effect
+sets** with call/mutation sites (REP006, REP011, REP012), and capture
+sites where callables or globals cross a process boundary (REP013).
 
 Everything here is deliberately AST-free and content-addressable: the
 summaries travel through the process pool, live in the incremental
@@ -88,8 +88,8 @@ RNG_CONSTRUCTORS = frozenset({"default_rng", "Generator", "PCG64", "SeedSequence
 
 _FLAGGED_CMP_OPS = {ast.LtE: "<=", ast.GtE: ">=", ast.Eq: "=="}
 
-#: comparison operators whose operands must share a dimension (REP014/
-#: REP017 sites; membership/identity tests carry no dimension)
+#: comparison operators whose operands must share a dimension (REP014
+#: sites; membership/identity tests carry no dimension)
 _UNIT_CMP_OPS = {
     ast.Lt: "<",
     ast.LtE: "<=",
@@ -114,7 +114,7 @@ _MEMO_NAME_RE = re.compile(
     r"cache|memo|profil|scratch|buf|digest|hits|miss|evict|pool|seen", re.I
 )
 
-#: mutating container methods (shared with REP006/REP010)
+#: mutating container methods (REP006)
 MUTATOR_METHODS = frozenset(
     {
         "append",
@@ -181,7 +181,7 @@ _LOCK_FACTORY_ATTRS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# lock recognition (shared with REP006/REP010)
+# lock recognition (REP006)
 # ---------------------------------------------------------------------------
 
 
@@ -206,10 +206,8 @@ def _is_contextmanager_decorator(node: ast.expr) -> bool:
 def lock_helper_names(tree: ast.AST) -> frozenset[str]:
     """Names of ``@contextmanager`` functions whose body enters a lock.
 
-    ``with self._guard():`` where ``_guard`` is such a helper counts as
-    holding the lock — REP006's historical blind spot, closed lexically
-    for the helper-in-the-same-file case (REP010 handles the rest
-    interprocedurally).
+    ``with self._guard():`` where ``_guard`` is such a helper (defined
+    in the same file) counts as holding the lock.
     """
     helpers: set[str] = set()
     for node in ast.walk(tree):
@@ -255,6 +253,38 @@ def self_private_attr(node: ast.expr) -> str | None:
     ):
         return node.attr
     return None
+
+
+# ---------------------------------------------------------------------------
+# bare-comparison exemptions (REP001)
+# ---------------------------------------------------------------------------
+
+
+def _is_exempt_literal(node: ast.expr) -> bool:
+    """Zero or integer literals: sign/sentinel tests, not boundaries."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return True  # covers booleans too; fine either way
+    if isinstance(node, ast.Constant) and node.value == 0.0:
+        return True
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _is_exempt_literal(node.operand)
+    return False
+
+
+def _guards_raise(ctx: FileContext, node: ast.Compare) -> bool:
+    """Is this comparison (part of) an ``if``-test guarding a raise,
+    or an ``assert`` condition?"""
+    cur: ast.AST = node
+    for parent in ctx.parents(node):
+        if isinstance(parent, ast.If) and cur is parent.test:
+            return len(parent.body) == 1 and isinstance(parent.body[0], ast.Raise)
+        if isinstance(parent, ast.Assert):
+            return True
+        if isinstance(parent, (ast.BoolOp, ast.UnaryOp)):
+            cur = parent
+            continue
+        break
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +397,7 @@ class UnitSite:
 
     Recorded when both operands are *informative* — a concrete scaled
     dimension or a term depending on a project call's return dimension.
-    Phase 2 evaluates both terms and flags the site (REP014/REP017)
+    Phase 2 evaluates both terms and flags the site (REP014)
     only when two concrete scaled dimensions with different exponent
     vectors meet.
     """
@@ -445,9 +475,6 @@ class FunctionSummary:
     #: provenance of each ``return <expr>`` (all must be seed-derived
     #: for the function to count as a seed deriver)
     return_seed_provs: tuple[SeedProv, ...] = ()
-    #: body contains a ``with <...lock...>:`` block (REP010 leans on
-    #: this when proving caller-chain lock discipline)
-    holds_lock: bool = False
     #: ``async def`` (including async generators) — REP012 scope
     is_async: bool = False
     #: defined directly inside a ``class`` body
@@ -462,7 +489,7 @@ class FunctionSummary:
     effects: tuple[EffectSite, ...] = ()
     #: statically resolved calls (the effect fixpoint's edges)
     calls: tuple[CallSite, ...] = ()
-    #: shared-state mutation sites (REP010 input)
+    #: shared-state mutation sites (REP006 input)
     mutations: tuple[MutationSite, ...] = ()
     #: dimension term joined over every ``return <expr>`` — the unit
     #: fixpoint's per-function unknown; ``None`` when nothing returns
@@ -476,7 +503,7 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ComparisonSite:
-    """A bare comparison with a cross-function operand (REP007 input)."""
+    """A bare comparison whose operands may both carry floats (REP001 input)."""
 
     line: int
     col: int
@@ -524,7 +551,7 @@ class ModuleSummary:
     global_carriers: tuple[tuple[str, str], ...] = ()
     #: fan-out / pickle-frame sites found anywhere in the module
     capture_sites: tuple[CaptureSite, ...] = ()
-    #: unit-bearing arithmetic/comparison sites (REP014/REP017 input)
+    #: unit-bearing arithmetic/comparison sites (REP014 input)
     unit_sites: tuple[UnitSite, ...] = ()
     #: bare-epsilon sites (REP015 input)
     eps_sites: tuple[EpsSite, ...] = ()
@@ -1490,7 +1517,6 @@ class _SummaryBuilder:
                 returns_float=returns_float,
                 return_call_deps=tuple(deps),
                 return_seed_provs=tuple(seed_provs),
-                holds_lock=self._holds_lock(node),
                 is_async=isinstance(node, ast.AsyncFunctionDef),
                 is_method=is_method,
                 line=node.lineno,
@@ -1589,20 +1615,9 @@ class _SummaryBuilder:
                 return parent
         return None
 
-    def _holds_lock(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        for sub in ast.walk(fn):
-            if isinstance(sub, (ast.With, ast.AsyncWith)) and any(
-                with_item_locked(item.context_expr, self.lock_helpers)
-                for item in sub.items
-            ):
-                return True
-        return False
-
     # -- pending sites -------------------------------------------------------
 
     def _comparison_sites(self) -> Iterator[ComparisonSite]:
-        from .rules.rep001_float_compare import _guards_raise, _is_exempt_literal
-
         for node in ast.walk(self.ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -1616,8 +1631,8 @@ class _SummaryBuilder:
                     continue
                 left_desc = self._operand_desc(left)
                 right_desc = self._operand_desc(right)
-                if "call" not in (left_desc[0], right_desc[0]):
-                    continue  # both local: REP001's territory
+                if "other" in (left_desc[0], right_desc[0]):
+                    continue  # one side can never be float-bearing
                 if _guards_raise(self.ctx, node):
                     continue
                 line = node.lineno

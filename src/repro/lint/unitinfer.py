@@ -1,4 +1,4 @@
-"""Quantity-dimension abstract domain for the lint rules (REP014-017).
+"""Quantity-dimension abstract domain for the lint rules (REP014-016).
 
 Every theorem this repo reproduces is arithmetic over typed physical
 quantities: **work** (``wcet`` on a unit-speed machine), **time**

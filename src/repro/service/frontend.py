@@ -54,7 +54,7 @@ per-shard capacity at least the working set (sharding changes cache
 differ).
 """
 
-# repro: noqa-file[REP006, REP010] — every object here lives on the
+# repro: noqa-file[REP006] — every object here lives on the
 # single asyncio event-loop thread; there are no concurrent request
 # threads to race with, so lock-guarding this state (or proving a
 # lock-holding caller chain for it) would be dead weight.

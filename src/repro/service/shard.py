@@ -20,7 +20,7 @@ Canonical-query digest helpers (:func:`test_query_digest`,
 the shards can never disagree on a cache key.
 """
 
-# repro: noqa-file[REP006, REP010] — a shard worker is serial by
+# repro: noqa-file[REP006] — a shard worker is serial by
 # construction (one frame loop, one thread, one process); its counters
 # and core are never touched concurrently, which is the whole point of
 # sharding, so no caller chain needs to hold a lock either.

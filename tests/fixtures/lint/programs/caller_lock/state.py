@@ -1,5 +1,5 @@
 # lint-fixture-path: src/repro/service/state.py
-# lint-expect: REP010@10 REP010@36
+# lint-expect: REP006@10 REP006@36
 import threading
 
 _LOCK = threading.Lock()

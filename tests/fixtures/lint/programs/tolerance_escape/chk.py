@@ -1,5 +1,5 @@
 # lint-fixture-path: src/repro/core/chk.py
-# lint-expect: REP007@8 REP007@13
+# lint-expect: REP001@8 REP001@13
 from repro.core.dmd import demand, demand_via_chain
 from repro.core.model import leq
 

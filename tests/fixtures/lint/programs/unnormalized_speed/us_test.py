@@ -1,5 +1,5 @@
 # lint-fixture-path: src/repro/core/us_test.py
-# lint-expect: REP017@7
+# lint-expect: REP014@7
 from repro.core.us_demand import total_demand
 
 

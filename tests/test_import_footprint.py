@@ -9,6 +9,8 @@
   neither numpy nor the experiments, simulator or workload generators;
   a shard worker never speaks HTTP, so it loads neither asyncio nor the
   client stack.  numpy arrives with the first numpy-backend verdict.
+* Building the ``repro`` argument parser loads none of the linter's
+  analysis; only ``repro lint`` does.
 
 Each check runs in a fresh interpreter, so modules other tests imported
 cannot hide a regression.
@@ -99,6 +101,22 @@ def test_front_end_loads_no_evaluation_code():
     assert _loaded(code, heavy) == []
 
 
+def test_parser_loads_no_lint_analysis():
+    """Every ``repro`` process builds the full parser; only ``repro
+    lint`` may load the analyzer behind the ``lint`` subcommand."""
+    code = """
+    import repro.cli
+    repro.cli.build_parser()
+    """
+    analysis = tuple(
+        f"repro.lint.{name}"
+        for name in (
+            "engine", "summaries", "callgraph", "selftest", "typeinfer", "unitinfer"
+        )
+    )
+    assert _loaded(code, analysis) == []
+
+
 def test_shard_worker_loads_no_http_stack():
     code = "from repro.service.shard import worker_main"
     http = (
@@ -160,7 +178,8 @@ def test_admission_test_table_names_every_registration():
 
 
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.core", "repro.kernels", "repro.service"]
+    "package",
+    ["repro", "repro.core", "repro.kernels", "repro.lint", "repro.service"],
 )
 def test_public_names_still_resolve(package):
     out = _run(textwrap.dedent(

@@ -119,12 +119,13 @@ class TestProgramFixtures:
         assert got == expect
 
     def test_single_module_alone_misses_the_program_finding(self):
-        """The REP007 fixture's violation is undetectable per-file — the
-        proof that the rule is genuinely interprocedural."""
+        """The cross-module REP001 fixture's violation is undetectable
+        from its module alone — the proof that the rule is genuinely
+        interprocedural."""
         case_dir = PROGRAM_FIXTURES / "tolerance_escape"
         source = (case_dir / "chk.py").read_text()
         findings = lint_source(source, "src/repro/core/chk.py", LintConfig())
-        assert [f for f in findings if f.rule == "REP007"] == []
+        assert findings == []
 
 
 class TestSelfTest:
@@ -234,6 +235,20 @@ class TestNoqa:
         )
         assert scanner.filter([finding]) == []
         assert scanner.unused == []
+
+    def test_retired_code_in_used_suppression_reported(self, tmp_path):
+        """A multi-code noqa that matched through one code still reports
+        the codes no registered rule has."""
+        source = (FIXTURES / "noqa_retired_ids.py").read_text()
+        vpath = _PATH_RE.search(source.splitlines()[0]).group(1)
+        (tmp_path / vpath).parent.mkdir(parents=True)
+        (tmp_path / vpath).write_text(source)
+        result = lint_paths(["src"], LintConfig(root=tmp_path))
+        assert result.findings == [] and result.suppressed == 2
+        assert [(s.line, s.codes) for s in result.unused_suppressions] == [
+            (3, ("REP010",)),
+            (9, ("REP007",)),
+        ]
 
 
 class TestBaseline:
@@ -596,6 +611,17 @@ class TestCLI:
             "--select", "REP999",
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,rule",
+        [("--select", "REP007"), ("--ignore", "REP010"), ("--select", "REP017")],
+    )
+    def test_retired_rule_id_is_unknown(self, tmp_path, capsys, flag, rule):
+        """Folded IDs are gone, not aliased: naming one fails loudly."""
+        assert main([
+            "lint", str(tmp_path), "--root", str(tmp_path), flag, rule,
+        ]) == 2
+        assert f"unknown rule {rule!r}" in capsys.readouterr().err
+
     def test_parse_error_reported(self, tmp_path, capsys):
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
@@ -708,6 +734,28 @@ class TestRuleEdgeCases:
         )
         assert lint_source(src, "src/repro/service/x.py") == []
 
+    def test_rep006_private_helper_judged_by_its_callers(self):
+        src = textwrap.dedent(
+            """\
+            class Cache:
+                def put(self, key, value):
+                    with self._lock:
+                        self._insert(key, value)
+
+                def _insert(self, key, value):
+                    self._entries[key] = value
+
+                def tally(self, key):
+                    self._count(key)
+
+                def _count(self, key):
+                    self._misses[key] = 1
+            """
+        )
+        findings = lint_source(src, "src/repro/service/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("REP006", 13)]
+        assert "caller chain" in findings[0].message
+
     def test_rep006_scoped_to_service(self):
         src = textwrap.dedent(
             """\
@@ -720,8 +768,8 @@ class TestRuleEdgeCases:
 
 
 def _make_project(tmp_path):
-    """A small three-module project with one cross-module REP007 and one
-    local REP001 violation."""
+    """A small three-module project with one cross-module REP001 (in
+    beta) and one local REP001 (in gamma)."""
     pkg = tmp_path / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
     (pkg / "alpha.py").write_text(
@@ -755,7 +803,10 @@ class TestCacheAndParallel:
         cold = lint_paths(["src"], config)
         assert cold.stats.analyzed == cold.stats.files > 0
         assert cold.stats.cache_hits == 0
-        assert {f.rule for f in cold.findings} == {"REP001", "REP007"}
+        assert [(f.rule, f.path) for f in cold.findings] == [
+            ("REP001", "src/repro/core/beta.py"),
+            ("REP001", "src/repro/core/gamma.py"),
+        ]
 
         warm = lint_paths(["src"], self._config(root, cache_path=cache))
         # warm-cache skip is asserted via engine stats, not timing
@@ -778,7 +829,9 @@ class TestCacheAndParallel:
         assert result.stats.cache_invalidated == 1  # beta, by imports
         assert result.stats.cache_hits == result.stats.files - 2
         # the interprocedural finding is still there
-        assert "REP007" in {f.rule for f in result.findings}
+        assert ("REP001", "src/repro/core/beta.py") in {
+            (f.rule, f.path) for f in result.findings
+        }
 
     def test_effect_facts_invalidate_through_import_graph(self, tmp_path):
         """Phase-2 effect facts must track *transitive* edits: making a
@@ -920,8 +973,11 @@ class TestLintChanged:
             ["src/repro/core/alpha.py"], config, search_paths=["src"]
         )
         assert fallback is not None and "non-local" in fallback
-        # full report: beta's REP007 and gamma's REP001 both present
-        assert {f.rule for f in result.findings} == {"REP001", "REP007"}
+        # full report: beta's and gamma's REP001 both present
+        assert {f.path for f in result.findings} == {
+            "src/repro/core/beta.py",
+            "src/repro/core/gamma.py",
+        }
 
     def test_registry_package_change_falls_back(self, tmp_path):
         root = _make_project(tmp_path)
@@ -943,7 +999,7 @@ class TestLintChanged:
         ])
         assert code == 1
         out = capsys.readouterr().out
-        assert "gamma.py" in out and "REP007" not in out
+        assert "gamma.py" in out and "beta.py" not in out
 
 
 class TestNoqaSpans:
@@ -1150,7 +1206,7 @@ class TestTypeInferEdgeCases:
 
 def _effect_graph(files: dict[str, str]) -> ProjectGraph:
     """Build a :class:`ProjectGraph` straight from module summaries —
-    the raw substrate the REP010-013 rules query."""
+    the raw substrate REP006 and REP011-013 query."""
     summaries = []
     for path, source in files.items():
         tree = ast.parse(source)
@@ -1242,7 +1298,7 @@ class TestEffectEdgeCases:
         assert "mutates-global" in effects
         assert effects["mutates-global"][1] == ("repro.core.deco.touch",)
 
-    def test_contextmanager_lock_helper_discharges_rep010(self):
+    def test_contextmanager_lock_helper_discharges_rep006(self):
         helper = textwrap.dedent(
             """\
             import threading
@@ -1270,10 +1326,10 @@ class TestEffectEdgeCases:
         assert lint_sources({path: helper}) == []
 
         # the same mutation behind a *non*-contextmanager helper is not
-        # proven locked: REP010 fires
+        # proven locked: REP006 fires
         unguarded = helper.replace("@contextmanager\n", "")
         findings = lint_sources({path: unguarded})
-        assert [f.rule for f in findings] == ["REP010"]
+        assert [f.rule for f in findings] == ["REP006"]
 
     def test_reexported_callable_resolves_to_definition(self):
         files = {
@@ -1337,8 +1393,9 @@ _UNIT_HELPERS = textwrap.dedent(
     """
 )
 
-#: one caller per unit rule; the violation is always on line 5 and a
-#: ``{noqa}`` placeholder rides on that line for the suppression tests
+#: one caller per unit-rule case, keyed ``REPxxx[-shape]``; the
+#: violation is always on line 5 and a ``{noqa}`` placeholder rides on
+#: that line for the suppression tests
 _UNIT_VIOLATIONS = {
     "REP014": (
         "from repro.core.helpers import total_utilization\n"
@@ -1361,7 +1418,7 @@ _UNIT_VIOLATIONS = {
         "def check(task):\n"
         "    return admit(task.period, 1.0){noqa}\n"
     ),
-    "REP017": (
+    "REP014-speed": (
         "from repro.core.helpers import total_demand\n"
         "\n"
         "\n"
@@ -1371,31 +1428,35 @@ _UNIT_VIOLATIONS = {
 }
 
 
+def _unit_rule(case: str) -> str:
+    return case.split("-")[0]
+
+
 class TestUnitRules:
-    """REP014–REP017 end-to-end: suppression, cache invalidation, and
+    """REP014–REP016 end-to-end: suppression, cache invalidation, and
     determinism of the interprocedural unit fixpoint."""
 
-    def _project(self, tmp_path, rule, noqa):
+    def _project(self, tmp_path, case, noqa):
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "helpers.py").write_text(_UNIT_HELPERS)
         (pkg / "caller.py").write_text(
-            _UNIT_VIOLATIONS[rule].format(noqa=noqa)
+            _UNIT_VIOLATIONS[case].format(noqa=noqa)
         )
         return tmp_path
 
-    @pytest.mark.parametrize("rule", sorted(_UNIT_VIOLATIONS))
-    def test_fires_without_noqa(self, tmp_path, rule):
-        root = self._project(tmp_path, rule, "")
+    @pytest.mark.parametrize("case", sorted(_UNIT_VIOLATIONS))
+    def test_fires_without_noqa(self, tmp_path, case):
+        root = self._project(tmp_path, case, "")
         result = lint_paths(["src"], LintConfig(root=root))
         assert [(f.rule, f.path, f.line) for f in result.findings] == [
-            (rule, "src/repro/core/caller.py", 5)
+            (_unit_rule(case), "src/repro/core/caller.py", 5)
         ]
 
-    @pytest.mark.parametrize("rule", sorted(_UNIT_VIOLATIONS))
-    def test_noqa_suppresses_and_counts_used(self, tmp_path, rule):
+    @pytest.mark.parametrize("case", sorted(_UNIT_VIOLATIONS))
+    def test_noqa_suppresses_and_counts_used(self, tmp_path, case):
         root = self._project(
-            tmp_path, rule, f"  # repro: noqa[{rule}]"
+            tmp_path, case, f"  # repro: noqa[{_unit_rule(case)}]"
         )
         result = lint_paths(
             ["src"], LintConfig(root=root, show_unused_noqa=True)
@@ -1414,7 +1475,7 @@ class TestUnitRules:
             "\n"
             "def fits(tasks, t, speed):\n"
             "    return total_demand(tasks) / speed < t"
-            "  # repro: noqa[REP017]\n"
+            "  # repro: noqa[REP014]\n"
         )
         result = lint_paths(
             ["src"], LintConfig(root=tmp_path, show_unused_noqa=True)
@@ -1428,7 +1489,7 @@ class TestUnitRules:
 
     def test_unit_facts_invalidate_through_import_graph(self, tmp_path):
         """Pinned: phase-2 unit facts track *transitive* edits.  Giving
-        a helper a work-dimensioned return resurfaces REP017 at a
+        a helper a work-dimensioned return resurfaces REP014 at a
         byte-identical caller in another module on the next warm run."""
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
@@ -1462,20 +1523,20 @@ class TestUnitRules:
         )
         assert result.stats.cache_invalidated == 1  # consume.py, via imports
         assert [(f.rule, f.path, f.line) for f in result.findings] == [
-            ("REP017", "src/repro/core/consume.py", 5)
+            ("REP014", "src/repro/core/consume.py", 5)
         ]
         assert "normalize by the machine speed" in result.findings[0].message
 
     def test_unit_rules_bit_identical_across_jobs_and_cache(self, tmp_path):
-        """The acceptance criterion: REP014–REP017 JSON is bit-identical
+        """The acceptance criterion: REP014–REP016 JSON is bit-identical
         across ``--jobs 1``/``--jobs 4`` and cold/warm cache (stats
         aside), and the unit fixpoint converges in the same number of
         rounds every run."""
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "helpers.py").write_text(_UNIT_HELPERS)
-        for rule, src in _UNIT_VIOLATIONS.items():
-            (pkg / f"use_{rule.lower()}.py").write_text(src.format(noqa=""))
+        for i, src in enumerate(_UNIT_VIOLATIONS.values()):
+            (pkg / f"use_{i}.py").write_text(src.format(noqa=""))
         cache = tmp_path / "lint-cache.pickle"
         serial = lint_paths(["src"], LintConfig(root=tmp_path))
         cold = lint_paths(
@@ -1485,7 +1546,9 @@ class TestUnitRules:
             ["src"], LintConfig(root=tmp_path, jobs=4, cache_path=cache)
         )
         assert warm.stats.cache_hits == warm.stats.files
-        assert {f.rule for f in serial.findings} == set(_UNIT_VIOLATIONS)
+        assert sorted(f.rule for f in serial.findings) == sorted(
+            map(_unit_rule, _UNIT_VIOLATIONS)
+        )
         payloads = []
         for run in (serial, cold, warm):
             data = json.loads(render_json(run))
@@ -1498,7 +1561,7 @@ class TestUnitRules:
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_unit_fixpoint_iterations_surface_in_stats(self, tmp_path):
-        root = self._project(tmp_path, "REP017", "")
+        root = self._project(tmp_path, "REP014-speed", "")
         result = lint_paths(["src"], LintConfig(root=root))
         assert result.stats.unit_fixpoint_iterations >= 1
         stats_json = json.loads(render_json(result))["stats"]
