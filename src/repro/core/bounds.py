@@ -205,6 +205,15 @@ class AdmissionTest(ABC):
     def open(self, speed: float) -> MachineState:
         """New empty machine state for a machine of effective speed ``speed``."""
 
+    def open_machines(self, speeds: Sequence[float]) -> list[MachineState]:
+        """One empty state per effective speed, for one partitioning run.
+
+        A test whose probes can share work across the machines of a run
+        overrides this to hand its states one memo that lives as long as
+        the run; by default each state is opened on its own.
+        """
+        return [self.open(speed) for speed in speeds]
+
     @abstractmethod
     def feasible(self, tasks: Sequence[Task], speed: float) -> bool:
         """One-shot test of a complete set on a speed-``speed`` machine."""

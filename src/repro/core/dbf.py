@@ -35,6 +35,7 @@ from .model import EPS, Task, leq, lt, tol_floor
 __all__ = [
     "dbf",
     "dbf_taskset",
+    "dbf_series",
     "demand_points",
     "demand_bound_horizon",
     "edf_demand_feasible",
@@ -46,8 +47,8 @@ __all__ = [
     "reset_profile_cache",
 ]
 
-#: Parameter triple ``(wcet, period, deadline)`` — the name-free form the
-#: demand-profile cache is keyed by and the batch kernels operate on.
+#: Parameter triple ``(wcet, period, deadline)`` — the name-free form a
+#: profile memo is keyed by and the batch kernels operate on.
 TaskParams = tuple[float, float, float]
 
 
@@ -70,17 +71,21 @@ def dbf(task: Task, t: float) -> float:
 def dbf_taskset(tasks: Iterable[Task], t: float) -> float:
     """Total demand bound of a task set at interval length ``t``.
 
-    Routed through the per-taskset :class:`_DemandProfile` cache: repeat
-    queries on the same task set (the partitioner probes the same
-    candidate sets at many interval lengths) hit precomputed parameter
-    arrays instead of re-walking Task objects.  ``math.fsum`` is exactly
-    rounded, so the cached array walk returns bit-identical values to the
+    Evaluated on the set's :class:`_DemandProfile` (parameter arrays,
+    ``math.fsum``), which is exactly rounded and so bit-identical to the
     naive per-task sum.
     """
+    return dbf_series(tasks, (t,))[0]
+
+
+def dbf_series(tasks: Iterable[Task], times: Iterable[float]) -> list[float]:
+    """``[dbf_taskset(tasks, t) for t in times]``, with the set's demand
+    profile built once for the whole walk."""
     tasks = tuple(tasks)
     if not tasks:
-        return 0.0
-    return _profile(tasks).dbf(t)
+        return [0.0 for _ in times]
+    prof = _profile(tasks, None)
+    return [prof.dbf(t) for t in times]
 
 
 def _rational_hyperperiod(
@@ -110,14 +115,15 @@ def _rational_hyperperiod(
 class _DemandProfile:
     """Memoized demand machinery for one task set.
 
-    The constrained-deadline first-fit loop (and the exact adversaries'
-    branch-and-bound) probe the *same* candidate task sets over and over
-    at different machine speeds; everything speed-independent (parameter
-    arrays, the hyperperiod) is computed once here, and the
-    speed-dependent horizon, step-point sets and QPA verdicts are
-    memoized per query.  All sums go through ``math.fsum`` (exactly
-    rounded, order-independent), so cached answers are bit-identical to
-    the uncached formulas they replace.
+    The constrained-deadline first-fit loop can probe the *same*
+    candidate task set on several machines of different speeds;
+    everything speed-independent (parameter arrays, the hyperperiod) is
+    computed once here, and the speed-dependent horizon, step-point sets
+    and QPA verdicts are memoized per query.  A profile lives in the
+    :data:`ProfileMemo` of the call that reuses it, and dies with it.
+    All sums go through ``math.fsum`` (exactly rounded,
+    order-independent), so memoized answers are bit-identical to the
+    formulas they replace.
 
     numpy is imported inside the methods that use it, so importing this
     module stays numpy-free.
@@ -216,98 +222,71 @@ class _DemandProfile:
         return self._points[key]
 
 
-#: Bounded FIFO cache of demand profiles keyed by the task parameters
-#: (names excluded — they do not affect the mathematics).  Eviction is
-#: least-recently-used: a hit refreshes its entry, so the candidate sets a
-#: long fuzz or branch-and-bound campaign keeps re-probing stay resident
-#: while one-shot instances age out.
-_PROFILES: dict[tuple, _DemandProfile] = {}
-_PROFILE_CACHE_MAX = 4096
+#: Demand profiles one call reuses, keyed by the name-free ``(wcet,
+#: period, deadline)`` triples of each candidate set (names do not affect
+#: the mathematics).  The call that probes the same sets repeatedly — one
+#: partitioning run, one kernel shard — owns the dict and hands it down;
+#: the profiles die with it.
+ProfileMemo = dict[tuple[TaskParams, ...], _DemandProfile]
+
 _PROFILE_HITS = 0
 _PROFILE_MISSES = 0
-_PROFILE_EVICTIONS = 0
 
 
 @dataclass(frozen=True)
 class ProfileCacheStats:
-    """Snapshot of the demand-profile cache counters."""
+    """Snapshot of the demand-profile lookup counters.
+
+    A hit is a profile found in the caller's memo; a miss is one built,
+    whether for a memo or for a standalone call.
+    """
 
     hits: int
     misses: int
-    evictions: int
-    size: int
-    capacity: int
 
     @property
     def hit_ratio(self) -> float:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": self.size,
-            "capacity": self.capacity,
-            "hit_ratio": self.hit_ratio,
-        }
-
-    def describe(self) -> str:
-        return (
-            f"dbf profile cache: {self.hits} hits / "
-            f"{self.hits + self.misses} lookups "
-            f"({self.hit_ratio:.0%}), {self.evictions} evictions, "
-            f"size {self.size}/{self.capacity}"
-        )
-
 
 def profile_cache_stats() -> ProfileCacheStats:
-    """Current demand-profile cache counters (per process)."""
-    return ProfileCacheStats(
-        hits=_PROFILE_HITS,
-        misses=_PROFILE_MISSES,
-        evictions=_PROFILE_EVICTIONS,
-        size=len(_PROFILES),
-        capacity=_PROFILE_CACHE_MAX,
-    )
+    """Current demand-profile lookup counters (per process)."""
+    return ProfileCacheStats(hits=_PROFILE_HITS, misses=_PROFILE_MISSES)
 
 
 def reset_profile_cache() -> None:
-    """Drop every cached profile and zero the counters (test isolation)."""
-    global _PROFILE_HITS, _PROFILE_MISSES, _PROFILE_EVICTIONS
-    _PROFILES.clear()
-    _PROFILE_HITS = _PROFILE_MISSES = _PROFILE_EVICTIONS = 0
+    """Zero the lookup counters (test and benchmark isolation)."""
+    global _PROFILE_HITS, _PROFILE_MISSES
+    _PROFILE_HITS = _PROFILE_MISSES = 0
 
 
-def _profile(tasks: Sequence[Task]) -> _DemandProfile:
+def _profile(tasks: tuple[Task, ...], memo: ProfileMemo | None) -> _DemandProfile:
     key = tuple((t.wcet, t.period, t.deadline) for t in tasks)
-    return _profile_by_key(key, tuple(tasks))
+    return _profile_by_key(key, memo, tasks)
 
 
 def _profile_by_key(
-    key: tuple[TaskParams, ...], tasks: tuple[Task, ...] | None = None
+    key: tuple[TaskParams, ...],
+    memo: ProfileMemo | None,
+    tasks: tuple[Task, ...] | None = None,
 ) -> _DemandProfile:
-    global _PROFILE_HITS, _PROFILE_MISSES, _PROFILE_EVICTIONS
-    prof = _PROFILES.get(key)
-    if prof is None:
-        _PROFILE_MISSES += 1
-        if len(_PROFILES) >= _PROFILE_CACHE_MAX:
-            _PROFILES.pop(next(iter(_PROFILES)))
-            _PROFILE_EVICTIONS += 1
-        if tasks is None:
-            # params-keyed entry (batch kernels): materialize Task
-            # objects only on a cache miss — hits never touch them
-            tasks = tuple(
-                Task(wcet=w, period=p, deadline=d) for (w, p, d) in key
-            )
-        prof = _DemandProfile(tasks)
-    else:
-        _PROFILE_HITS += 1
-        # refresh recency: dicts preserve insertion order, so re-inserting
-        # moves the entry behind every colder one
-        del _PROFILES[key]
-    _PROFILES[key] = prof
+    """The profile of ``key`` from ``memo``, built (and stored there) on
+    a miss; without a memo it is built for the one call."""
+    global _PROFILE_HITS, _PROFILE_MISSES
+    if memo is not None:
+        prof = memo.get(key)
+        if prof is not None:
+            _PROFILE_HITS += 1
+            return prof
+    _PROFILE_MISSES += 1
+    if tasks is None:
+        # params-keyed lookup (batch kernels): materialize Task objects
+        # only on a miss — hits never touch them
+        tasks = tuple(Task(wcet=w, period=p, deadline=d) for (w, p, d) in key)
+    prof = _DemandProfile(tasks)
+    if memo is not None:
+        memo[key] = prof
     return prof
 
 
@@ -326,13 +305,10 @@ def demand_bound_horizon(tasks: Sequence[Task], speed: float) -> float | None:
     or, *conservatively*, in the degenerate case ``U == speed`` with
     constrained deadlines and an uncomputable hyperperiod (irrational or
     astronomically large periods): there the test errs on rejection.
-
-    Memoized per (task set, speed): repeated probes of the same candidate
-    set are answered from the profile cache.
     """
     if not tasks:
         raise ValueError("demand_bound_horizon needs a non-empty task set")
-    return _profile(tuple(tasks)).horizon(speed)
+    return _profile(tuple(tasks), None).horizon(speed)
 
 
 def demand_points(
@@ -376,7 +352,7 @@ def edf_demand_feasible(
         raise ValueError("speed must be positive")
     if not tasks:
         return True
-    prof = _profile(tuple(tasks))
+    prof = _profile(tuple(tasks), None)
     horizon = prof.horizon(speed)
     if horizon is None:
         return False
@@ -386,7 +362,12 @@ def edf_demand_feasible(
     return True
 
 
-def qpa_edf_feasible(tasks: Sequence[Task], speed: float = 1.0) -> bool:
+def qpa_edf_feasible(
+    tasks: Sequence[Task],
+    speed: float = 1.0,
+    *,
+    memo: ProfileMemo | None = None,
+) -> bool:
     """Zhang & Burns' Quick Processor-demand Analysis on a speed-``s``
     machine.
 
@@ -394,30 +375,35 @@ def qpa_edf_feasible(tasks: Sequence[Task], speed: float = 1.0) -> bool:
     below the ``L_a`` bound, jumping to the next lower deadline at fixed
     points; the set is schedulable iff the iteration exits below the
     smallest deadline without finding ``h(t) > t``.
+
+    A caller that probes one set at several speeds passes a ``memo``;
+    the set's profile and per-speed verdicts are then built once.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
     if not tasks:
         return True
-    return _qpa_verdict(_profile(tuple(tasks)), speed)
+    return _qpa_verdict(_profile(tuple(tasks), memo), speed)
 
 
 def qpa_feasible_params(
-    params: Sequence[TaskParams], speed: float
+    params: Sequence[TaskParams],
+    speed: float,
+    *,
+    memo: ProfileMemo | None = None,
 ) -> bool:
     """QPA verdict for name-free ``(wcet, period, deadline)`` triples.
 
-    Same memoized profiles and verdicts as :func:`qpa_edf_feasible` —
-    the two entry points share the cache key (task names are excluded
-    from it), so the batch kernels' first-fit probes and the scalar
-    partitioner's probes answer each other bit-identically by
-    construction.
+    Computes the same deterministic function as :func:`qpa_edf_feasible`
+    (task names never enter it), so the batch kernels' first-fit probes
+    and the scalar partitioner's probes return the same verdicts; the
+    ``backend-equivalence`` oracle check asserts that they agree.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
     if not params:
         return True
-    return _qpa_verdict(_profile_by_key(tuple(params)), speed)
+    return _qpa_verdict(_profile_by_key(tuple(params), memo), speed)
 
 
 def _qpa_verdict(prof: _DemandProfile, speed: float) -> bool:
@@ -481,15 +467,18 @@ def _qpa_uncached(prof: _DemandProfile, speed: float) -> bool:
 
 
 class _DBFState(MachineState):
-    __slots__ = ("_tasks", "_load")
+    __slots__ = ("_tasks", "_load", "_memo")
 
-    def __init__(self, speed: float):
+    def __init__(self, speed: float, memo: ProfileMemo | None = None):
         super().__init__(speed)
         self._tasks: list[Task] = []
         self._load = _NeumaierSum()
+        self._memo = memo
 
     def admits(self, task: Task) -> bool:
-        return qpa_edf_feasible(self._tasks + [task], self.speed)
+        return qpa_edf_feasible(
+            self._tasks + [task], self.speed, memo=self._memo
+        )
 
     def add(self, task: Task) -> None:
         self._tasks.append(task)
@@ -509,17 +498,21 @@ class EDFDemandBoundTest(AdmissionTest):
 
     Plugs into :func:`repro.core.partition.partition` like any admission
     test; for implicit-deadline sets it agrees exactly with the paper's
-    utilization test (property-tested).  Pseudo-polynomial per probe, but
-    probes are memoized per (task set, speed) through the module's demand
-    profile cache, so the first-fit loop (and the exact adversaries'
-    branch-and-bound) stop recomputing identical step-point sets when
-    they re-probe the same candidate assignment.
+    utilization test (property-tested).  Pseudo-polynomial per probe.
+    The machine states of one partitioning run share one
+    :data:`ProfileMemo`, so a candidate set probed on machines of
+    different speeds has its demand profile built once; the memo dies
+    with the run.
     """
 
     name = "edf-dbf"
 
     def open(self, speed: float) -> MachineState:
         return _DBFState(speed)
+
+    def open_machines(self, speeds: Sequence[float]) -> list[MachineState]:
+        memo: ProfileMemo = {}
+        return [_DBFState(speed, memo) for speed in speeds]
 
     def feasible(self, tasks: Sequence[Task], speed: float) -> bool:
         return qpa_edf_feasible(tasks, speed)

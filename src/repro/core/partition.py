@@ -136,9 +136,9 @@ def partition(
     t_order = _task_order(taskset, task_order)
     m_order = _machine_order(platform, machine_order)
     m = len(platform)
-    states: list[MachineState] = [
-        test.open(platform[j].speed * alpha) for j in range(m)
-    ]
+    states: list[MachineState] = test.open_machines(
+        [platform[j].speed * alpha for j in range(m)]
+    )
     assignment: list[int | None] = [None] * len(taskset)
     machine_tasks: list[list[int]] = [[] for _ in range(m)]
     failed: int | None = None

@@ -7,7 +7,6 @@ instances shared/reproduced.  Floats are stored exactly (repr round-trip)
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Mapping
@@ -285,6 +284,10 @@ def instance_digest(
     interpreter runs and platforms (pure function of the canonical JSON
     byte string — no ``hash()`` involved).
     """
+    # imported here, not at module top: a shard worker only reads the
+    # digest the front end computed, so it never maps OpenSSL
+    import hashlib
+
     payload = canonical_instance(taskset, platform)
     if query:
         payload["query"] = dict(query)

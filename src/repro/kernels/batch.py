@@ -136,8 +136,7 @@ def _run_shard(
     pfe = platform_entry(speeds, alpha)
     if test_name == "edf-dbf":
         # QPA admission is a sequential fixed-point iteration, so it runs
-        # as a per-instance demand walk, not in lockstep; verdicts are
-        # memoized jointly with the scalar path
+        # as a per-instance demand walk, not in lockstep
         m = len(speeds)
         raw = solve_shard_dbf(entries, pfe)
         return [

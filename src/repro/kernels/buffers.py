@@ -5,7 +5,7 @@ Per task set and per platform, the batch quantities live in flat stdlib
 ``np.frombuffer`` views, so this module itself stays numpy-free.
 
 Two caches make repeat batches cheap; both feed one set of hit/miss/
-eviction counters (mirroring the ``core/dbf.py`` profile cache discipline):
+eviction counters:
 
 * **task-set entries** — per :class:`~repro.core.model.TaskSet`:
   utilizations sorted non-increasing plus the processing order, keyed by

@@ -5,17 +5,16 @@ first-fit loop over plain per-instance machine state, with the O(1)
 utilization probe of :mod:`repro.kernels.lockstep` replaced by the
 pseudo-polynomial QPA probe of :func:`repro.core.dbf.qpa_feasible_params`.
 
-Bit-identity with the scalar partitioner is *by construction*, not by
-replication: both paths resolve every probe through the same
-``_PROFILES`` cache in :mod:`repro.core.dbf`, keyed by the name-free
-``(wcet, period, deadline)`` triples of the candidate machine set in
-placement order.  The scalar ``_DBFState.admits`` builds
-``self._tasks + [task]`` and hashes those triples; this loop hands the
-triples over directly — same key, same memoized verdict object.  What
-the batch path saves is everything *around* the probe: Task/TaskSet
-construction, MachineState dispatch, and per-instance re-sorting — and,
-across a shard, the profile cache turns repeated candidate sets (common
-in campaign sweeps over nearby utilizations) into dictionary hits.
+Both paths compute one deterministic function per probe: the scalar
+``_DBFState.admits`` runs QPA on ``self._tasks + [task]``, and this loop
+hands :func:`~repro.core.dbf.qpa_feasible_params` the name-free
+``(wcet, period, deadline)`` triples of the same candidate set in the
+same placement order.  What the batch path saves is everything *around*
+the probe: Task/TaskSet construction, MachineState dispatch, and
+per-instance re-sorting.  Each instance owns one profile memo, as one
+scalar partitioning run does, so a candidate set probed on several
+machines has its demand profile built once; the memo dies with the
+instance.
 
 The reported loads replay :class:`~repro.core.bounds._NeumaierSum`
 exactly: per instance, two local ``[0.0] * m`` lists hold each machine's
@@ -30,7 +29,7 @@ which is what the ``backend-equivalence`` oracle check asserts.
 
 from __future__ import annotations
 
-from ..core.dbf import TaskParams, qpa_feasible_params
+from ..core.dbf import ProfileMemo, TaskParams, qpa_feasible_params
 from .buffers import PlatformEntry, TasksetEntry
 
 __all__ = ["RawResult", "solve_shard_dbf"]
@@ -49,6 +48,8 @@ def solve_shard_dbf(
     m = len(S)
     out: list[RawResult] = []
     for ent in entries:
+        # one memo per instance, the scope of one scalar partition() run
+        memo: ProfileMemo = {}
         ts = ent.taskset
         # candidate parameters in the processing (utilization-descending)
         # order — position k here is position k of ent.u_sorted
@@ -65,7 +66,7 @@ def solve_shard_dbf(
         for k, cand in enumerate(params):
             placed = -1
             for j in range(m):
-                if qpa_feasible_params((*machines[j], cand), S[j]):
+                if qpa_feasible_params((*machines[j], cand), S[j], memo=memo):
                     placed = j
                     machines[j].append(cand)
                     u = ent.u_sorted[k]

@@ -12,9 +12,10 @@ its scalar reference:
   applies to the parameter gather, not the reduction.
 * :func:`dbf_demand_batch` — per task set, the demand bound function at
   a shared grid of interval lengths.  Every backend takes the one path,
-  :func:`repro.core.dbf.dbf_taskset`, whose demand profile already walks
-  the task parameters as arrays (scale-aware ``tol_floor((t - d)/p) + 1``
-  jobs, ``lt(t, d)`` deadline gate, fsum).
+  :func:`repro.core.dbf.dbf_series`, which builds each row's demand
+  profile once; the profile already walks the task parameters as arrays
+  (scale-aware ``tol_floor((t - d)/p) + 1`` jobs, ``lt(t, d)`` deadline
+  gate, fsum).
 
 Both accept the same ``backend`` knob as the batch tests.  For
 :func:`utilization_bounds_batch`, ``scalar`` calls the reference
@@ -28,7 +29,7 @@ import math
 from typing import Sequence
 
 from ..core.bounds import liu_layland_bound
-from ..core.dbf import dbf_taskset
+from ..core.dbf import dbf_series
 from ..core.model import TaskSet
 from .backends import resolve_backend
 from .buffers import taskset_entry
@@ -74,4 +75,4 @@ def dbf_demand_batch(
     """
     resolve_backend(backend)
     grid = [float(t) for t in times]
-    return [[dbf_taskset(ts.tasks, t) for t in grid] for ts in tasksets]
+    return [dbf_series(ts.tasks, grid) for ts in tasksets]

@@ -15,9 +15,9 @@ flags
 
 * any function carrying a memoizing decorator whose effect set
   intersects the impure tags, and
-* any function that both writes a memo-named module global (its own
-  ``memo-write`` effect) *and* carries an impure tag — the hand-rolled
-  cache filling itself from an impure computation.
+* any function that both writes a memo-named module global or
+  parameter (its own ``memo-write`` effect) *and* carries an impure
+  tag — the hand-rolled cache filling itself from an impure computation.
 
 ``lock`` and ``memo-write`` alone are not impurity (guarding or filling
 a cache is the point); everything else on the lattice is.
@@ -89,16 +89,10 @@ class ImpureMemoization(ProgramRule):
                     )
                 elif "memo-write" in effects and not effects["memo-write"][1]:
                     # hand-rolled cache: this function itself writes a
-                    # memo-named global while carrying an impure effect
-                    from ..summaries import _MEMO_NAME_RE
-
+                    # memo-named global or parameter while carrying an
+                    # impure effect
                     site = next(
-                        (
-                            m
-                            for m in fn.mutations
-                            if m.kind == "global"
-                            and _MEMO_NAME_RE.search(m.target)
-                        ),
+                        (e for e in fn.effects if e.tag == "memo-write"),
                         None,
                     )
                     if site is None:  # pragma: no cover - defensive
@@ -109,8 +103,8 @@ class ImpureMemoization(ProgramRule):
                         col=site.col,
                         rule=self.id,
                         message=(
-                            f"`{fn.qualname}` fills memo table "
-                            f"`{site.target}` but is not pure: {why}; "
+                            f"`{fn.qualname}` fills a memo table "
+                            f"({site.detail}) but is not pure: {why}; "
                             "cached entries will replay that effect's "
                             "first outcome forever"
                         ),

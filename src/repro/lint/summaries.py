@@ -999,6 +999,14 @@ class _EffectWalker:
             )
         )
 
+    def _param_mutation(self, name: str, detail: str, node: ast.AST) -> None:
+        # a memo-named parameter is the caller's memo handed down: filling
+        # it is the same bookkeeping as filling a memo-named global
+        if _MEMO_NAME_RE.search(name):
+            self._note("memo-write", f"{detail} memo parameter `{name}`", node)
+        else:
+            self._note("mutates-param", f"{detail} parameter `{name}`", node)
+
     # -- assignments and deletions -------------------------------------------
 
     def _assign(self, node: ast.Assign, under_lock: bool) -> None:
@@ -1058,11 +1066,7 @@ class _EffectWalker:
                     base.id, "item assignment", stmt, under_lock
                 )
             elif self._is_param(base.id):
-                self._note(
-                    "mutates-param",
-                    f"assigns into parameter `{base.id}`",
-                    stmt,
-                )
+                self._param_mutation(base.id, "assigns into", stmt)
             elif base.id in self.nonlocals_decl:
                 self._note(
                     "mutates-nonlocal",
@@ -1235,11 +1239,7 @@ class _EffectWalker:
                 base.id, f"`.{func.attr}(...)`", node, under_lock
             )
         elif self._is_param(base.id):
-            self._note(
-                "mutates-param",
-                f"`.{func.attr}(...)` mutates parameter `{base.id}`",
-                node,
-            )
+            self._param_mutation(base.id, f"`.{func.attr}(...)` on", node)
         elif base.id in self.nonlocals_decl:
             self._note(
                 "mutates-nonlocal",

@@ -222,7 +222,7 @@ def _boundary_qpa(rng: np.random.Generator) -> tuple[TaskSet, Platform]:
     exactly on the ``dbf(t) <= s t`` boundary at step points ``d + k p``,
     where the pre-PR-8 absolute-EPS floor/gate bugs lived.
     """
-    from ..core.dbf import dbf_taskset, demand_points
+    from ..core.dbf import dbf_series, demand_points
 
     n = int(rng.integers(1, 4))
     tasks = []
@@ -237,9 +237,8 @@ def _boundary_qpa(rng: np.random.Generator) -> tuple[TaskSet, Platform]:
     # integer periods <= 12 => hyperperiod <= lcm(2..12) = 27720
     hyper = math.lcm(*(int(t.period) for t in tasks))
     horizon = float(max(hyper, max(int(t.deadline) for t in tasks)))
-    crit = max(
-        dbf_taskset(tasks, t) / t for t in demand_points(tasks, horizon)
-    )
+    points = demand_points(tasks, horizon)
+    crit = max(d / t for d, t in zip(dbf_series(tasks, points), points))
     speed = max(crit, 1e-6) * _nudge(rng)
     return taskset, identical_platform(1, speed=speed)
 

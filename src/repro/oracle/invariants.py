@@ -770,7 +770,7 @@ def check_constrained_lattice(
     """
     from ..baselines.chen_fp_dbf import chen_fp_feasible
     from ..baselines.han_zhao import han_zhao_feasible
-    from ..core.dbf import qpa_edf_feasible
+    from ..core.dbf import ProfileMemo, qpa_edf_feasible
     from ..core.dbf_approx import edf_approx_demand_feasible
     from ..core.rta import dm_rta_schedulable
 
@@ -779,8 +779,10 @@ def check_constrained_lattice(
     out: list[Violation] = []
     tasks = list(taskset)
     m = config.margin
+    # one set probed at every speed and margin: build its profile once
+    memo: ProfileMemo = {}
     for speed in sorted(set(platform.speeds)):
-        qpa = qpa_edf_feasible(tasks, speed)
+        qpa = qpa_edf_feasible(tasks, speed, memo=memo)
         links = (
             (
                 "han-zhao(k=1)",
@@ -831,7 +833,7 @@ def check_constrained_lattice(
             )
         total_u = taskset.total_utilization
         if (
-            qpa_edf_feasible(tasks, speed * (1.0 - m))
+            qpa_edf_feasible(tasks, speed * (1.0 - m), memo=memo)
             and total_u > speed * (1.0 + m)
         ):
             out.append(

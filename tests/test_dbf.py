@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import math
 
 import numpy as np
@@ -12,12 +14,17 @@ from hypothesis import strategies as st
 from repro.core.bounds import admission_test, edf_utilization_feasible
 from repro.core.dbf import (
     EDFDemandBoundTest,
+    _DemandProfile,
     dbf,
+    dbf_series,
     dbf_taskset,
     demand_bound_horizon,
     demand_points,
     edf_demand_feasible,
+    profile_cache_stats,
     qpa_edf_feasible,
+    qpa_feasible_params,
+    reset_profile_cache,
 )
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition, verify_partition
@@ -63,6 +70,12 @@ class TestDBFValues:
         assert dbf_taskset(tasks, 5.0) == pytest.approx(1 + 2)
         # t=8 adds the period-4 task's second job
         assert dbf_taskset(tasks, 8.0) == pytest.approx(2 + 2)
+
+    def test_series_is_dbf_taskset_per_length(self):
+        tasks = [Task(1, 4), Task(2, 10, deadline=5)]
+        times = [0.5, 4.0, 5.0, 8.0, 23.0]
+        assert dbf_series(tasks, times) == [dbf_taskset(tasks, t) for t in times]
+        assert dbf_series([], times) == [0.0] * len(times)
 
     def test_monotone_in_t(self):
         t = Task(3, 7, deadline=5)
@@ -253,3 +266,123 @@ class TestDBFAdmission:
         ts = TaskSet([Task(1, 10, deadline=5)])
         with pytest.raises(ValueError, match="implicit"):
             edf_test_vs_partitioned(ts, Platform.from_speeds([1.0]))
+
+
+def _live_profiles() -> int:
+    gc.collect()
+    return sum(isinstance(o, _DemandProfile) for o in gc.get_objects())
+
+
+class TestProfileLifetime:
+    """A demand profile lives only as long as the call that reuses it."""
+
+    TASKSET = TaskSet(
+        [
+            Task(2, 10, deadline=3),
+            Task(4, 8, deadline=8),
+            Task(1, 4, deadline=2),
+            Task(3, 12, deadline=6),
+            Task(2, 9, deadline=5),
+        ]
+    )
+    PLATFORM = Platform.from_speeds([0.25, 0.5, 1.0, 2.0])
+
+    def test_no_profile_outlives_a_scalar_partition(self):
+        before = _live_profiles()
+        reset_profile_cache()
+        r = first_fit_partition(self.TASKSET, self.PLATFORM, "edf-dbf")
+        assert r.success
+        assert profile_cache_stats().misses > 0
+        assert _live_profiles() == before
+
+    def test_no_profile_outlives_a_kernel_batch(self, monkeypatch):
+        """A multi-instance numpy shard holds at most one instance's
+        profiles at a time (n·m candidate sets), and none survive it."""
+        from repro.kernels import first_fit_batch
+
+        # ``repro.core.dbf`` the attribute is the function; take the module
+        dbf_mod = importlib.import_module("repro.core.dbf")
+
+        class Counted(_DemandProfile):
+            __slots__ = ()
+            live = peak = 0
+
+            def __init__(self, tasks):
+                super().__init__(tasks)
+                Counted.live += 1
+                Counted.peak = max(Counted.peak, Counted.live)
+
+            def __del__(self):
+                Counted.live -= 1
+
+        n, m = 4, len(self.PLATFORM)
+        instances = [
+            (
+                TaskSet(
+                    [
+                        Task(1, 7 + i, deadline=4),
+                        Task(3, 11 + i, deadline=9),
+                        Task(2, 5 + i, deadline=3),
+                        Task(1, 6 + i, deadline=6),
+                    ]
+                ),
+                self.PLATFORM,
+            )
+            for i in range(12)
+        ]
+        before = _live_profiles()
+        reset_profile_cache()
+        monkeypatch.setattr(dbf_mod, "_DemandProfile", Counted)
+        got = first_fit_batch(instances, test="edf-dbf", backend="numpy")
+        assert got == [
+            first_fit_partition(ts, pf, "edf-dbf") for ts, pf in instances
+        ]
+        # every instance builds its own profiles, more than one
+        # instance's worth in total, yet no more than n·m are ever alive
+        assert Counted.peak <= n * m < profile_cache_stats().misses
+        assert Counted.live == 0
+        assert _live_profiles() == before
+
+    def test_standalone_calls_keep_nothing(self):
+        before = _live_profiles()
+        tasks = list(self.TASKSET)
+        qpa_edf_feasible(tasks, 1.5)
+        edf_demand_feasible(tasks, 1.5)
+        demand_bound_horizon(tasks, 1.5)
+        dbf_taskset(tasks, 12.0)
+        dbf_series(tasks, [3.0, 12.0])
+        assert _live_profiles() == before
+
+    @given(
+        st.lists(constrained_task, min_size=1, max_size=5),
+        st.lists(
+            st.floats(min_value=0.2, max_value=3.0), min_size=2, max_size=5
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_verdicts_equal_fresh_ones(self, tasks, speeds):
+        """One candidate set probed on machines of different speeds —
+        through either entry point — answers as a fresh probe would."""
+        memo: dict = {}
+        params = [(t.wcet, t.period, t.deadline) for t in tasks]
+        fresh = [qpa_edf_feasible(tasks, s) for s in speeds]
+        assert [qpa_edf_feasible(tasks, s, memo=memo) for s in speeds] == fresh
+        assert [qpa_feasible_params(params, s, memo=memo) for s in speeds] == fresh
+        assert len(memo) == 1
+
+    def test_stats_count_hits_and_misses_and_reset_zeroes_them(self):
+        # a task too heavy for the two slow machines probes the same
+        # one-task set at three speeds: built once, reused twice
+        reset_profile_cache()
+        r = first_fit_partition(
+            TaskSet([Task(5, 10, deadline=8)]),
+            Platform.from_speeds([0.1, 0.2, 1.0]),
+            "edf-dbf",
+        )
+        assert r.assignment == (2,)
+        stats = profile_cache_stats()
+        assert (stats.hits, stats.misses) == (2, 1)
+        assert stats.hit_ratio == pytest.approx(2 / 3)
+        reset_profile_cache()
+        stats = profile_cache_stats()
+        assert (stats.hits, stats.misses) == (0, 0)

@@ -129,6 +129,16 @@ def test_shard_worker_loads_no_http_stack():
     assert _loaded(code, http) == []
 
 
+def test_shard_worker_loads_no_openssl():
+    """The front end digests each query; a worker only reads the digest
+    it is handed, so it never maps ``_hashlib`` and libcrypto."""
+    code = """
+    from repro.service.shard import worker_main
+    import numpy
+    """
+    assert _loaded(code, ("hashlib", "_hashlib")) == []
+
+
 def test_numpy_arrives_with_the_first_numpy_verdict():
     out = _run(textwrap.dedent(
         """
