@@ -11,7 +11,7 @@ Layers
 ------
 :mod:`~repro.lint.findings`
     The :class:`~repro.lint.findings.Finding` record and its
-    baseline fingerprint.
+    line-drift-surviving fingerprint.
 :mod:`~repro.lint.typeinfer`
     Heuristic per-scope type inference (float / float-sequence / set)
     that the rules query instead of guessing from spellings.
@@ -35,15 +35,11 @@ Layers
 :mod:`~repro.lint.noqa`
     ``# repro: noqa[REPxxx]`` line suppressions and
     ``# repro: noqa-file[REPxxx]`` file pragmas, with unused-suppression
-    tracking.
-:mod:`~repro.lint.baseline`
-    The committed grandfather file (snippet-fingerprinted so findings
-    survive line drift, and stale entries are reported rather than
-    rotting silently).
+    tracking — the one way to accept a finding.
 :mod:`~repro.lint.engine`
     Two-phase orchestration: the parallelizable, cacheable per-file
     phase, then the whole-program phase over the project graph, then
-    suppressions and the baseline on the merged findings.
+    suppressions on the merged findings.
 :mod:`~repro.lint.reporters`
     text / JSON / SARIF 2.1.0 output.
 :mod:`~repro.lint.selftest`
@@ -57,7 +53,6 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .baseline import Baseline
     from .callgraph import ProjectGraph
     from .config import LintConfig
     from .engine import (
@@ -73,10 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .selftest import run_self_test
 
 #: Names resolved on first access, so a process that only builds the
-#: ``repro`` argument parser (``repro.lint.cli`` needs the format names
-#: and the baseline filename) never loads the analysis itself.
+#: ``repro`` argument parser (``repro.lint.cli`` needs the format names)
+#: never loads the analysis itself.
 _LAZY = {
-    "Baseline": "baseline",
     "EngineStats": "engine",
     "Finding": "findings",
     "LintConfig": "config",
@@ -104,7 +98,6 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
-    "Baseline",
     "EngineStats",
     "Finding",
     "LintConfig",

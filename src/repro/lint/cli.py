@@ -1,19 +1,17 @@
 """``repro lint`` — the command-line entry point for :mod:`repro.lint`.
 
-Exit status: 0 when clean (modulo noqa + baseline), 1 when findings or
-parse errors remain (or, with ``--show-unused-noqa``, when unused
-suppressions / stale baseline entries exist).
+Exit status: 0 when clean (modulo noqa), 1 when findings or parse
+errors remain (or, with ``--show-unused-noqa``, when unused
+suppressions exist), 2 on a usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
-from .baseline import Baseline, BaselineEntry
-from .config import DEFAULT_BASELINE, config_from_sources
+from .config import config_from_sources
 from .reporters import FORMATS, render
 
 __all__ = ["add_lint_arguments", "run_lint"]
@@ -60,38 +58,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="skip these rules (repeatable)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline file in place without its stale "
-            "entries (those matching no current finding) and exit 0"
-        ),
-    )
-    parser.add_argument(
         "--show-unused-noqa",
         action="store_true",
-        help=(
-            "list unused noqa suppressions and stale baseline entries, "
-            "and fail if any exist"
-        ),
+        help="list unused noqa suppressions and fail if any exist",
     )
     parser.add_argument(
         "--jobs",
@@ -158,33 +127,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _prune_baseline(path: Path, stale: list[BaselineEntry]) -> int:
-    """Rewrite ``path`` minus its stale entries, multiset-aware.
-
-    Identical fingerprints are removed exactly as many times as they
-    are stale, mirroring how :meth:`Baseline.absorb` consumes them.
-    """
-    stale_counts: Counter[tuple[str, str, str]] = Counter(
-        e.fingerprint for e in stale
-    )
-    loaded = Baseline.load(path)
-    kept: list[BaselineEntry] = []
-    removed = 0
-    for entry in loaded.entries:
-        fp = entry.fingerprint
-        if stale_counts[fp] > 0:
-            stale_counts[fp] -= 1
-            removed += 1
-        else:
-            kept.append(entry)
-    Baseline(kept).save(path)
-    print(
-        f"pruned {removed} stale entr(y/ies) from {path}; "
-        f"{len(kept)} kept"
-    )
-    return 0
-
-
 def run_lint(args: argparse.Namespace) -> int:
     from .engine import lint_changed, lint_paths
     from .selftest import run_self_test
@@ -195,17 +137,18 @@ def run_lint(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
 
     root = (args.root or Path.cwd()).resolve()
-    config = config_from_sources(
-        root,
-        select=tuple(args.select) if args.select else None,
-        ignore=tuple(args.ignore) if args.ignore else None,
-        baseline=args.baseline,
-        # a baseline never applies while capturing a new one
-        no_baseline=args.no_baseline or args.write_baseline is not None,
-        show_unused_noqa=args.show_unused_noqa,
-        jobs=args.jobs,
-        cache=None if args.no_cache else args.cache,
-    )
+    try:
+        config = config_from_sources(
+            root,
+            select=tuple(args.select) if args.select else None,
+            ignore=tuple(args.ignore) if args.ignore else None,
+            show_unused_noqa=args.show_unused_noqa,
+            jobs=args.jobs,
+            cache=None if args.no_cache else args.cache,
+        )
+    except ValueError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.changed:
             result, fallback = lint_changed(args.paths, config)
@@ -216,23 +159,6 @@ def run_lint(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"repro lint: unknown rule {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        Baseline.from_findings(result.findings).save(args.write_baseline)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {args.write_baseline}"
-        )
-        return 0
-
-    if args.prune_baseline:
-        if config.baseline_path is None:
-            print(
-                "repro lint: --prune-baseline needs a baseline file "
-                "(none given and none found)",
-                file=sys.stderr,
-            )
-            return 2
-        return _prune_baseline(config.baseline_path, result.stale_baseline)
 
     print(render(result, args.format, show_unused=args.show_unused_noqa))
     if args.stats:

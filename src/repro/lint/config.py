@@ -5,7 +5,6 @@
     [tool.repro-lint]
     select = ["REP001", "REP004"]   # default: every rule
     ignore = ["REP005"]
-    baseline = "lint-baseline.json"
 
     [tool.repro-lint.rules.REP003]
     include = ["repro/experiments/", "repro/oracle/"]
@@ -13,7 +12,9 @@
     [tool.repro-lint.registries]          # REP009 surfaces beyond the
     "repro.plugins" = "p*"                # built-in defaults
 
-CLI flags override file values.  ``tomllib`` ships with Python 3.11+;
+CLI flags override file values.  Any other key in the section is a
+configuration error, so a typo such as ``selct`` fails loudly instead
+of silently running every rule.  ``tomllib`` ships with Python 3.11+;
 on 3.10 the pyproject section is skipped (flags still work) — the
 repository pins nothing on it.
 """
@@ -26,8 +27,8 @@ from typing import Any
 
 __all__ = ["LintConfig", "load_pyproject_config"]
 
-#: default baseline filename looked up next to the lint root
-DEFAULT_BASELINE = "lint-baseline.json"
+#: the keys ``[tool.repro-lint]`` may carry
+CONFIG_KEYS = ("select", "ignore", "rules", "registries")
 
 
 @dataclass
@@ -40,11 +41,9 @@ class LintConfig:
     select: tuple[str, ...] | None = None
     #: rule ids to drop after selection
     ignore: tuple[str, ...] | None = None
-    #: baseline file path, or None to run baseline-free
-    baseline_path: Path | None = None
     #: per-rule include-path overrides (rule id → path fragments)
     rule_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: report unused noqa suppressions / stale baseline entries as errors
+    #: report unused noqa suppressions as errors
     show_unused_noqa: bool = False
     #: phase-1 worker processes (1 = in-process; 0/None = all cores)
     jobs: int = 1
@@ -93,14 +92,22 @@ def config_from_sources(
     *,
     select: tuple[str, ...] | None = None,
     ignore: tuple[str, ...] | None = None,
-    baseline: Path | None = None,
-    no_baseline: bool = False,
     show_unused_noqa: bool = False,
     jobs: int = 1,
     cache: Path | None = None,
 ) -> LintConfig:
-    """Layer CLI arguments over the pyproject section."""
+    """Layer CLI arguments over the pyproject section.
+
+    Raises :class:`ValueError` naming every key of the section that is
+    not one of :data:`CONFIG_KEYS`.
+    """
     file_cfg = load_pyproject_config(root)
+    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown [tool.repro-lint] key(s) {', '.join(map(repr, unknown))} "
+            f"in {root / 'pyproject.toml'}; known keys: {', '.join(CONFIG_KEYS)}"
+        )
     if select is None and isinstance(file_cfg.get("select"), list):
         select = tuple(str(r) for r in file_cfg["select"])
     if ignore is None and isinstance(file_cfg.get("ignore"), list):
@@ -117,24 +124,10 @@ def config_from_sources(
         for pkg, pattern in registries_cfg.items():
             if isinstance(pattern, str):
                 registries[str(pkg)] = pattern
-    baseline_path: Path | None = None
-    if not no_baseline:
-        if baseline is not None:
-            baseline_path = baseline
-        else:
-            configured = file_cfg.get("baseline")
-            candidate = (
-                root / str(configured)
-                if isinstance(configured, str)
-                else root / DEFAULT_BASELINE
-            )
-            if candidate.is_file():
-                baseline_path = candidate
     return LintConfig(
         root=root,
         select=select,
         ignore=ignore,
-        baseline_path=baseline_path,
         rule_paths=rule_paths,
         show_unused_noqa=show_unused_noqa,
         jobs=jobs,

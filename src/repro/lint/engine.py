@@ -21,8 +21,8 @@ REP006, REP008-016) over it.  Phase 2 is a pure function of the
 summaries — including the float, effect and unit fixpoints — so
 caching phase 1 can never change interprocedural findings.
 
-Suppression, baseline absorption, and sorting happen last, on the
-merged per-file + program findings.
+Suppression and sorting happen last, on the merged per-file + program
+findings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .baseline import Baseline, BaselineEntry
 from .cache import LintCache, content_hash
 from .callgraph import ProjectGraph
 from .config import LintConfig
@@ -101,7 +100,7 @@ class FileAnalysis:
     """Phase 1's complete output for one file (picklable, cacheable)."""
 
     path: str
-    #: sorted raw per-file-rule findings (pre-noqa, pre-baseline)
+    #: sorted raw per-file-rule findings (pre-noqa)
     findings: list[Finding] = field(default_factory=list)
     #: pristine suppressions (``used`` flags are applied on fresh copies)
     suppressions: list[Suppression] = field(default_factory=list)
@@ -114,16 +113,12 @@ class FileAnalysis:
 class LintResult:
     """Everything one lint run produced."""
 
-    #: findings still active after noqa + baseline
+    #: findings still active after noqa
     findings: list[Finding] = field(default_factory=list)
     #: findings silenced by inline/file noqa comments
     suppressed: int = 0
-    #: findings absorbed by the baseline
-    baselined: int = 0
     #: noqa comments that matched nothing
     unused_suppressions: list[Suppression] = field(default_factory=list)
-    #: baseline entries that matched nothing
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     #: files that failed to parse: (path, message)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     #: number of files linted
@@ -134,7 +129,7 @@ class LintResult:
     def exit_code(self, *, fail_on_unused: bool = False) -> int:
         if self.findings or self.parse_errors:
             return 1
-        if fail_on_unused and (self.unused_suppressions or self.stale_baseline):
+        if fail_on_unused and self.unused_suppressions:
             return 1
         return 0
 
@@ -291,8 +286,7 @@ def lint_source(
 
     The backbone of the single-file fixture tests and the single-module
     half of the fault-injection self-test: both phases run, rule path
-    scoping applies to the virtual path, no filesystem or baseline
-    involved.  Calls into other modules stay unresolved — use
+    scoping applies to the virtual path, no filesystem involved.  Calls into other modules stay unresolved — use
     :func:`lint_sources` for multi-module programs.
     """
     return lint_sources({virtual_path: source}, config, apply_noqa=apply_noqa)
@@ -307,8 +301,7 @@ def lint_sources(
     """Lint a set of in-memory modules as one whole program.
 
     Runs both phases — per-file rules and the whole-program rules —
-    exactly like :func:`lint_paths`, but with no filesystem,
-    cache, or baseline.  This is how the multi-module fixtures and the
+    exactly like :func:`lint_paths`, but with no filesystem or cache.  This is how the multi-module fixtures and the
     planted-program self-test drive the analyzer.
     """
     config = config or LintConfig()
@@ -395,19 +388,13 @@ def _analyze_with_cache(
 def _merge_result(
     analyses: Mapping[str, FileAnalysis],
     program: Mapping[str, list[Finding]],
-    config: LintConfig,
     stats: EngineStats,
     read_errors: Sequence[tuple[str, str]] = (),
 ) -> LintResult:
-    """Noqa + baseline + sort over the merged two-phase findings."""
+    """Noqa + sort over the merged two-phase findings."""
     result = LintResult(stats=stats)
     result.parse_errors.extend(read_errors)
     known = set(all_rules())
-    baseline = (
-        Baseline.load(config.baseline_path)
-        if config.baseline_path is not None
-        else None
-    )
     for rel in sorted(analyses):
         analysis = analyses[rel]
         if analysis.error is not None:
@@ -420,10 +407,6 @@ def _merge_result(
         suppressions = [replace(s, used=False) for s in analysis.suppressions]
         active = apply_suppressions(raw, suppressions)
         result.suppressed += len(raw) - len(active)
-        if baseline is not None:
-            before = len(active)
-            active = baseline.absorb(active)
-            result.baselined += before - len(active)
         result.findings.extend(active)
         for supp in suppressions:
             # a code no rule has can never match, even inside a
@@ -433,8 +416,6 @@ def _merge_result(
                 result.unused_suppressions.append(supp)
             elif unknown:
                 result.unused_suppressions.append(replace(supp, codes=unknown))
-    if baseline is not None:
-        result.stale_baseline = baseline.stale
     result.findings.sort()
     return result
 
@@ -443,13 +424,13 @@ def lint_paths(
     paths: Sequence[Path | str],
     config: LintConfig | None = None,
 ) -> LintResult:
-    """Lint files/directories: both phases, cache, noqa, baseline."""
+    """Lint files/directories: both phases, cache, noqa."""
     config = config or LintConfig()
     resolve_selection(config.select, config.ignore)  # typo'd ids fail loudly
     sources, read_errors = _gather_sources(paths, config)
     analyses, stats = _analyze_with_cache(sources, config)
     program = _run_phase2(analyses, config, stats)
-    return _merge_result(analyses, program, config, stats, read_errors)
+    return _merge_result(analyses, program, stats, read_errors)
 
 
 def lint_changed(
@@ -473,7 +454,7 @@ def lint_changed(
     sources, read_errors = _gather_sources(search_paths, config)
     analyses, stats = _analyze_with_cache(sources, config)
     program = _run_phase2(analyses, config, stats)
-    result = _merge_result(analyses, program, config, stats, read_errors)
+    result = _merge_result(analyses, program, stats, read_errors)
 
     changed_rel = {
         _relpath(Path(p) if Path(p).is_absolute() else config.root / Path(p), config.root)
@@ -509,12 +490,9 @@ def lint_changed(
     scoped = LintResult(
         findings=[f for f in result.findings if f.path in changed_rel],
         suppressed=result.suppressed,
-        baselined=result.baselined,
         unused_suppressions=[
             s for s in result.unused_suppressions if s.path in changed_rel
         ],
-        # a change-scoped run cannot judge baseline staleness
-        stale_baseline=[],
         parse_errors=[
             (p, msg) for p, msg in result.parse_errors if p in changed_rel
         ],

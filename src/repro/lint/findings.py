@@ -16,7 +16,7 @@ class Finding:
     of rule execution order.
     """
 
-    #: posix path relative to the lint root (the baseline key space)
+    #: posix path relative to the lint root
     path: str
     #: 1-based source line
     line: int
@@ -26,7 +26,7 @@ class Finding:
     rule: str
     #: human-readable description of this violation
     message: str = field(compare=False)
-    #: the stripped source line (used for baseline fingerprinting)
+    #: the stripped source line (part of :attr:`fingerprint`)
     snippet: str = field(compare=False, default="")
     #: last line of the enclosing statement (``0`` means "same as line");
     #: noqa suppressions anywhere in ``line..end_line`` match
@@ -39,12 +39,11 @@ class Finding:
 
     @property
     def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching.
+        """Line-number-free identity behind SARIF ``partialFingerprints``.
 
         Keyed on (path, rule, stripped source text) so a finding keeps
-        matching its baseline entry when unrelated edits shift line
-        numbers, but stops matching — and resurfaces — the moment the
-        offending line itself changes.
+        its identity when unrelated edits shift line numbers, but gets a
+        new one the moment the offending line itself changes.
         """
         return (self.path, self.rule, self.snippet)
 

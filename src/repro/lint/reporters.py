@@ -37,14 +37,10 @@ def render_text(result: LintResult, *, show_unused: bool = False) -> str:
     if show_unused:
         for supp in result.unused_suppressions:
             lines.append(supp.render())
-        for entry in result.stale_baseline:
-            lines.append(entry.render())
     summary = (
         f"{len(result.findings)} finding(s) in {result.files} file(s)"
-        f" ({result.suppressed} suppressed, {result.baselined} baselined"
+        f" ({result.suppressed} suppressed"
     )
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr(y/ies)"
     if result.unused_suppressions:
         summary += f", {len(result.unused_suppressions)} unused noqa(s)"
     summary += ")"
@@ -57,7 +53,6 @@ def render_json(result: LintResult) -> str:
         "files": result.files,
         "findings": [f.as_dict() for f in result.findings],
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "unused_suppressions": [
             {
                 "path": s.path,
@@ -67,7 +62,6 @@ def render_json(result: LintResult) -> str:
             }
             for s in result.unused_suppressions
         ],
-        "stale_baseline": [e.as_dict() for e in result.stale_baseline],
         "parse_errors": [
             {"path": p, "message": m} for p, m in result.parse_errors
         ],
@@ -79,8 +73,8 @@ def render_json(result: LintResult) -> str:
 def _partial_fingerprint(finding) -> str:
     """Stable line-drift-surviving identity for SARIF result matching.
 
-    Built from the same ``(path, rule, snippet)`` triple the baseline
-    uses, so GitHub code scanning keeps tracking a finding across
+    Built from :attr:`Finding.fingerprint`, the ``(path, rule, snippet)``
+    triple, so GitHub code scanning keeps tracking a finding across
     unrelated edits that shift its line number — and re-opens it the
     moment the offending line itself changes.
     """

@@ -539,7 +539,7 @@ class SelfTestResult:
 def run_self_test() -> SelfTestResult:
     """Plant one violation per rule and assert it is the only report."""
     result = SelfTestResult()
-    config = LintConfig()  # every rule, no baseline, defaults only
+    config = LintConfig()  # every rule, defaults only
     covered = {case.rule for case in PLANTED_CASES}
     covered |= {program.rule for program in PLANTED_PROGRAMS}
     uncovered = [rid for rid in all_rules() if rid not in covered]

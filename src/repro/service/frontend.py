@@ -98,6 +98,10 @@ __all__ = ["ShardedFrontend", "serve_sharded"]
 #: the serving-path backstop against memory abuse.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Most header lines one request head may carry (stdlib
+#: ``http.client._MAXHEADERS``); the next one is answered ``431``.
+MAX_HEADERS = 100
+
 #: How long a drain waits for in-flight HTTP requests and worker exits
 #: before escalating to cancellation / SIGKILL.
 DRAIN_TIMEOUT = 30.0
@@ -309,6 +313,9 @@ class _WorkerHandle(_ShardHandle):
         env = dict(os.environ)
         src_dir = str(Path(__file__).resolve().parent.parent.parent)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        # No worker code calls a BLAS routine, so numpy's import need not
+        # start one OpenBLAS thread per core; an operator's value wins.
+        env.setdefault("OPENBLAS_NUM_THREADS", "1")
         # blocking Popen is confined to startup and crash-respawn; a
         # fork+exec pause there is accepted over the complexity of an
         # executor hop in the spawn path
@@ -562,11 +569,16 @@ class ShardedFrontend:
             try:
                 head = await _read_head(reader)
             except ValueError:
-                # readline() raises this for a line over the stream limit
+                # readline() raises this for a line over the stream
+                # limit, _read_head for more than MAX_HEADERS lines
+                message = (
+                    "request or header line too long, or more than "
+                    f"{MAX_HEADERS} header lines"
+                )
                 await _respond(
                     writer,
                     431,
-                    _json_bytes(_error_body("request or header line too long")),
+                    _json_bytes(_error_body(message)),
                     _JSON_TYPE,
                     close=True,
                 )
@@ -874,7 +886,11 @@ def _json_bytes(body: Any) -> bytes:
 async def _read_head(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str]] | None:
-    """(method, target, headers) of the next request; ``None`` to hang up."""
+    """(method, target, headers) of the next request; ``None`` to hang up.
+
+    Raises :class:`ValueError` for a line over the stream limit or more
+    than :data:`MAX_HEADERS` header lines.
+    """
     request_line = await reader.readline()
     if not request_line or request_line.strip() == b"":
         return None
@@ -885,13 +901,14 @@ async def _read_head(
     except ValueError:
         return None  # not HTTP; drop the connection
     headers: dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADERS + 1):  # the header lines, then the blank one
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             return method, target, headers
         if b":" in line:
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
+    raise ValueError(f"more than {MAX_HEADERS} header lines")
 
 
 async def _respond(

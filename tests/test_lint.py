@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.lint` — rules, noqa, baseline, reporters, CLI.
+"""Tests for :mod:`repro.lint` — rules, noqa, config, reporters, CLI.
 
 Layers covered:
 
@@ -7,9 +7,8 @@ Layers covered:
   path inside each rule's default scope;
 * the fault-injection self-test (one planted violation per rule, caught
   at the right file/line);
-* the meta-test: ``repro lint src/`` on this very repository is clean
-  modulo the committed baseline;
-* unit tests for suppressions, baseline fingerprint matching, the
+* the meta-test: ``repro lint src/`` on this very repository is clean;
+* unit tests for suppressions, the ``[tool.repro-lint]`` keys, the
   reporters (text, JSON, SARIF 2.1.0, GitHub workflow commands),
   selection, and the CLI.
 """
@@ -26,7 +25,6 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    Baseline,
     LintConfig,
     all_rules,
     lint_changed,
@@ -35,7 +33,6 @@ from repro.lint import (
     lint_sources,
     run_self_test,
 )
-from repro.lint.baseline import BaselineEntry
 from repro.lint.callgraph import IMPURE_TAGS, ProjectGraph
 from repro.lint.engine import LintResult, attach_parents
 from repro.lint.findings import Finding
@@ -160,18 +157,11 @@ class TestSelfTest:
 class TestMetaLint:
     """This repository holds itself to the discipline it ships."""
 
-    def test_src_is_clean_modulo_committed_baseline(self):
-        config = LintConfig(
-            root=REPO_ROOT,
-            baseline_path=REPO_ROOT / "lint-baseline.json",
-        )
-        result = lint_paths([REPO_ROOT / "src"], config)
+    def test_src_is_clean(self):
+        result = lint_paths([REPO_ROOT / "src"], LintConfig(root=REPO_ROOT))
         assert result.parse_errors == []
         assert result.findings == [], "\n".join(
             f.render() for f in result.findings
-        )
-        assert result.stale_baseline == [], "\n".join(
-            e.render() for e in result.stale_baseline
         )
 
     def test_no_unused_suppressions_in_src(self):
@@ -180,13 +170,6 @@ class TestMetaLint:
         assert result.unused_suppressions == [], "\n".join(
             s.render() for s in result.unused_suppressions
         )
-
-    def test_committed_baseline_is_empty(self):
-        """Every accepted exception must be an inline ``noqa`` with a
-        justification comment, never a baseline entry: the committed
-        baseline stays empty so new debt can't hide in it."""
-        data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert data["findings"] == []
 
 
 class TestNoqa:
@@ -249,57 +232,6 @@ class TestNoqa:
             (3, ("REP010",)),
             (9, ("REP007",)),
         ]
-
-
-class TestBaseline:
-    def _finding(self, path="src/repro/core/x.py", line=3, rule="REP001",
-                 snippet="return a <= b"):
-        return Finding(
-            path=path, line=line, col=5, rule=rule, message="m", snippet=snippet
-        )
-
-    def test_fingerprint_survives_line_drift(self):
-        baseline = Baseline([BaselineEntry(
-            path="src/repro/core/x.py", rule="REP001",
-            snippet="return a <= b", line=3,
-        )])
-        moved = self._finding(line=40)  # same code, different line
-        assert baseline.absorb([moved]) == []
-        assert baseline.stale == []
-
-    def test_changed_line_resurfaces(self):
-        baseline = Baseline([BaselineEntry(
-            path="src/repro/core/x.py", rule="REP001",
-            snippet="return a <= b", line=3,
-        )])
-        changed = self._finding(snippet="return a <= b * 2.0")
-        assert baseline.absorb([changed]) == [changed]
-        assert len(baseline.stale) == 1
-
-    def test_multiset_matching(self):
-        entry = BaselineEntry(
-            path="src/repro/core/x.py", rule="REP001",
-            snippet="return a <= b", line=3,
-        )
-        baseline = Baseline([entry, entry])
-        f = self._finding()
-        # two entries absorb two findings; the third stays active
-        assert baseline.absorb([f, f, f]) == [f]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        baseline = Baseline.from_findings([self._finding()])
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert [e.fingerprint for e in loaded.entries] == [
-            e.fingerprint for e in baseline.entries
-        ]
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(path)
 
 
 class TestSelection:
@@ -390,7 +322,7 @@ class TestReporters:
         assert region["startColumn"] == 1
 
     def test_sarif_partial_fingerprints_survive_line_drift(self):
-        """partialFingerprints reuse the baseline's snippet identity, so
+        """partialFingerprints reuse the snippet-keyed Finding.fingerprint, so
         the same finding on a different line keeps its fingerprint and
         GitHub code scanning does not re-open it."""
         def doc_for(line):
@@ -465,7 +397,7 @@ class TestCLI:
     def test_exit_one_on_findings(self, tmp_path, capsys):
         root = self._write_violation(tmp_path)
         code = main([
-            "lint", str(root / "src"), "--root", str(root), "--no-baseline",
+            "lint", str(root / "src"), "--root", str(root),
         ])
         assert code == 1
         out = capsys.readouterr().out
@@ -478,84 +410,10 @@ class TestCLI:
         code = main(["lint", str(tmp_path / "src"), "--root", str(tmp_path)])
         assert code == 0
 
-    def test_write_then_use_baseline(self, tmp_path, capsys):
-        root = self._write_violation(tmp_path)
-        baseline = root / "lint-baseline.json"
-        assert main([
-            "lint", str(root / "src"), "--root", str(root),
-            "--write-baseline", str(baseline),
-        ]) == 0
-        data = json.loads(baseline.read_text())
-        assert data["version"] == 1
-        assert len(data["findings"]) == 1
-        # grandfathered: the same tree now lints clean
-        assert main([
-            "lint", str(root / "src"), "--root", str(root),
-            "--baseline", str(baseline),
-        ]) == 0
-
-    def test_stale_baseline_fails_with_show_unused(self, tmp_path, capsys):
-        root = self._write_violation(tmp_path)
-        baseline = root / "lint-baseline.json"
-        main([
-            "lint", str(root / "src"), "--root", str(root),
-            "--write-baseline", str(baseline),
-        ])
-        (root / "src" / "repro" / "core" / "bad.py").write_text("x = 1\n")
-        assert main([
-            "lint", str(root / "src"), "--root", str(root),
-            "--baseline", str(baseline),
-        ]) == 0
-        assert main([
-            "lint", str(root / "src"), "--root", str(root),
-            "--baseline", str(baseline), "--show-unused-noqa",
-        ]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_prune_baseline_drops_only_stale(self, tmp_path, capsys):
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        keep = pkg / "keep.py"
-        gone = pkg / "gone.py"
-        keep.write_text("def f(a: float, b: float):\n    return a <= b\n")
-        gone.write_text("def g(a: float, b: float):\n    return a >= b\n")
-        baseline = tmp_path / "lint-baseline.json"
-        assert main([
-            "lint", str(tmp_path / "src"), "--root", str(tmp_path),
-            "--write-baseline", str(baseline),
-        ]) == 0
-        assert len(json.loads(baseline.read_text())["findings"]) == 2
-        gone.write_text("x = 1\n")  # one entry is now stale
-        assert main([
-            "lint", str(tmp_path / "src"), "--root", str(tmp_path),
-            "--baseline", str(baseline), "--prune-baseline",
-        ]) == 0
-        assert "pruned 1 stale" in capsys.readouterr().out
-        data = json.loads(baseline.read_text())
-        assert [e["path"] for e in data["findings"]] == [
-            "src/repro/core/keep.py"
-        ]
-        # the pruned baseline still absorbs the live finding — and no
-        # longer trips the stale-entry failure mode
-        assert main([
-            "lint", str(tmp_path / "src"), "--root", str(tmp_path),
-            "--baseline", str(baseline), "--show-unused-noqa",
-        ]) == 0
-
-    def test_prune_baseline_requires_baseline(self, tmp_path, capsys):
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "ok.py").write_text("x = 1\n")
-        assert main([
-            "lint", str(tmp_path / "src"), "--root", str(tmp_path),
-            "--prune-baseline",
-        ]) == 2
-        assert "needs a baseline" in capsys.readouterr().err
-
     def test_github_format_via_cli(self, tmp_path, capsys):
         root = self._write_violation(tmp_path)
         code = main([
-            "lint", str(root / "src"), "--root", str(root), "--no-baseline",
+            "lint", str(root / "src"), "--root", str(root),
             "--format", "github",
         ])
         assert code == 1
@@ -580,7 +438,7 @@ class TestCLI:
         root = self._write_violation(tmp_path)
         main([
             "lint", str(root / "src"), "--root", str(root),
-            "--no-baseline", "--stats",
+            "--stats",
         ])
         out = capsys.readouterr().out
         phase2 = [ln for ln in out.splitlines() if ln.startswith("phase2:")]
@@ -594,7 +452,7 @@ class TestCLI:
     def test_sarif_output_parses(self, tmp_path, capsys):
         root = self._write_violation(tmp_path)
         main([
-            "lint", str(root / "src"), "--root", str(root), "--no-baseline",
+            "lint", str(root / "src"), "--root", str(root),
             "--format", "sarif",
         ])
         doc = json.loads(capsys.readouterr().out)
@@ -610,6 +468,38 @@ class TestCLI:
             "lint", str(tmp_path), "--root", str(tmp_path),
             "--select", "REP999",
         ]) == 2
+
+    def test_baseline_flag_is_unknown(self, tmp_path, capsys):
+        """A noqa with a reason is the only way to accept a finding."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--baseline", "x", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+
+    def test_pyproject_keys_are_honoured(self, tmp_path, capsys):
+        root = self._write_violation(tmp_path)
+        (root / "pyproject.toml").write_text(
+            '[tool.repro-lint]\nselect = ["REP002"]\n'
+            '[tool.repro-lint.rules.REP001]\ninclude = ["repro/core/"]\n'
+        )
+        args = ["lint", str(root / "src"), "--root", str(root)]
+        assert main(args) == 0
+        assert main(args + ["--select", "REP001"]) == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        ['selct = ["REP001"]', 'baseline = "lint-baseline.json"'],
+        ids=["typo", "baseline"],
+    )
+    def test_unknown_pyproject_key_exit_two(self, tmp_path, capsys, entry):
+        """A typo'd or retired key fails loudly instead of being dropped
+        (a dropped ``selct`` would silently run every rule)."""
+        root = self._write_violation(tmp_path)
+        (root / "pyproject.toml").write_text(f"[tool.repro-lint]\n{entry}\n")
+        assert main(["lint", str(root / "src"), "--root", str(root)]) == 2
+        err = capsys.readouterr().err
+        key = entry.split(" ", 1)[0]
+        assert f"unknown [tool.repro-lint] key(s) {key!r}" in err
 
     @pytest.mark.parametrize(
         "flag,rule",
@@ -995,7 +885,7 @@ class TestLintChanged:
         root = _make_project(tmp_path)
         code = main([
             "lint", "src/repro/core/gamma.py", "--root", str(root),
-            "--changed", "--no-baseline",
+            "--changed",
         ])
         assert code == 1
         out = capsys.readouterr().out

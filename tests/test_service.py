@@ -39,6 +39,7 @@ from repro.io_.serialize import (
 )
 from repro.loadgen.client import HttpClient
 from repro.service import LRUCache, ServiceClient, ServiceError
+from repro.service.frontend import MAX_HEADERS
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -451,6 +452,24 @@ class TestHttpEdge:
             live_server, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
         )
         assert _split_response(raw)[0] == 431
+        self._assert_still_serving(live_server)
+
+    @pytest.mark.parametrize("count,expected", [(100, 200), (101, 431)])
+    def test_header_count_is_capped(self, live_server, count, expected):
+        """Like the body, the head is bounded: at most MAX_HEADERS lines."""
+        assert MAX_HEADERS == 100
+        # Connection: close is one of the `count` header lines
+        filler = b"".join(b"X-H%d: v\r\n" % i for i in range(count - 1))
+        raw = _raw_exchange(
+            live_server,
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + filler + b"\r\n",
+        )
+        status, headers, body = _split_response(raw)
+        assert status == expected
+        assert headers["connection"] == "close"
+        if expected == 431:
+            message = json.loads(body)["error"]["message"]
+            assert "more than 100 header lines" in message
         self._assert_still_serving(live_server)
 
 

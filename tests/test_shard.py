@@ -299,6 +299,29 @@ class TestHealthzAggregation:
         assert frontend.handle_healthz()["status"] == "ok"
 
 
+@pytest.mark.skipif(
+    not Path("/proc/self/environ").exists(),
+    reason="reads the worker's environment from /proc",
+)
+class TestWorkerEnvironment:
+    """No worker code calls BLAS, so a worker starts no OpenBLAS thread
+    pool unless the operator asks for one."""
+
+    @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
+    def test_openblas_threads(self, monkeypatch, given, expected):
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+        with _ShardedProc(1) as sharded:
+            status, body = _get(sharded.url + "/healthz")
+            assert status == 200
+            (shard,) = json.loads(body)["shards"]
+            environ = Path(f"/proc/{shard['pid']}/environ").read_bytes()
+            sharded.terminate()
+        assert f"OPENBLAS_NUM_THREADS={expected}".encode() in environ.split(b"\0")
+
+
 @pytest.fixture()
 def reference(start_server):
     """Fresh ``--workers 0`` reference server per test.
