@@ -48,8 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.base import ExperimentResult
-from repro.loadgen import PROFILES, HttpClient, run_load
+from repro.loadgen import PROFILES, run_load
 from repro.loadgen.profiles import build_corpus
+from repro.service import HttpClient
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 

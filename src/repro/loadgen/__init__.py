@@ -12,8 +12,6 @@ mix.  This package is that story:
   shape (instance size, stress, working-set size), request mix, and
   access pattern (cyclic scans that defeat one small LRU, Zipf skew
   that imbalances shards);
-* :mod:`~repro.loadgen.client` — a raw-socket keep-alive HTTP client
-  cheap enough to share one core with the server under test;
 * :mod:`~repro.loadgen.harness` — closed- and open-loop drivers that
   produce a :class:`~repro.loadgen.harness.LoadReport` (sustained RPS,
   p50/p90/p99 latency, error counts, server metric deltas).
@@ -24,7 +22,6 @@ uses the same harness to pin the service's RPS/latency trajectory in
 """
 
 from .arrivals import burst_arrivals, poisson_arrivals
-from .client import HttpClient, HttpError
 from .harness import LoadReport, run_load
 from .profiles import (
     PROFILES,
@@ -36,8 +33,6 @@ from .profiles import (
 __all__ = [
     "burst_arrivals",
     "poisson_arrivals",
-    "HttpClient",
-    "HttpError",
     "LoadReport",
     "run_load",
     "PROFILES",

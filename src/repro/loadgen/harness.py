@@ -29,8 +29,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ..service.client import HttpClient, HttpError
 from .arrivals import burst_arrivals, poisson_arrivals
-from .client import HttpClient, HttpError
 from .profiles import LoadProfile, build_corpus, stream_seed, zipf_draws
 
 __all__ = ["LoadReport", "percentile", "run_load"]

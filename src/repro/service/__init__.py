@@ -13,7 +13,8 @@ request-level metrics:
 * :mod:`~repro.service.shard` / :mod:`~repro.service.protocol` — the
   shard engine (:class:`~repro.service.shard.ShardCore`) and the frame
   protocol between the front end and worker processes;
-* :class:`~repro.service.client.ServiceClient` — stdlib client wrapper;
+* :mod:`~repro.service.client` — the keep-alive ``HttpClient`` (the
+  load generator's too) and ``ServiceClient``, the JSON API over it;
 * :mod:`~repro.service.cache` / :mod:`~repro.service.metrics` /
   :mod:`~repro.service.validation` — the supporting pieces.
 
@@ -39,13 +40,15 @@ from .validation import (
 )
 
 if TYPE_CHECKING:
-    from .client import ServiceClient, ServiceError
+    from .client import HttpClient, HttpError, ServiceClient, ServiceError
     from .frontend import ShardedFrontend, serve_sharded
 
 #: Names resolved on first access, so a shard worker importing
 #: ``repro.service.shard`` loads neither asyncio (the front end) nor
 #: the HTTP client stack.
 _LAZY = {
+    "HttpClient": "client",
+    "HttpError": "client",
     "ServiceClient": "client",
     "ServiceError": "client",
     "ShardedFrontend": "frontend",
@@ -65,6 +68,8 @@ def __getattr__(name: str) -> Any:
 __all__ = [
     "CacheStats",
     "LRUCache",
+    "HttpClient",
+    "HttpError",
     "ServiceClient",
     "ServiceError",
     "MetricsRegistry",

@@ -11,6 +11,8 @@
   client stack.  numpy arrives with the first numpy-backend verdict.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
+* ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
+  nor ``ssl``.
 
 Each check runs in a fresh interpreter, so modules other tests imported
 cannot hide a regression.
@@ -127,6 +129,17 @@ def test_shard_worker_loads_no_http_stack():
         "repro.service.client",
     )
     assert _loaded(code, http) == []
+
+
+def test_service_client_loads_no_stdlib_http_stack():
+    """``ServiceClient`` rides on the package's own keep-alive client;
+    the stdlib HTTP client and TLS stay out of its process."""
+    code = """
+    from repro.service import ServiceClient
+    ServiceClient("http://127.0.0.1:1")
+    """
+    stdlib_http = ("urllib.request", "http.client", "ssl")
+    assert _loaded(code, stdlib_http) == []
 
 
 def test_shard_worker_loads_no_openssl():

@@ -1,4 +1,4 @@
-"""Tests for repro.loadgen: arrivals, profiles, harness, client, CLI.
+"""Tests for repro.loadgen (arrivals, profiles, harness, CLI) and its HttpClient.
 
 The generator's whole value is replayability — every sequence it emits
 (corpus bodies, access order, arrival times) must be a pure function of
@@ -11,6 +11,9 @@ sharded one).
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +21,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.loadgen import (
     PROFILES,
-    HttpClient,
-    HttpError,
     LoadReport,
     burst_arrivals,
     poisson_arrivals,
@@ -32,6 +33,7 @@ from repro.loadgen.profiles import (
     stream_seed,
     zipf_draws,
 )
+from repro.service import HttpClient, HttpError
 from repro.service.validation import parse_test_request
 
 
@@ -243,6 +245,60 @@ class TestHttpClient:
         with HttpClient("127.0.0.1", 1) as http:
             with pytest.raises(HttpError):
                 http.request("GET", "/healthz")
+
+    def test_timeout_is_not_retried(self):
+        """A hung server sees the request once, and the caller waits
+        one timeout, not two."""
+        timeout = 0.3
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            with HttpClient("127.0.0.1", port, timeout=timeout) as http:
+                t0 = time.perf_counter()
+                with pytest.raises(HttpError):
+                    http.request("GET", "/healthz")
+                elapsed = time.perf_counter() - t0
+            # The kernel completes each handshake into the backlog, so
+            # every connection the client made is accepted here.
+            listener.settimeout(0.2)
+            connections = []
+            try:
+                while True:
+                    connections.append(listener.accept()[0])
+            except TimeoutError:
+                pass
+            for conn in connections:
+                conn.close()
+        assert len(connections) == 1
+        assert elapsed < 2 * timeout
+
+    def test_idle_close_is_retried_on_one_new_connection(self):
+        response = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        closed = threading.Event()
+        accepted = []
+
+        def serve(listener: socket.socket) -> None:
+            listener.settimeout(10)
+            for _ in range(2):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                with conn:
+                    request = b""
+                    while b"\r\n\r\n" not in request and (
+                        chunk := conn.recv(65536)
+                    ):
+                        request += chunk
+                    conn.sendall(response)
+                closed.set()  # an idle keep-alive connection, closed
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=serve, args=(listener,))
+            server.start()
+            with HttpClient("127.0.0.1", listener.getsockname()[1]) as http:
+                assert http.request("GET", "/a") == (200, b"ok")
+                assert closed.wait(10)
+                assert http.request("GET", "/b") == (200, b"ok")
+            server.join(10)
+        assert len(accepted) == 2
 
 
 class TestRunLoad:

@@ -18,10 +18,9 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -37,8 +36,7 @@ from repro.io_.serialize import (
     report_to_dict,
     taskset_to_dict,
 )
-from repro.loadgen.client import HttpClient
-from repro.service import LRUCache, ServiceClient, ServiceError
+from repro.service import HttpClient, LRUCache, ServiceClient, ServiceError
 from repro.service.frontend import MAX_HEADERS
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
@@ -68,7 +66,8 @@ def base_url(live_server):
 
 @pytest.fixture(scope="module")
 def client(base_url):
-    return ServiceClient(base_url, timeout=30.0)
+    with ServiceClient(base_url, timeout=30.0) as client:
+        yield client
 
 
 def _cache_stats(client: ServiceClient) -> dict:
@@ -78,17 +77,10 @@ def _cache_stats(client: ServiceClient) -> dict:
 
 
 def _raw_post(base_url: str, path: str, body: bytes):
-    request = urllib.request.Request(
-        base_url + path,
-        data=body,
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=10) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+    parts = urlsplit(base_url)
+    with HttpClient(parts.hostname, parts.port, timeout=10) as http:
+        status, raw = http.request("POST", path, body)
+    return status, json.loads(raw)
 
 
 class TestHealth:
@@ -282,11 +274,11 @@ class TestConcurrency:
         }
 
         def hammer(c: int):
-            local_client = ServiceClient(base_url, timeout=60.0)
             out = []
-            for _ in range(3):
-                response = local_client.batch(per_client[c])
-                out.append([item["report"] for item in response["results"]])
+            with ServiceClient(base_url, timeout=60.0) as local_client:
+                for _ in range(3):
+                    response = local_client.batch(per_client[c])
+                    out.append([item["report"] for item in response["results"]])
             return out
 
         with ThreadPoolExecutor(max_workers=n_clients) as pool:
@@ -377,10 +369,9 @@ class TestErrors:
         assert status == 404
         assert "unknown endpoint" in body["error"]["message"]
 
-    def test_wrong_method_405(self, base_url):
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(base_url + "/v1/test", timeout=10)
-        assert exc_info.value.code == 405
+    def test_wrong_method_405(self, live_server):
+        with HttpClient(live_server.host, live_server.port) as http:
+            assert http.request("GET", "/v1/test")[0] == 405
 
     def test_bad_metrics_format_400(self, client):
         with pytest.raises(ServiceError) as exc_info:
@@ -388,12 +379,18 @@ class TestErrors:
         assert exc_info.value.status == 400
 
     def test_client_error_carries_fields(self, base_url):
-        bad_client = ServiceClient(base_url)
         taskset, platform = _instance(2)
-        with pytest.raises(ServiceError) as exc_info:
+        with ServiceClient(base_url) as bad_client, pytest.raises(ServiceError) as exc_info:
             bad_client.test(taskset, platform, scheduler="bogus")
         assert exc_info.value.status == 400
         assert any(e["field"] == "scheduler" for e in exc_info.value.fields)
+
+    @pytest.mark.parametrize(
+        "url", ["https://127.0.0.1:8443", "127.0.0.1:8080", "http://"]
+    )
+    def test_client_takes_only_plain_http_urls(self, url):
+        with pytest.raises(ValueError, match="http://"):
+            ServiceClient(url)
 
 
 def _raw_exchange(live_server, request: bytes) -> bytes:
@@ -611,9 +608,8 @@ class TestServeProcess:
             banner = proc.stderr.readline()
             match = re.search(r"http://([\d.]+):(\d+)", banner)
             assert match, f"no listening banner, got: {banner!r}"
-            url = f"http://{match.group(1)}:{match.group(2)}"
-            with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
-                health = json.loads(resp.read())
+            with HttpClient(match.group(1), int(match.group(2)), timeout=10) as http:
+                health = json.loads(http.request("GET", "/healthz")[1])
             assert health["status"] == "ok"
             assert health["architecture"] == "in-process"
             assert health["shards"][0]["pid"] == proc.pid

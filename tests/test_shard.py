@@ -25,9 +25,8 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from repro.io_.serialize import (
     shard_for_digest,
 )
 from repro.kernels import buffers, reset_kernel_caches
+from repro.service import HttpClient
 from repro.service.frontend import ShardedFrontend
 from repro.service.metrics import render_shard_prometheus
 from repro.service.protocol import (
@@ -78,23 +78,19 @@ def _request_body(seed: int, n: int = 8, scheduler: str = "edf",
 
 def _post(url: str, body: dict | bytes) -> tuple[int, bytes]:
     data = body if isinstance(body, bytes) else json.dumps(body).encode()
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=60) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+    return _request("POST", url, data)
 
 
 def _get(url: str) -> tuple[int, bytes]:
-    try:
-        with urllib.request.urlopen(url, timeout=30) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+    return _request("GET", url)
+
+
+def _request(method: str, url: str, body: bytes | None = None):
+    """One request on a fresh connection → ``(status, body bytes)``."""
+    parts = urlsplit(url)
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    with HttpClient(parts.hostname, parts.port, timeout=60) as http:
+        return http.request(method, target, body)
 
 
 class _ShardedProc:
