@@ -1,4 +1,4 @@
-"""Acceptance-ratio sweeps (experiments E2/E3/E7/E9).
+"""Acceptance-ratio sweeps (experiments E2/E3/E7/E9/E22).
 
 An acceptance sweep generates many random task sets per normalized-
 utilization point and measures, per tester, the fraction accepted — the
@@ -7,10 +7,13 @@ are plain predicates ``(taskset, platform) -> bool`` so the same sweep
 machinery serves first-fit variants, the LP oracle, exact adversaries and
 the PTAS alike (:func:`ff_tester` etc. build the common ones).
 
-Each (utilization point, sample) pair is one :class:`Trial` of a
-:class:`~repro.workloads.campaigns.Campaign` with its own derived seed,
-executed through :func:`repro.runner.run_trials` — so the sweep
-parallelizes across trials with results bit-identical to ``jobs=1``.
+Each (utilization point, sample) pair is one
+:class:`~repro.workloads.campaigns.Trial` of a
+:class:`~repro.workloads.campaigns.Campaign` with its own derived seed.
+The sweep draws every trial's task set from that seed in the calling
+process and evaluates the testers through :func:`repro.runner.run_trials`
+— so the sweep parallelizes across trials with results bit-identical to
+``jobs=1``, and pool workers run only the testers.
 The built-in testers are picklable objects (not closures) so they cross
 the pool boundary; custom testers must be picklable too when ``jobs > 1``.
 """
@@ -33,7 +36,7 @@ from ..core.partition import first_fit_partition
 from ..kernels import BATCH_TESTS, first_fit_batch
 from ..runner import run_trials
 from ..workloads.builder import generate_taskset
-from ..workloads.campaigns import Campaign, Trial, campaign_seed
+from ..workloads.campaigns import Campaign, campaign_seed
 
 __all__ = [
     "Tester",
@@ -132,32 +135,26 @@ class AcceptanceCurve:
         return rows
 
 
+@dataclass(frozen=True)
+class _DrawnTrial:
+    """One sweep sample as the runner hands it out: the trial's seed and
+    params (which a :class:`~repro.runner.TrialError` reports) and the
+    task set :func:`acceptance_sweep` drew from the trial's stream."""
+
+    seed: int
+    params: Mapping[str, float]
+    taskset: TaskSet
+
+
 def _acceptance_trial(
-    trial: Trial,
+    item: _DrawnTrial,
     *,
     platform: Platform,
     testers: dict[str, Tester],
-    n_tasks: int,
-    cap: float,
-    dr_dist: str = "implicit",
-    dr_min: float = 0.5,
-    dr_max: float = 1.0,
 ) -> dict[str, bool]:
-    """One sweep sample: draw a task set at the trial's utilization point
-    and evaluate every tester on it.  Pure in (trial.seed, trial.params)."""
-    rng = trial.rng()
-    total = trial.params["U/S"] * platform.total_speed
-    taskset = generate_taskset(
-        rng,
-        n_tasks,
-        total,
-        u_max=min(cap, total),
-        dr_dist=dr_dist,  # type: ignore[arg-type]
-        dr_min=dr_min,
-        dr_max=dr_max,
-    )
+    """One sweep sample: evaluate every tester on the item's task set."""
     return {
-        name: bool(tester(taskset, platform))
+        name: bool(tester(item.taskset, platform))
         for name, tester in testers.items()
     }
 
@@ -166,40 +163,20 @@ def _acceptance_trial(
 class _AcceptanceBatch:
     """Picklable whole-chunk evaluator for :func:`acceptance_sweep`.
 
-    Draws every trial's task set exactly as :func:`_acceptance_trial`
-    does (same per-trial RNG stream), then evaluates each
-    :class:`FirstFitTester` over the chunk with *one*
-    :func:`repro.kernels.first_fit_batch` call; testers the kernels do
-    not cover (LP, exact adversaries, custom predicates) fall back to
-    the scalar per-instance call.  Record-identical to the per-trial
-    path — the kernels are bit-identical to the scalar partitioner.
+    Evaluates each :class:`FirstFitTester` over the chunk's drawn task
+    sets with *one* :func:`repro.kernels.first_fit_batch` call; testers
+    the kernels do not cover (LP, exact adversaries, custom predicates)
+    fall back to the scalar per-instance call.  Record-identical to
+    :func:`_acceptance_trial` — the kernels are bit-identical to the
+    scalar partitioner.
     """
 
     platform: Platform
     testers: tuple[tuple[str, Tester], ...]
-    n_tasks: int
-    cap: float
     backend: str
-    dr_dist: str = "implicit"
-    dr_min: float = 0.5
-    dr_max: float = 1.0
 
-    def __call__(self, trials: Sequence[Trial]) -> list[dict[str, bool]]:
-        tasksets = []
-        for trial in trials:
-            rng = trial.rng()
-            total = trial.params["U/S"] * self.platform.total_speed
-            tasksets.append(
-                generate_taskset(
-                    rng,
-                    self.n_tasks,
-                    total,
-                    u_max=min(self.cap, total),
-                    dr_dist=self.dr_dist,  # type: ignore[arg-type]
-                    dr_min=self.dr_min,
-                    dr_max=self.dr_max,
-                )
-            )
+    def __call__(self, items: Sequence[_DrawnTrial]) -> list[dict[str, bool]]:
+        tasksets = [item.taskset for item in items]
         instances = [(ts, self.platform) for ts in tasksets]
         columns: list[list[bool]] = []
         for _, tester in self.testers:
@@ -221,7 +198,7 @@ class _AcceptanceBatch:
         names = [nm for nm, _ in self.testers]
         return [
             dict(zip(names, flags)) for flags in zip(*columns)
-        ] if trials else []
+        ] if items else []
 
 
 def acceptance_sweep(
@@ -252,7 +229,10 @@ def acceptance_sweep(
 
     ``seed`` may be an integer (the reproducible way) or a Generator (one
     root seed is drawn from it).  Every (point, sample) pair becomes one
-    independently seeded trial fanned out over ``jobs`` workers; the
+    independently seeded trial.  Its task set is drawn here, in trial
+    order, from the trial's own stream, and only the evaluation is
+    fanned out over ``jobs`` workers: the items the runner hands out
+    carry the drawn task set, so a worker runs no generator code.  The
     resulting curve is bit-identical for every ``jobs`` value.  ``name``
     labels the campaign and is folded into the trial seeds.
 
@@ -276,15 +256,21 @@ def acceptance_sweep(
         replications=samples,
         base_seed=campaign_seed(seed),
     )
+    items = []
+    for trial in campaign:
+        total = trial.params["U/S"] * platform.total_speed
+        taskset = generate_taskset(
+            trial.rng(),
+            n_tasks,
+            total,
+            u_max=min(cap, total),
+            dr_dist=dr_dist,  # type: ignore[arg-type]
+            dr_min=dr_min,
+            dr_max=dr_max,
+        )
+        items.append(_DrawnTrial(trial.seed, trial.params, taskset))
     fn = functools.partial(
-        _acceptance_trial,
-        platform=platform,
-        testers=dict(testers),
-        n_tasks=n_tasks,
-        cap=cap,
-        dr_dist=dr_dist,
-        dr_min=dr_min,
-        dr_max=dr_max,
+        _acceptance_trial, platform=platform, testers=dict(testers)
     )
     batch_fn = None
     if backend is not None:
@@ -293,16 +279,11 @@ def acceptance_sweep(
         batch_fn = _AcceptanceBatch(
             platform=platform,
             testers=tuple(testers.items()),
-            n_tasks=n_tasks,
-            cap=cap,
             backend=resolve_backend(backend),
-            dr_dist=dr_dist,
-            dr_min=dr_min,
-            dr_max=dr_max,
         )
     run = run_trials(
         fn,
-        campaign,
+        items,
         jobs=jobs,
         chunk_size=chunk_size,
         label=name,

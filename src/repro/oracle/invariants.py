@@ -693,7 +693,9 @@ def check_backend_equivalence(
                 )
             )
     # Batched primitives: exact equality against their scalar definitions
-    # (the batched dbf against the per-task sum, not the profile it uses).
+    # (the batched dbf against the per-task sum; the demand profile
+    # computes that same sum today, and this pins it if the profile ever
+    # takes another route).
     times = sorted({t.deadline for t in taskset} | {t.period for t in taskset})
     scalar_bounds = [
         (ts.total_utilization, liu_layland_bound(len(ts)))

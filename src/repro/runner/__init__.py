@@ -3,7 +3,9 @@
 The runner fans pure per-trial functions out to a process pool in chunks
 and reduces the records back **in trial order**, so ``jobs=1`` and
 ``jobs=N`` produce bit-identical results whenever the per-trial function
-is deterministic in ``(trial.seed, trial.params)``.  See
+is deterministic in its trial item: ``(seed, params)`` and whatever the
+caller drew from them before the fan-out (an acceptance sweep hands out
+each trial's task set, drawn once in the parent).  See
 :mod:`repro.runner.executor` for the execution model and
 :mod:`repro.runner.telemetry` for throughput reporting.
 """

@@ -4,7 +4,10 @@ Execution model
 ---------------
 A *campaign* is any finite iterable of trial items (typically
 :class:`repro.workloads.campaigns.Trial`), each carrying everything the
-per-trial function needs — a seed and a parameter mapping.  The runner:
+per-trial function needs — a seed and a parameter mapping, plus any
+input the caller already drew from that seed.  An acceptance sweep's
+items carry the task set it drew in the parent, so its workers only
+evaluate.  The runner:
 
 1. materializes the trials and assigns each its position index;
 2. splits them into contiguous chunks (amortizing pool round-trips);

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.analysis import acceptance
 from repro.analysis.acceptance import (
     acceptance_sweep,
     exact_edf_tester,
@@ -148,6 +151,75 @@ class TestAcceptanceSweep:
             samples=5,
         )
         assert curve.rates["exact-rms"][0] == 1.0
+
+
+def _numpy_owned(module: object) -> bool:
+    return isinstance(module, str) and (
+        module == "numpy" or module.startswith("numpy.")
+    )
+
+
+class TestAcceptanceWorkers:
+    """A pool worker of a scalar sweep evaluates testers and runs no numpy:
+    a forked worker that executes numpy faults its code pages into its
+    own resident set."""
+
+    def test_worker_side_trials_run_no_numpy(self, monkeypatch):
+        from repro.experiments.e22_accept_deadline import ChenTester, HanZhaoTester
+        from repro.runner import executor
+
+        handed = []
+
+        def capture(fn, trials, **kwargs):
+            trials = list(trials)
+            handed.append((fn, trials, kwargs.get("batch_fn")))
+            return executor.run_trials(fn, trials, **kwargs)
+
+        monkeypatch.setattr(acceptance, "run_trials", capture)
+        testers = {
+            "FF-QPA": ff_tester("edf-dbf"),
+            "approx(k=4)": ff_tester("edf-dbf-approx"),
+            "Han-Zhao": HanZhaoTester(),
+            "Chen-DM": ChenTester(),
+        }
+        acceptance_sweep(
+            7,
+            geometric_platform(4, 8.0),
+            testers,
+            n_tasks=16,
+            normalized_utilizations=(0.5, 0.9),
+            samples=3,
+            dr_dist="uniform",
+            dr_min=0.4,
+        )
+        [(fn, items, batch_fn)] = handed
+        assert batch_fn is None
+
+        seen: set[str] = set()
+
+        def probe(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__")
+                if _numpy_owned(module):
+                    seen.add(f"{module}.{frame.f_code.co_name}")
+            elif event == "c_call":
+                owner = getattr(arg, "__self__", None)
+                for module in (
+                    getattr(arg, "__module__", None),
+                    type(owner).__module__,
+                    getattr(owner, "__name__", None),
+                ):
+                    if _numpy_owned(module):
+                        seen.add(f"{module}.{arg.__name__}")
+
+        sys.setprofile(probe)
+        try:
+            _, _, out = executor._run_chunk(fn, list(enumerate(items)))
+        finally:
+            sys.setprofile(None)
+        assert [ok for _, ok, _ in out] == [True] * len(items)
+        assert {record["FF-QPA"] for _, _, record in out} == {True, False}
+        assert sorted(seen) == []
 
 
 class TestSpeedupStudy:

@@ -28,6 +28,7 @@ from repro.core.dbf import (
 )
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition, verify_partition
+from repro.kernels import BACKENDS, dbf_demand_batch
 from repro.sim.uniprocessor import simulate_taskset_on_machine
 
 constrained_task = st.builds(
@@ -41,8 +42,40 @@ constrained_task = st.builds(
     st.floats(min_value=0.3, max_value=1.0),
 )
 
+#: integer parameters: every demand is an integer far below 2**53, so the
+#: float dbf must equal the exact integer formula, not approximate it
+integer_task = st.builds(
+    lambda c, p, d: Task(wcet=float(c), period=float(p), deadline=float(d)),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+)
+
+
+def _exact_dbf(tasks: list[Task], t: int) -> int:
+    """sum over tasks with d_i <= t of (floor((t - d_i) / p_i) + 1) * c_i,
+    in integer arithmetic."""
+    return sum(
+        ((t - int(task.deadline)) // int(task.period) + 1) * int(task.wcet)
+        for task in tasks
+        if task.deadline <= t
+    )
+
 
 class TestDBFValues:
+    @given(
+        st.lists(integer_task, min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_parameters_give_the_exact_demand(self, tasks, times):
+        want = [_exact_dbf(tasks, t) for t in times]
+        grid = [float(t) for t in times]
+        assert [dbf_taskset(tasks, t) for t in grid] == want
+        assert dbf_series(tasks, grid) == want
+        for backend in BACKENDS:
+            assert dbf_demand_batch([TaskSet(tasks)], grid, backend=backend) == [want]
+
     def test_zero_before_deadline(self):
         t = Task(2, 10, deadline=4)
         assert dbf(t, 3.9) == 0.0

@@ -8,7 +8,9 @@
 * A ``repro serve --workers N`` front end never evaluates, so it loads
   neither numpy nor the experiments, simulator or workload generators;
   a shard worker never speaks HTTP, so it loads neither asyncio nor the
-  client stack.  numpy arrives with the first numpy-backend verdict.
+  client stack.  numpy arrives with the first numpy-backend verdict:
+  every scalar verdict, ``edf-dbf``'s exact demand analysis included,
+  runs without it.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
@@ -167,6 +169,34 @@ def test_numpy_arrives_with_the_first_numpy_verdict():
         """
     ))
     assert out == ["False", "True", "True"]
+
+
+def test_scalar_verdicts_load_no_numpy():
+    """A worker started without ``--backend`` answers every admission
+    test and every theorem configuration without loading numpy."""
+    out = _run(textwrap.dedent(
+        """
+        import sys
+        from typing import get_args
+        from repro import Platform, Task, TaskSet, feasibility_test, first_fit_partition
+        from repro.core.bounds import ADMISSION_TEST_NAMES
+        from repro.core.feasibility import Adversary, Scheduler
+        platform = Platform.from_speeds([1.0, 2.0])
+        constrained = TaskSet([
+            Task(wcet=2, period=10, deadline=5),
+            Task(wcet=3, period=8, deadline=6),
+            Task(wcet=1, period=4, deadline=3),
+        ])
+        for name in ADMISSION_TEST_NAMES:
+            first_fit_partition(constrained, platform, name)
+        implicit = TaskSet([Task(wcet=2, period=10), Task(wcet=6, period=8)])
+        for scheduler in get_args(Scheduler):
+            for adversary in get_args(Adversary):
+                feasibility_test(implicit, platform, scheduler, adversary)
+        print(len(ADMISSION_TEST_NAMES), 'numpy' in sys.modules)
+        """
+    ))
+    assert int(out[0]) > 0 and out[1:] == ["False"]
 
 
 def test_admission_tests_resolve_without_their_modules_preloaded():
