@@ -2,9 +2,10 @@
 
 The service keys verdicts by :func:`repro.io_.serialize.instance_digest`,
 so any permutation/renaming of an already-answered instance is a cache
-hit.  Values stored here are treated as immutable by convention — the
-service deep-copies on the way out (see ``app._remap_*``), never mutates
-a cached payload.
+hit.  The cache stores whatever value it is given and never copies it;
+a shard stores each verdict as immutable pickled ``bytes`` (see
+:class:`~repro.service.shard.ShardCore`), and the front end decodes a
+private copy per response, so no caller can reach a cached payload.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ request to a shard keyed by a prefix of the canonical
 :class:`~repro.service.shard.ShardCore` with a private verdict LRU:
 
 * ``workers=0`` (the ``repro serve`` default) — one **in-process**
-  shard, called directly on the event-loop thread: no socket, no
-  subprocess, no pickling.  A slow cache miss delays every other
-  connection until it returns.
+  shard, called directly on the event-loop thread: no socket and no
+  subprocess, but the same :class:`~repro.service.shard.ShardCore`, so
+  verdicts are pickled into the cache and decoded here exactly as with
+  workers.  A slow cache miss delays every other connection until it
+  returns.
 * ``workers=N`` — N worker processes (:mod:`repro.service.shard`).  The
   digest routing guarantees a canonical instance is only ever seen by
   one worker, so there is no cross-process locking, no shared memory,
@@ -17,8 +19,8 @@ request to a shard keyed by a prefix of the canonical
 Division of labour per request:
 
 * **front end** — HTTP parsing, JSON decode, payload validation,
-  canonical order + digest computation, shard routing, response
-  remapping to submission order, JSON encode.  ``/v1/batch`` splits its
+  canonical order + digest computation, shard routing, verdict decode
+  and remapping to submission order, JSON encode.  ``/v1/batch`` splits its
   payload by shard, fans the sub-batches out concurrently, and
   reassembles the responses positionally (the same
   positional-reduction discipline as :mod:`repro.runner`), so the body
@@ -62,9 +64,9 @@ differ).
 from __future__ import annotations
 
 import asyncio
-import copy
 import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -130,38 +132,39 @@ def _error_body(message: str, fields: list[dict[str, str]] | None = None) -> dic
     return {"error": {"message": message, "fields": fields or []}}
 
 
-def _remap_partition_dict(
-    canon: dict[str, Any], order: list[int]
-) -> dict[str, Any]:
-    """Translate a canonical-order partition dict to submission order.
+def _remap_partition(part: dict[str, Any], order: list[int]) -> dict[str, Any]:
+    """Rewrite a decoded canonical-order partition dict to submission
+    order, in place.
 
     ``order[k]`` is the submitted index of the task at canonical
     position ``k``.  Machine indices are already canonical (speed-sorted)
     in both views and pass through unchanged.
     """
-    out = dict(canon)
     assignment: list[int | None] = [None] * len(order)
-    for k, machine in enumerate(canon["assignment"]):
+    for k, machine in enumerate(part["assignment"]):
         assignment[order[k]] = machine
-    out["assignment"] = assignment
-    out["machine_tasks"] = [
-        [order[k] for k in tasks] for tasks in canon["machine_tasks"]
+    part["assignment"] = assignment
+    part["machine_tasks"] = [
+        [order[k] for k in tasks] for tasks in part["machine_tasks"]
     ]
-    out["order"] = [order[k] for k in canon["order"]]
-    failed = canon["failed_task"]
-    out["failed_task"] = order[failed] if failed is not None else None
-    return out
+    part["order"] = [order[k] for k in part["order"]]
+    failed = part["failed_task"]
+    part["failed_task"] = order[failed] if failed is not None else None
+    return part
 
 
-def _remap_report_dict(canon: dict[str, Any], order: list[int]) -> dict[str, Any]:
-    """Translate a canonical-order report dict to submission order."""
-    out = dict(canon)
-    out["partition"] = _remap_partition_dict(canon["partition"], order)
-    # Certificate fields are scalars and machine indices — order-free —
-    # but copy so callers can never alias the cached payload.
-    if canon.get("certificate") is not None:
-        out["certificate"] = copy.deepcopy(canon["certificate"])
-    return out
+def _remap_partition_dict(blob: bytes, order: list[int]) -> dict[str, Any]:
+    """A shard's pickled canonical partition dict, decoded into a private
+    copy in submission order: mutating it never reaches the cache."""
+    return _remap_partition(pickle.loads(blob), order)
+
+
+def _remap_report_dict(blob: bytes, order: list[int]) -> dict[str, Any]:
+    """A shard's pickled canonical report dict, decoded into a private
+    copy in submission order."""
+    report = pickle.loads(blob)
+    _remap_partition(report["partition"], order)
+    return report
 
 
 class ShardUnavailable(Exception):
@@ -746,11 +749,11 @@ class ShardedFrontend:
             adversary=q.adversary,
             alpha=q.alpha,
         )
-        canon, cached = await self._shard_of(digest).call("test", unit)
+        blob, cached = await self._shard_of(digest).call("test", unit)
         return {
             "digest": digest,
             "cached": cached,
-            "report": _remap_report_dict(canon, order),
+            "report": _remap_report_dict(blob, order),
         }
 
     async def handle_partition(self, payload: Any) -> dict[str, Any]:
@@ -766,11 +769,11 @@ class ShardedFrontend:
             test=q.test,
             alpha=q.alpha,
         )
-        canon, cached = await self._shard_of(digest).call("partition", unit)
+        blob, cached = await self._shard_of(digest).call("partition", unit)
         return {
             "digest": digest,
             "cached": cached,
-            "result": _remap_partition_dict(canon, order),
+            "result": _remap_partition_dict(blob, order),
         }
 
     async def handle_batch(self, payload: Any) -> dict[str, Any]:
@@ -806,7 +809,7 @@ class ShardedFrontend:
                 for s in shard_ids
             )
         )
-        outcomes: list[tuple[dict[str, Any], bool] | None] = [None] * len(queries)
+        outcomes: list[tuple[bytes, bool] | None] = [None] * len(queries)
         for s, result in zip(shard_ids, sub_results):
             for k, outcome in zip(by_shard[s], result):
                 outcomes[k] = outcome
@@ -818,9 +821,9 @@ class ShardedFrontend:
                 {
                     "digest": units[k].digest,
                     "cached": cached,
-                    "report": _remap_report_dict(canon, orders[k]),
+                    "report": _remap_report_dict(blob, orders[k]),
                 }
-                for k, (canon, cached) in enumerate(outcomes)  # type: ignore[misc]
+                for k, (blob, cached) in enumerate(outcomes)  # type: ignore[misc]
             ],
         }
 

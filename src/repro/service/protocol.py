@@ -12,12 +12,17 @@ Wire shapes
 -----------
 Requests (front end → worker) are ``(op, seq, payload)`` tuples::
 
-    ("test",      seq, TestUnit)          -> (seq, "ok", (canon_dict, cached))
-    ("partition", seq, PartitionUnit)     -> (seq, "ok", (canon_dict, cached))
-    ("batch",     seq, [TestUnit, ...])   -> (seq, "ok", [(canon_dict, cached), ...])
+    ("test",      seq, TestUnit)          -> (seq, "ok", (canon_blob, cached))
+    ("partition", seq, PartitionUnit)     -> (seq, "ok", (canon_blob, cached))
+    ("batch",     seq, [TestUnit, ...])   -> (seq, "ok", [(canon_blob, cached), ...])
     ("stats",     seq, None)              -> (seq, "ok", {...worker stats...})
     ("ping",      seq, None)              -> (seq, "ok", None)
     ("shutdown",  seq, None)              -> (seq, "ok", None), then the worker exits
+
+A ``canon_blob`` is the canonical verdict dict already pickled by the
+shard — the exact ``bytes`` its cache holds — so a cache hit is sent
+without re-pickling the verdict; the front end unpickles it once per
+response.
 
 Responses are ``(seq, status, result)``; ``status`` is ``"ok"`` or
 ``"error"`` (``result`` is then the error message string).  A worker
@@ -41,6 +46,7 @@ __all__ = [
     "TestUnit",
     "PartitionUnit",
     "frame_bytes",
+    "pickled",
     "read_frame_async",
     "recv_frame",
     "send_frame",
@@ -83,9 +89,14 @@ class PartitionUnit:
     alpha: float
 
 
+def pickled(obj: Any) -> bytes:
+    """``obj`` pickled as a frame payload is (highest protocol)."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def frame_bytes(message: Any) -> bytes:
     """One ready-to-send frame: length prefix plus pickled payload."""
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickled(message)
     return _LEN.pack(len(blob)) + blob
 
 

@@ -3,7 +3,8 @@
 Two layers live here:
 
 * :class:`ShardCore` — the transport-free unit of serving state: one
-  bounded LRU of canonical verdicts plus the evaluation paths (scalar /
+  bounded LRU of canonical verdicts, each held as the pickled bytes a
+  reply frame carries, plus the evaluation paths (scalar /
   kernel-batch) that fill it.  Every shard runs *this exact code*,
   in-process at ``--workers 0`` or in a worker process otherwise, which
   is what makes responses bit-identical across worker counts by
@@ -44,7 +45,7 @@ from ..io_.serialize import (
 )
 from ..kernels import resolve_backend, test_feasibility_batch
 from .cache import LRUCache
-from .protocol import PartitionUnit, TestUnit, recv_frame, send_frame
+from .protocol import PartitionUnit, TestUnit, pickled, recv_frame, send_frame
 from .validation import PartitionQuery, TestQuery
 
 __all__ = [
@@ -103,11 +104,14 @@ class ShardCore:
     """Canonical-verdict evaluation plus one private LRU.
 
     Verdicts are computed *on the canonical instance* (tasks subset
-    into canonical order — done lazily, only on a miss) and cached in
-    canonical terms under the caller-supplied digest; index remapping
-    back to submission order is the caller's job (it owns the
-    submission-order view).  ``backend_tests`` counts computed verdicts
-    (cache misses only; hits never re-run a backend) per backend name.
+    into canonical order — done lazily, only on a miss), pickled once,
+    and cached as those bytes under the caller-supplied digest.  A hit
+    returns the stored bytes unchanged, so a reply frame carries one
+    ``bytes`` object, and no caller ever holds a cached object it could
+    mutate.  Decoding and index remapping back to submission order are
+    the caller's job (it owns the submission-order view).
+    ``backend_tests`` counts computed verdicts (cache misses only; hits
+    never re-run a backend) per backend name.
     """
 
     def __init__(self, *, cache_size: int = 1024, backend: str | None = None):
@@ -120,11 +124,11 @@ class ShardCore:
         self.backend_tests[name] = self.backend_tests.get(name, 0) + count
 
     # -- single verdicts ----------------------------------------------------
-    def test(self, unit: TestUnit) -> tuple[dict[str, Any], bool]:
-        """(canonical report dict, was it cached) for one test unit."""
-        canon = self.cache.get(unit.digest)
-        if canon is not None:
-            return canon, True
+    def test(self, unit: TestUnit) -> tuple[bytes, bool]:
+        """(pickled canonical report dict, was it cached) for one test unit."""
+        blob = self.cache.get(unit.digest)
+        if blob is not None:
+            return blob, True
         canonical = unit.taskset.subset(list(unit.order))
         if self.backend is None:
             report = feasibility_test(
@@ -145,26 +149,27 @@ class ShardCore:
             )[0]
             canon = report_to_dict(report, backend=self.backend)
         self._observe_backend()
-        self.cache.put(unit.digest, canon)
-        return canon, False
+        blob = pickled(canon)
+        self.cache.put(unit.digest, blob)
+        return blob, False
 
-    def partition(self, unit: PartitionUnit) -> tuple[dict[str, Any], bool]:
-        """(canonical partition dict, was it cached) for one unit."""
-        canon = self.cache.get(unit.digest)
-        if canon is not None:
-            return canon, True
+    def partition(self, unit: PartitionUnit) -> tuple[bytes, bool]:
+        """(pickled canonical partition dict, was it cached) for one unit."""
+        blob = self.cache.get(unit.digest)
+        if blob is not None:
+            return blob, True
         result = first_fit_partition(
             unit.taskset.subset(list(unit.order)),
             unit.platform,
             unit.test,
             alpha=unit.alpha,
         )
-        canon = partition_result_to_dict(result)
-        self.cache.put(unit.digest, canon)
-        return canon, False
+        blob = pickled(partition_result_to_dict(result))
+        self.cache.put(unit.digest, blob)
+        return blob, False
 
     # -- batches ------------------------------------------------------------
-    def batch(self, units: list[TestUnit]) -> list[tuple[dict[str, Any], bool]]:
+    def batch(self, units: list[TestUnit]) -> list[tuple[bytes, bool]]:
         """Cache-aware batch evaluation, results in ``units`` order.
 
         Scan every unit against the cache first (classifying hit/miss),
@@ -174,16 +179,15 @@ class ShardCore:
         positionally.  Both copies of a deduped digest report
         ``cached=False``: they were misses at scan time.
         """
-        canon_reports: list[dict[str, Any] | None] = []
-        misses: list[int] = []
-        for unit in units:
-            canon = self.cache.get(unit.digest)
-            canon_reports.append(canon)
-            if canon is None:
-                misses.append(len(canon_reports) - 1)
+        outcomes: list[tuple[bytes, bool] | None] = []
         pending: dict[str, list[int]] = {}
-        for k in misses:
-            pending.setdefault(units[k].digest, []).append(k)
+        for k, unit in enumerate(units):
+            blob = self.cache.get(unit.digest)
+            if blob is None:
+                pending.setdefault(unit.digest, []).append(k)
+                outcomes.append(None)
+            else:
+                outcomes.append((blob, True))
         firsts = [units[ks[0]] for ks in pending.values()]
         if firsts:
             if self.backend is None:
@@ -203,13 +207,11 @@ class ShardCore:
                 records = self._evaluate_batch_kernel(firsts)
             self._observe_backend(len(firsts))
             for (digest, ks), canon in zip(pending.items(), records):
-                self.cache.put(digest, canon)
+                blob = pickled(canon)
+                self.cache.put(digest, blob)
                 for k in ks:
-                    canon_reports[k] = canon
-        return [
-            (canon, k not in misses)
-            for k, canon in enumerate(canon_reports)  # type: ignore[misc]
-        ]
+                    outcomes[k] = (blob, False)
+        return outcomes  # type: ignore[return-value]
 
     def _evaluate_batch_kernel(
         self, units: list[TestUnit]

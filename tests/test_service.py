@@ -9,6 +9,7 @@ hardening, metrics, and the ``repro serve`` process lifecycle.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from repro.io_.serialize import (
     taskset_to_dict,
 )
 from repro.service import HttpClient, LRUCache, ServiceClient, ServiceError
-from repro.service.frontend import MAX_HEADERS
+from repro.service.frontend import MAX_HEADERS, ShardedFrontend
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -182,6 +183,57 @@ class TestCache:
         rms = client.test(taskset, platform, "rms")
         assert edf["digest"] != rms["digest"]
         assert rms["cached"] is False
+
+
+class TestCacheIsolation:
+    """A response is the caller's own copy: mutating it never reaches the
+    shard's cache, so later hits (permuted or not) stay exact."""
+
+    @staticmethod
+    def _body(taskset, platform, **query) -> dict:
+        return {
+            "taskset": taskset_to_dict(taskset),
+            "platform": platform_to_dict(platform),
+            **query,
+        }
+
+    def test_mutated_responses_leave_later_hits_exact(self):
+        service = ShardedFrontend(workers=0)
+        taskset, platform = _instance(700)
+        permuted = taskset.subset(list(range(len(taskset)))[::-1])
+        partition_query = {"test": "edf", "alpha": 1.5}
+
+        def test(ts):
+            return asyncio.run(service.handle_test(self._body(ts, platform)))
+
+        def partition(ts):
+            return asyncio.run(
+                service.handle_partition(self._body(ts, platform, **partition_query))
+            )
+
+        prev, prev_partition = test(taskset), partition(taskset)
+        assert prev["cached"] is False and prev_partition["cached"] is False
+        for ts in (taskset, taskset, permuted):
+            prev["report"]["partition"]["loads"][0] = 999.0
+            prev_partition["result"]["loads"][0] = 999.0
+            prev, prev_partition = test(ts), partition(ts)
+            assert prev["cached"] is True and prev_partition["cached"] is True
+            assert prev["report"] == report_to_dict(feasibility_test(ts, platform))
+            assert prev_partition["result"] == partition_result_to_dict(
+                first_fit_partition(ts, platform, **partition_query)
+            )
+
+    def test_batch_duplicates_are_distinct_objects(self):
+        service = ShardedFrontend(workers=0)
+        taskset, platform = _instance(701)
+        permuted = taskset.subset(list(range(len(taskset)))[::-1])
+        response = asyncio.run(service.handle_batch({
+            "instances": [self._body(taskset, platform), self._body(permuted, platform)]
+        }))
+        a, b = (item["report"] for item in response["results"])
+        assert a["partition"]["loads"] is not b["partition"]["loads"]
+        a["partition"]["loads"][0] = 999.0
+        assert b == report_to_dict(feasibility_test(permuted, platform))
 
 
 class TestPartition:

@@ -16,6 +16,7 @@ Three layers:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -231,6 +233,41 @@ class TestShardCoreMemory:
             b.close()
         assert core.backend_tests == {"numpy": 600}
         assert not buffers._TS_CACHE
+
+    def test_cached_verdicts_are_compact_bytes(self):
+        """A cached 128 x 64 verdict is its ~2 KB pickle, not ~10 KB of
+        nested dicts and lists."""
+        reset_kernel_caches()
+        core = ShardCore(cache_size=1024, backend="numpy")
+        pf = geometric_platform(64, 8.0)
+        rng = np.random.default_rng(43)
+
+        def miss(k: int) -> str:
+            ts = generate_taskset(
+                rng, 128, 0.5 * pf.total_speed, u_max=pf.fastest_speed
+            )
+            unit = Unit(
+                f"{k:064x}", ts, tuple(canonical_task_order(ts)), pf,
+                "edf", "partitioned", None,
+            )
+            assert not core.test(unit)[1]
+            return unit.digest
+
+        n_warm, n_measured = 16, 64
+        tracemalloc.start()
+        try:
+            # the warm-up fills the kernels' bounded shard-matrix cache,
+            # whose replacements then net out of the measured window
+            digests = [miss(k) for k in range(n_warm)]
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            digests += [miss(k) for k in range(n_warm, n_warm + n_measured)]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(core.cache.get(d), bytes) for d in digests)
+        assert retained / n_measured < 6 * 1024
 
 
 class TestShardPrometheus:
