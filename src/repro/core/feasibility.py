@@ -112,6 +112,16 @@ class FeasibilityReport:
         )
 
 
+#: The error every theorem entry point raises on a constrained task set —
+#: one string, so service error bodies cannot drift between the scalar
+#: and kernel paths.
+_IMPLICIT_ERROR = (
+    "the theorem tests require implicit deadlines (the paper's model); "
+    "for constrained deadlines partition with the 'edf-dbf' admission "
+    "test instead"
+)
+
+
 def feasibility_test(
     taskset: TaskSet,
     platform: Platform,
@@ -130,18 +140,29 @@ def feasibility_test(
         alpha; smaller values are useful for empirical-ratio experiments.
     """
     if not taskset.is_implicit:
-        raise ValueError(
-            "the theorem tests require implicit deadlines (the paper's "
-            "model); for constrained deadlines partition with the "
-            "'edf-dbf' admission test instead"
-        )
+        raise ValueError(_IMPLICIT_ERROR)
     a, theorem = _ALPHAS[(scheduler, adversary)]
     if alpha is not None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         a = alpha
+    return _first_fit_report(taskset, platform, scheduler, adversary, a, theorem)
+
+
+def _first_fit_report(
+    taskset: TaskSet,
+    platform: Platform,
+    scheduler: Scheduler,
+    adversary: Adversary,
+    alpha: float,
+    theorem: str,
+) -> FeasibilityReport:
+    """:func:`feasibility_test` past its checks: ``taskset`` is implicit
+    and ``alpha`` is the resolved augmentation.  The batch kernels run it
+    on the instances they leave to the scalar loop, having checked the
+    whole batch first."""
     result = first_fit_partition(
-        taskset, platform, _TEST_NAME[scheduler], alpha=a
+        taskset, platform, _TEST_NAME[scheduler], alpha=alpha
     )
     certificate: FailureCertificate | None = None
     if not result.success:
@@ -152,7 +173,7 @@ def feasibility_test(
         accepted=result.success,
         scheduler=scheduler,
         adversary=adversary,
-        alpha=a,
+        alpha=alpha,
         theorem=theorem,
         partition=result,
         certificate=certificate,

@@ -6,7 +6,10 @@ Task/TaskSet objects, batches of instances are evaluated by numpy over
 cached flat buffers (stdlib ``array`` layout, viewed as ndarrays) — and
 the results are *bit-identical* to the scalar path, an invariant
 enforced by the ``backend-equivalence`` oracle check and the property
-suite.
+suite.  The lockstep runs only on shards large enough for it to pay
+(:func:`repro.kernels.batch.takes_lockstep`); a smaller shard, such as
+a lone 32 x 32 instance, takes the scalar loop, and numpy is imported
+by the first shard that takes the lockstep.
 
 Public surface:
 

@@ -8,9 +8,10 @@ Two backends evaluate batches of feasibility instances:
     is defined as bit-identical to it.
 ``numpy``
     Vectorized lockstep first-fit over flat structure-of-arrays buffers
-    viewed as ndarrays (:mod:`repro.kernels.lockstep`); ``edf-dbf``
-    routes through the sequential QPA walk in
-    :mod:`repro.kernels.dbfloop`.
+    viewed as ndarrays (:mod:`repro.kernels.lockstep`) for shards large
+    enough to pay, the scalar loop for smaller ones
+    (:func:`repro.kernels.batch.takes_lockstep`); ``edf-dbf`` routes
+    through the sequential QPA walk in :mod:`repro.kernels.dbfloop`.
 
 ``None`` resolves to ``numpy``.  Any other name must be one of
 :data:`BACKENDS`; nothing is ever substituted, so benchmark and

@@ -11,9 +11,13 @@ A **shard** is the maximal sub-batch sharing one (task count, machine
 speed vector) shape; instances are grouped automatically and results
 scattered back to input order, so callers can mix shapes freely.  Within
 a shard the ``numpy`` backend runs every instance's first-fit step as
-one vectorized operation (``edf-dbf`` walks the shard through the
-sequential QPA loop in :mod:`repro.kernels.dbfloop`).  Empty task sets
-take the scalar path (nothing to batch).
+one vectorized operation — when that pays (:func:`takes_lockstep`): a
+batch that forms one small shard, a lone 32 x 32 instance say, runs the
+scalar loop instead, so a process that only sees such batches never
+imports numpy.  A batch spanning several shapes runs each non-empty
+shard on the kernels.  Empty task sets take the scalar loop (nothing to
+batch), and ``edf-dbf`` walks every other shard through the sequential
+QPA loop in :mod:`repro.kernels.dbfloop`.
 
 Backend choice follows :func:`repro.kernels.backends.resolve_backend`
 (``None`` means ``numpy``).  ``scalar`` is the reference loop itself, so
@@ -28,17 +32,18 @@ from ..core.bounds import liu_layland_bound
 from ..core.certificates import partitioned_infeasibility_certificate
 from ..core.feasibility import (
     _ALPHAS,
+    _IMPLICIT_ERROR,
     _TEST_NAME,
     Adversary,
     FeasibilityReport,
     Scheduler,
-    feasibility_test,
+    _first_fit_report,
 )
 from ..core.model import Platform, TaskSet
 from ..core.partition import PartitionResult, first_fit_partition
 from .backends import resolve_backend
 from .batchmeta import ReportMeta
-from .buffers import TasksetEntry, platform_entry, taskset_entry
+from .buffers import TasksetEntry, platform_entry, taskset_entries
 from .dbfloop import RawResult, solve_shard_dbf
 
 __all__ = ["BATCH_TESTS", "Instance", "test_feasibility_batch", "first_fit_batch"]
@@ -51,14 +56,26 @@ Instance = tuple[TaskSet, Platform]
 #: (see ``dbfloop``).
 BATCH_TESTS = ("edf", "rms-ll", "edf-dbf")
 
-#: The error every entry point raises on a constrained task set reaching
-#: a theorem test — one string, so service error bodies cannot drift
-#: between the scalar and kernel paths.
-_IMPLICIT_ERROR = (
-    "the theorem tests require implicit deadlines (the paper's model); "
-    "for constrained deadlines partition with the 'edf-dbf' admission "
-    "test instead"
-)
+#: A lockstep call pays a fixed cost plus ~15 numpy dispatches per
+#: first-fit step, shared by the shard's width, and its first use imports
+#: numpy (~12 MB, ~0.13 s); the scalar loop pays per instance, task and
+#: machine probed.  So the task-machine pairs a shard needs before the
+#: lockstep pays fall as its width grows: ~1-2 K for a lone instance,
+#: ~512 at width 2, 256-512 at width 4.  ``width x pairs`` at this bound
+#: sits on that crossover across the measured grid (docs/kernels.md,
+#: "When the lockstep runs").
+LOCKSTEP_MIN_WORK = 1024
+
+
+def takes_lockstep(width: int, n: int, m: int) -> bool:
+    """Does a shard of ``width`` instances of ``n`` tasks on ``m``
+    machines run the ``edf`` / ``rms-ll`` lockstep?  Ties go to the
+    scalar loop, which needs no numpy import and no buffers."""
+    return width * width * n * m > LOCKSTEP_MIN_WORK
+
+
+def _always(width: int, n: int, m: int) -> bool:
+    return True
 
 _LL_TABLES: dict[int, list[float]] = {}
 _LL_TABLES_MAX = 64
@@ -128,11 +145,10 @@ def _run_shard(
     n: int,
     speeds: tuple[float, ...],
     test_name: str,
-    rms: bool,
     alpha: float,
     meta: ReportMeta | None,
 ) -> list:
-    """Evaluate one uniform (task count, speeds) shard."""
+    """Evaluate one uniform (task count, speeds) shard on the kernels."""
     pfe = platform_entry(speeds, alpha)
     if test_name == "edf-dbf":
         # QPA admission is a sequential fixed-point iteration, so it runs
@@ -145,38 +161,23 @@ def _run_shard(
         ]
     from . import lockstep  # deferred: only lockstep shards need it
 
+    rms = test_name == "rms-ll"
     ll_tab = _ll_table(n) if rms else []
     return lockstep.evaluate_shard(
         entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
     )
 
 
-def _evaluate_sharded(
+def _shards(
     instances: list[Instance],
-    test_name: str,
-    alpha: float,
-    meta: ReportMeta | None,
-    scalar_one: Callable[[TaskSet, Platform], object],
-) -> list:
-    """Shard by (task count, speeds), run the kernel, scatter back."""
-    rms = test_name == "rms-ll"
+) -> list[tuple[int, tuple[float, ...], list[int]]]:
+    """Group instance positions by (task count, speeds), first seen first."""
     # uniform fast path: one platform object, one task count (the shape
     # of campaign blocks and the service's per-shard batches)
     ts0, pf0 = instances[0]
     n0 = len(ts0)
-    if n0 and all(p is pf0 and len(t) == n0 for t, p in instances):
-        entries = [taskset_entry(ts) for ts, _ in instances]
-        platforms = [pf0] * len(instances)
-        return _run_shard(
-            entries,
-            platforms,
-            n0,
-            pf0.speeds,
-            test_name,
-            rms,
-            alpha,
-            meta,
-        )
+    if all(p is pf0 and len(t) == n0 for t, p in instances):
+        return [(n0, pf0.speeds, list(range(len(instances))))]
     shards: dict[tuple[int, tuple[float, ...]], list[int]] = {}
     last_pf: Platform | None = None
     last_speeds: tuple[float, ...] = ()
@@ -185,20 +186,61 @@ def _evaluate_sharded(
             last_pf = pf
             last_speeds = pf.speeds
         shards.setdefault((len(ts), last_speeds), []).append(i)
+    return [(n, speeds, idxs) for (n, speeds), idxs in shards.items()]
+
+
+def _evaluate_sharded(
+    instances: list[Instance],
+    test_name: str,
+    alpha: float,
+    meta: ReportMeta | None,
+    scalar_one: Callable[[TaskSet, Platform], object],
+    rule: Callable[[int, int, int], bool],
+) -> list:
+    """Shard by (task count, speeds), run each shard, scatter back.
+
+    A batch that is one shard runs on the kernels when ``rule`` says so, else through ``scalar_one`` per instance; in a batch of several
+    shapes, and for ``edf-dbf``, every non-empty shard runs on the
+    kernels.  With ``meta`` (the theorem tests) every instance passes the
+    implicit-deadline gate before anything is evaluated, each task set
+    walked once: a kernel shard reads the flag its buffer entry computed
+    with the utilizations, a scalar one asks the task set.
+    """
+    shards = _shards(instances)
+    plan: list[tuple[int, tuple[float, ...], list[int], list | None]] = []
+    for n, speeds, idxs in shards:
+        entries = None
+        # the rule is measured one shape at a time; a batch of several
+        # shapes keeps the kernels on every shard, as before the rule
+        if n and (
+            test_name == "edf-dbf"
+            or len(shards) > 1
+            or rule(len(idxs), n, len(speeds))
+        ):
+            entries = taskset_entries([instances[i][0] for i in idxs])
+            if meta is not None and not all(e.implicit for e in entries):
+                raise ValueError(_IMPLICIT_ERROR)
+        elif meta is not None and not all(instances[i][0].is_implicit for i in idxs):
+            raise ValueError(_IMPLICIT_ERROR)
+        plan.append((n, speeds, idxs, entries))
+    if len(plan) == 1 and plan[0][3] is not None:
+        # one kernel shard holding the whole batch, in input order
+        n, speeds, _, entries = plan[0]
+        return _run_shard(
+            entries, [pf for _, pf in instances], n, speeds, test_name, alpha, meta
+        )
     out: list = [None] * len(instances)
-    for (n, speeds), idxs in shards.items():
-        if n == 0:
-            # nothing to batch; the scalar path is its own reference
+    for n, speeds, idxs, entries in plan:
+        if entries is None:
             for i in idxs:
                 out[i] = scalar_one(*instances[i])
             continue
         results = _run_shard(
-            [taskset_entry(instances[i][0]) for i in idxs],
+            entries,
             [instances[i][1] for i in idxs],
             n,
             speeds,
             test_name,
-            rms,
             alpha,
             meta,
         )
@@ -221,15 +263,44 @@ def test_feasibility_batch(
     alpha=alpha) for ts, pf in instances]`` — every report (verdict,
     partition, loads, certificate) is bit-identical to that loop — but
     instances sharing a (task count, speed vector) shape are evaluated
-    together over flat buffers by the resolved backend.
+    together over flat buffers by the resolved backend.  A constrained
+    task set anywhere in the batch raises ``feasibility_test``'s
+    ``ValueError`` before any instance is evaluated.
 
     Parameters
     ----------
     alpha:
         Override the theorem's speed augmentation (must be positive).
     backend:
-        ``scalar`` / ``numpy``; ``None`` means ``numpy``.
+        ``scalar`` / ``numpy``; ``None`` means ``numpy``.  On ``numpy`` a
+        batch that is one shard too small for the lockstep to pay
+        (:func:`takes_lockstep`) runs the scalar loop.
     """
+    return _theorem_batch(
+        instances, scheduler, adversary, alpha, backend, takes_lockstep
+    )
+
+
+def _lockstep_feasibility_batch(
+    instances: Sequence[Instance],
+    scheduler: Scheduler,
+    adversary: Adversary,
+    alpha: float | None = None,
+) -> list[FeasibilityReport]:
+    """:func:`test_feasibility_batch` on ``numpy`` with every non-empty
+    shard in lockstep, whatever its size — so the ``backend-equivalence``
+    oracle audits the evaluator that small shards skip."""
+    return _theorem_batch(instances, scheduler, adversary, alpha, "numpy", _always)
+
+
+def _theorem_batch(
+    instances: Sequence[Instance],
+    scheduler: Scheduler,
+    adversary: Adversary,
+    alpha: float | None,
+    backend: str | None,
+    rule: Callable[[int, int, int], bool],
+) -> list[FeasibilityReport]:
     items = list(instances)
     try:
         a, theorem = _ALPHAS[(scheduler, adversary)]
@@ -242,21 +313,19 @@ def test_feasibility_batch(
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         a = alpha
-    # validate the whole batch up front, before any backend evaluates
-    # anything: a constrained task set must fail identically (same
-    # exception, same message, no partial work) on every backend
-    for ts, _ in items:
-        if not ts.is_implicit:
-            raise ValueError(_IMPLICIT_ERROR)
-    resolved = resolve_backend(backend)
 
     def scalar_one(ts: TaskSet, pf: Platform) -> FeasibilityReport:
-        return feasibility_test(ts, pf, scheduler, adversary, alpha=alpha)
+        # feasibility_test past its gate: the batch was gated up front
+        return _first_fit_report(ts, pf, scheduler, adversary, a, theorem)
 
-    if resolved == "scalar" or not items:
+    if resolve_backend(backend) == "scalar" or not items:
+        # a constrained set fails identically (same exception, same
+        # message, no partial work) on every backend
+        if not all(ts.is_implicit for ts, _ in items):
+            raise ValueError(_IMPLICIT_ERROR)
         return [scalar_one(ts, pf) for ts, pf in items]
     meta = ReportMeta(scheduler=scheduler, adversary=adversary, theorem=theorem)
-    return _evaluate_sharded(items, _TEST_NAME[scheduler], a, meta, scalar_one)
+    return _evaluate_sharded(items, _TEST_NAME[scheduler], a, meta, scalar_one, rule)
 
 
 def first_fit_batch(
@@ -290,4 +359,4 @@ def first_fit_batch(
 
     if resolved == "scalar" or not items:
         return [scalar_one(ts, pf) for ts, pf in items]
-    return _evaluate_sharded(items, test, alpha, None, scalar_one)
+    return _evaluate_sharded(items, test, alpha, None, scalar_one, takes_lockstep)

@@ -296,12 +296,12 @@ def evaluate_shard(
         tv = order2[ivf, kvf]
         g2 = ivf * m + jv
     perm = np.argsort(g2, kind="stable")
-    tvs = tv[perm].tolist()
+    tvs = tuple(tv[perm].tolist())  # slicing a tuple yields each group tuple directly
     group_sizes = np.bincount(g2, minlength=b_m)
     offs_arr = np.zeros(b_m + 1, dtype=np.int64)
     np.cumsum(group_sizes, out=offs_arr[1:])
     offs = offs_arr.tolist()
-    groups = [tuple(tvs[a:z]) for a, z in zip(offs, offs[1:])]
+    groups = [tvs[a:z] for a, z in zip(offs, offs[1:])]
 
     # m consecutive groups per instance, split by one C-level zip pass
     mtups = list(zip(*(iter(groups),) * m))

@@ -592,11 +592,13 @@ def check_backend_equivalence(
     This is a same-path comparison in the module-docstring sense: the
     kernels are required to replay the scalar float operations exactly
     (compensated accumulation, crossover-threshold admission), so any
-    difference, however small, is a bug.  Each instance is checked as a
-    singleton batch *and* inside a two-element shard (with its reversed
-    permutation, which shares the shard shape), across both theorem
-    schedulers and an explicit non-default alpha, plus the batched
-    primitives.
+    difference, however small, is a bug.  Each instance is checked
+    inside a two-element shard (with its reversed permutation, which
+    shares the shard shape) through the public entry point, and — since
+    that entry point leaves small shards to the scalar loop — through the
+    lockstep evaluator itself, both as that pair and as a singleton,
+    across both theorem schedulers and an explicit non-default alpha,
+    plus the batched primitives.
     """
     from ..core.bounds import liu_layland_bound
     from ..core.dbf import dbf
@@ -606,10 +608,12 @@ def check_backend_equivalence(
         test_feasibility_batch,
         utilization_bounds_batch,
     )
+    from ..kernels.batch import _lockstep_feasibility_batch
 
     backend = "numpy"
     out: list[Violation] = []
     reversed_ts = taskset.subset(range(len(taskset) - 1, -1, -1))
+    pair = [(taskset, platform), (reversed_ts, platform)]
     if taskset.is_implicit:
         for scheduler in ("edf", "rms"):
             for alpha in (None, 1.0):
@@ -624,26 +628,25 @@ def check_backend_equivalence(
                 got = [
                     report_to_dict(r)
                     for r in test_feasibility_batch(
-                        [(taskset, platform), (reversed_ts, platform)],
-                        scheduler,
-                        "partitioned",
-                        alpha=alpha,
-                        backend=backend,
+                        pair, scheduler, "partitioned", alpha=alpha, backend=backend
                     )
                 ]
-                single = report_to_dict(
-                    test_feasibility_batch(
-                        [(taskset, platform)],
-                        scheduler,
-                        "partitioned",
-                        alpha=alpha,
-                        backend=backend,
-                    )[0]
-                )
+                # the lockstep itself, whatever the size rule would pick
+                forced = [
+                    report_to_dict(r)
+                    for r in _lockstep_feasibility_batch(
+                        pair, scheduler, "partitioned", alpha
+                    )
+                    + _lockstep_feasibility_batch(
+                        pair[:1], scheduler, "partitioned", alpha
+                    )
+                ]
                 for label, scalar_d, batch_d in (
                     ("batch[0]", direct[0], got[0]),
                     ("batch[1]", direct[1], got[1]),
-                    ("singleton", direct[0], single),
+                    ("lockstep[0]", direct[0], forced[0]),
+                    ("lockstep[1]", direct[1], forced[1]),
+                    ("singleton", direct[0], forced[2]),
                 ):
                     if batch_d != scalar_d:
                         keys = sorted(
@@ -668,30 +671,30 @@ def check_backend_equivalence(
             want: str | None = None
         except ValueError as exc:
             want = str(exc)
-        try:
-            test_feasibility_batch(
-                [(taskset, platform), (reversed_ts, platform)],
-                "edf",
-                "partitioned",
-                backend=backend,
-            )
-        except ValueError as exc:
-            if want is None or str(exc) != want:
+        # on both sides of the lockstep size rule
+        for label, run in (
+            ("", lambda: test_feasibility_batch(pair, "edf", backend=backend)),
+            (" lockstep", lambda: _lockstep_feasibility_batch(pair, "edf", "partitioned")),
+        ):
+            try:
+                run()
+            except ValueError as exc:
+                if want is None or str(exc) != want:
+                    out.append(
+                        Violation(
+                            "backend-equivalence",
+                            f"{backend}{label} constrained rejection error "
+                            f"differs from the scalar path",
+                        )
+                    )
+            else:
                 out.append(
                     Violation(
                         "backend-equivalence",
-                        f"{backend} constrained rejection error differs "
-                        f"from the scalar path",
+                        f"{backend}{label} evaluated a constrained batch the "
+                        f"scalar path refuses",
                     )
                 )
-        else:
-            out.append(
-                Violation(
-                    "backend-equivalence",
-                    f"{backend} evaluated a constrained batch the "
-                    f"scalar path refuses",
-                )
-            )
     # Batched primitives: exact equality against their scalar definitions
     # (the batched dbf against the per-task sum; the demand profile
     # computes that same sum today, and this pins it if the profile ever

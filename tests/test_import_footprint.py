@@ -8,9 +8,9 @@
 * A ``repro serve --workers N`` front end never evaluates, so it loads
   neither numpy nor the experiments, simulator or workload generators;
   a shard worker never speaks HTTP, so it loads neither asyncio nor the
-  client stack.  numpy arrives with the first numpy-backend verdict:
-  every scalar verdict, ``edf-dbf``'s exact demand analysis included,
-  runs without it.
+  client stack.  numpy arrives with the first lockstep shard: every
+  scalar verdict, ``edf-dbf``'s exact demand analysis included, and
+  every small lone instance on ``--backend numpy`` runs without it.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
@@ -154,21 +154,44 @@ def test_shard_worker_loads_no_openssl():
     assert _loaded(code, ("hashlib", "_hashlib")) == []
 
 
-def test_numpy_arrives_with_the_first_numpy_verdict():
-    out = _run(textwrap.dedent(
-        """
-        import sys
-        from repro import Platform, Task, TaskSet
-        import repro.service.shard
-        from repro.kernels import test_feasibility_batch
-        print('numpy' in sys.modules)
-        taskset = TaskSet([Task(wcet=2, period=10), Task(wcet=6, period=8)])
-        platform = Platform.from_speeds([1.0, 2.0])
-        [report] = test_feasibility_batch([(taskset, platform)], backend="numpy")
-        print(report.accepted, 'numpy' in sys.modules)
-        """
-    ))
-    assert out == ["False", "True", "True"]
+_SHARD_CORE_PROBE = """
+import random, sys
+from repro import Platform, Task, TaskSet
+rng = random.Random(3)
+def draw(n, m):
+    pf = Platform.from_speeds([1.0 + j / m for j in range(m)])
+    share = 0.85 * pf.total_speed / n
+    return TaskSet([Task.from_utilization(share * rng.uniform(0.5, 1.5), 10.0) for _ in range(n)]), pf
+instances = [draw(n, m) for n, m in SHAPES]
+from repro.io_.serialize import canonical_task_order
+from repro.service.protocol import TestUnit
+from repro.service.shard import ShardCore
+core = ShardCore(backend="numpy")
+units = [
+    TestUnit(f"{k:064x}", ts, tuple(canonical_task_order(ts)), pf, "rms", "partitioned", None)
+    for k, (ts, pf) in enumerate(instances)
+]
+answers = CALL
+print(len(answers), all(not cached for _, cached in answers), 'numpy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "shapes, call, numpy_loaded",
+    [
+        # small lone instances: the scalar loop answers, numpy stays out
+        ([(1, 1), (32, 32)], "[core.test(u) for u in units]", False),
+        # a large lone instance, or a uniform batch, takes the lockstep
+        ([(128, 64)], "[core.test(u) for u in units]", True),
+        ([(32, 32)] * 8, "core.batch(units)", True),
+    ],
+    ids=["small-singles", "large-single", "batch-of-eight"],
+)
+def test_numpy_arrives_with_the_first_lockstep_shard(shapes, call, numpy_loaded):
+    """A ``--backend numpy`` worker imports numpy with the first shard
+    the size rule sends to the lockstep, not with its first verdict."""
+    probe = _SHARD_CORE_PROBE.replace("SHAPES", repr(shapes)).replace("CALL", call)
+    assert _run(probe) == [str(len(shapes)), "True", str(numpy_loaded)]
 
 
 def test_scalar_verdicts_load_no_numpy():

@@ -32,6 +32,8 @@ from repro.kernels import (
     resolve_backend,
     utilization_bounds_batch,
 )
+from repro.kernels import batch as batch_mod
+from repro.kernels import lockstep as lockstep_mod
 from repro.kernels import test_feasibility_batch as feasibility_batch
 from repro.oracle.generators import PROFILES, draw_instance
 from repro.workloads.builder import generate_taskset
@@ -215,6 +217,126 @@ class TestBatchEquivalence:
         with pytest.raises(ValueError) as exc_info:
             feasibility_batch([(good, pf), (bad, pf)], "edf", backend=backend)
         assert str(exc_info.value) == want
+
+
+class TestLockstepSizeRule:
+    """Small shards take the scalar loop; the lockstep stays bit-identical
+    below the rule, and the implicit-deadline gate holds on both sides."""
+
+    @staticmethod
+    def _uniform(seed, width, n, m):
+        rng = np.random.default_rng(seed)
+        pf = geometric_platform(m, 4.0)
+        return [
+            (generate_taskset(rng, n, 0.85 * pf.total_speed, u_max=pf.fastest_speed), pf)
+            for _ in range(width)
+        ]
+
+    @pytest.mark.parametrize(
+        "width, n, m, lockstep",
+        [
+            (1, 32, 32, False),  # the measured near-tie goes to the scalar loop
+            (1, 64, 32, True),
+            (1, 128, 64, True),
+            (2, 16, 16, False),
+            (2, 32, 16, True),
+            (4, 8, 8, False),
+            (4, 16, 8, True),
+            (8, 8, 8, True),
+            (256, 16, 4, True),  # the E18/E19 corpus
+            (3, 0, 4, False),
+        ],
+    )
+    def test_rule_follows_the_measured_grid(self, width, n, m, lockstep):
+        assert batch_mod.takes_lockstep(width, n, m) is lockstep
+
+    @pytest.mark.parametrize("width, n, m", [(1, 3, 4), (1, 32, 32), (2, 16, 16), (4, 8, 8)])
+    def test_forced_lockstep_matches_scalar_below_the_rule(self, width, n, m):
+        instances = self._uniform(width * 1000 + n, width, n, m)
+        assert not batch_mod.takes_lockstep(width, n, m)
+        for scheduler, adversary in CONFIGS:
+            for alpha in (None, 1.0):
+                want = _scalar_reports(instances, scheduler, adversary, alpha)
+                got = batch_mod._lockstep_feasibility_batch(
+                    instances, scheduler, adversary, alpha
+                )
+                assert [report_to_dict(r) for r in got] == want
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"lockstep": 0, "scalar": 0}
+        real_shard = lockstep_mod.evaluate_shard
+        real_report = batch_mod._first_fit_report
+
+        def shard(entries, *args):
+            calls["lockstep"] += len(entries)
+            return real_shard(entries, *args)
+
+        def report(*args):
+            calls["scalar"] += 1
+            return real_report(*args)
+
+        monkeypatch.setattr(lockstep_mod, "evaluate_shard", shard)
+        monkeypatch.setattr(batch_mod, "_first_fit_report", report)
+        return calls
+
+    @pytest.mark.parametrize(
+        "width, n, m, path",
+        [(1, 32, 32, "scalar"), (2, 16, 16, "scalar"), (2, 32, 32, "lockstep"),
+         (1, 128, 64, "lockstep")],
+    )
+    def test_numpy_backend_dispatches_by_size(self, monkeypatch, width, n, m, path):
+        instances = self._uniform(7, width, n, m)
+        calls = self._spy(monkeypatch)
+        got = _batch_reports(instances, "rms", "partitioned", "numpy")
+        assert got == _scalar_reports(instances, "rms", "partitioned")
+        assert calls[path] == width and sum(calls.values()) == width
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n, m", [(4, 2), (32, 32), (128, 64)])
+    def test_constrained_rejected_before_any_evaluation(self, monkeypatch, backend, n, m):
+        # a small and a large shape: the constrained set sits last, in a
+        # shard on either side of the rule, behind implicit sets that
+        # would have been evaluated first
+        good = self._uniform(3, 2, n, m)
+        pf = good[0][1]
+        bad = TaskSet([Task(wcet=1.0, period=10.0, deadline=5.0)] * n)
+        with pytest.raises(ValueError) as scalar_exc:
+            feasibility_test(bad, pf, "edf", "partitioned")
+        calls = self._spy(monkeypatch)
+        for batch in (good + [(bad, pf)], good + self._uniform(4, 1, 3, 2) + [(bad, pf)]):
+            with pytest.raises(ValueError) as exc:
+                feasibility_batch(batch, "edf", backend=backend)
+            assert str(exc.value) == str(scalar_exc.value)
+            with pytest.raises(ValueError) as exc:
+                batch_mod._lockstep_feasibility_batch(batch, "edf", "partitioned")
+            assert str(exc.value) == str(scalar_exc.value)
+        assert calls == {"lockstep": 0, "scalar": 0}
+
+    def test_each_task_set_is_walked_once(self, monkeypatch):
+        walks = []
+        real = TaskSet.is_implicit
+
+        def counted(self):
+            walks.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(TaskSet, "is_implicit", property(counted))
+        reset_kernel_caches()
+        small = self._uniform(5, 3, 8, 4)
+        feasibility_batch(small, "edf", backend="numpy")
+        assert len(walks) == len(small)  # the gate, then no second walk
+        walks.clear()
+        feasibility_batch(small, "edf", backend="scalar")
+        assert len(walks) == len(small)
+        walks.clear()
+        large = self._uniform(6, 2, 32, 32)
+        feasibility_batch(large, "edf", backend="numpy")
+        misses = kernel_cache_stats().misses
+        feasibility_batch(large, "edf", backend="numpy")
+        # read from the buffer entries, built once with the utilizations
+        assert walks == [] and kernel_cache_stats().misses == misses
+        assert all(buffers.taskset_entry(ts).implicit for ts, _ in large)
 
 
 class TestFirstFitBatch:
@@ -529,6 +651,41 @@ class TestOracleBackendEquivalence:
         # constrained deadlines: clean (both paths raise alike)
         constrained = TaskSet([Task(wcet=1.0, period=10.0, deadline=4.0)])
         assert check_instance(constrained, pf, cfg) == []
+
+    def test_planted_width1_lockstep_fault_is_reported(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # small instances never reach the lockstep through the public
+        # entry point, so only the oracle's direct singleton call can see
+        # a fault confined to one-instance lockstep shards
+        import dataclasses
+
+        from repro.cli import main
+
+        real = lockstep_mod.evaluate_shard
+
+        def faulty(entries, *args):
+            out = real(entries, *args)
+            if len(entries) == 1:
+                rep = out[0]
+                loads = rep.partition.loads
+                bumped = (math.nextafter(loads[0], math.inf),) + loads[1:]
+                partition = dataclasses.replace(rep.partition, loads=bumped)
+                out[0] = dataclasses.replace(rep, partition=partition)
+            return out
+
+        monkeypatch.setattr(lockstep_mod, "evaluate_shard", faulty)
+        rc = main(
+            [
+                "fuzz", "--seed", "1", "--budget", "8",
+                "--check", "backend-equivalence",
+                "--out-dir", str(tmp_path / "ce"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "numpy singleton report != scalar" in out
+        assert "lockstep[0]" not in out and "batch[0]" not in out
 
     def test_registered_in_lattice(self):
         from repro.oracle.invariants import CHECKS

@@ -40,7 +40,7 @@ from repro.io_.serialize import (
     canonical_task_order,
     shard_for_digest,
 )
-from repro.kernels import buffers, reset_kernel_caches
+from repro.kernels import buffers, kernel_cache_stats, reset_kernel_caches
 from repro.service import HttpClient
 from repro.service.frontend import ShardedFrontend
 from repro.service.metrics import render_shard_prometheus
@@ -232,6 +232,26 @@ class TestShardCoreMemory:
             a.close()
             b.close()
         assert core.backend_tests == {"numpy": 600}
+        assert not buffers._TS_CACHE
+
+    def test_lockstep_misses_leave_no_kernel_taskset_entries(self):
+        """Lone instances large enough for the lockstep, too."""
+        reset_kernel_caches()
+        core = ShardCore(cache_size=1024, backend="numpy")
+        pf = geometric_platform(32, 4.0)
+        rng = np.random.default_rng(42)
+        for k in range(40):
+            ts = generate_taskset(
+                rng, 64, 0.7 * pf.total_speed, u_max=pf.fastest_speed
+            )
+            _, cached = core.test(Unit(
+                f"{k:064x}", ts, tuple(canonical_task_order(ts)), pf,
+                "edf", "partitioned", None,
+            ))
+            assert not cached
+        del ts
+        assert core.backend_tests == {"numpy": 40}
+        assert kernel_cache_stats().misses > 40  # entries were built
         assert not buffers._TS_CACHE
 
     def test_cached_verdicts_are_compact_bytes(self):
