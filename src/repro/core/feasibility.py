@@ -158,9 +158,9 @@ def _first_fit_report(
     theorem: str,
 ) -> FeasibilityReport:
     """:func:`feasibility_test` past its checks: ``taskset`` is implicit
-    and ``alpha`` is the resolved augmentation.  The batch kernels run it
-    on the instances they leave to the scalar loop, having checked the
-    whole batch first."""
+    and ``alpha`` is the resolved augmentation.  The batch kernels'
+    ``scalar`` backend runs it per instance, having checked the whole
+    batch first."""
     result = first_fit_partition(
         taskset, platform, _TEST_NAME[scheduler], alpha=alpha
     )

@@ -2,13 +2,15 @@
 
 A second evaluation backend for the paper's tests: instead of running
 :func:`repro.core.feasibility.feasibility_test` instance-at-a-time over
-Task/TaskSet objects, batches of instances are evaluated by numpy over
-cached flat buffers (stdlib ``array`` layout, viewed as ndarrays) — and
-the results are *bit-identical* to the scalar path, an invariant
-enforced by the ``backend-equivalence`` oracle check and the property
-suite.  The lockstep runs only on shards large enough for it to pay
-(:func:`repro.kernels.batch.takes_lockstep`); a smaller shard, such as
-a lone 32 x 32 instance, takes the scalar loop, and numpy is imported
+Task/TaskSet objects, batches of instances are evaluated over cached
+flat buffers (stdlib ``array`` layout) — and the results are
+*bit-identical* to the scalar path, an invariant enforced by the
+``backend-equivalence`` oracle check and the property suite.  A shard
+wide enough for vectorizing to pay
+(:func:`repro.kernels.batch.takes_lockstep`) runs in numpy lockstep
+over ndarray views of the buffers; every narrower shard, such as a
+lone instance of any size, walks flat Python lists
+(:func:`repro.kernels.dbfloop.solve_shard_flat`), and numpy is imported
 by the first shard that takes the lockstep.
 
 Public surface:
@@ -39,8 +41,8 @@ def reset_kernel_caches() -> None:
     """Drop every kernel-layer cache and zero the counters.
 
     Covers the buffers layer (task-set / platform entries), the
-    Liu–Layland tables, and — when the numpy backend has been used —
-    the lockstep shard-matrix and index-vector caches.
+    Liu–Layland tables, and — when a shard has taken the lockstep —
+    its shard-matrix and index-vector caches.
     """
     import sys
 

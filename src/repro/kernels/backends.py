@@ -8,10 +8,11 @@ Two backends evaluate batches of feasibility instances:
     is defined as bit-identical to it.
 ``numpy``
     Vectorized lockstep first-fit over flat structure-of-arrays buffers
-    viewed as ndarrays (:mod:`repro.kernels.lockstep`) for shards large
-    enough to pay, the scalar loop for smaller ones
-    (:func:`repro.kernels.batch.takes_lockstep`); ``edf-dbf`` routes
-    through the sequential QPA walk in :mod:`repro.kernels.dbfloop`.
+    viewed as ndarrays (:mod:`repro.kernels.lockstep`) for shards wide
+    enough to pay, a per-instance walk over flat Python lists for
+    narrower ones (:func:`repro.kernels.batch.takes_lockstep`,
+    :mod:`repro.kernels.dbfloop`); ``edf-dbf`` routes through the
+    sequential QPA walk of the same module.
 
 ``None`` resolves to ``numpy``.  Any other name must be one of
 :data:`BACKENDS`; nothing is ever substituted, so benchmark and

@@ -9,18 +9,20 @@ flat preallocated buffers instead of instance-at-a-time over objects.
 
 A **shard** is the maximal sub-batch sharing one (task count, machine
 speed vector) shape; instances are grouped automatically and results
-scattered back to input order, so callers can mix shapes freely.  Within
-a shard the ``numpy`` backend runs every instance's first-fit step as
-one vectorized operation — when that pays (:func:`takes_lockstep`): a
-batch that forms one small shard, a lone 32 x 32 instance say, runs the
-scalar loop instead, so a process that only sees such batches never
-imports numpy.  A batch spanning several shapes runs each non-empty
-shard on the kernels.  Empty task sets take the scalar loop (nothing to
-batch), and ``edf-dbf`` walks every other shard through the sequential
-QPA loop in :mod:`repro.kernels.dbfloop`.
+scattered back to input order, so callers can mix shapes freely.  The
+``numpy`` backend picks an arm per shard.  A shard wide enough for
+vectorizing to pay (:func:`takes_lockstep`: 32 instances or more,
+E19's 256 say) runs every instance's ``edf`` /
+``rms-ll`` first-fit step as one numpy operation
+(:mod:`repro.kernels.lockstep`); every narrower shard — a lone 128 x 64
+miss, a batch of eight — walks its instances one at a time over flat
+Python lists (:func:`repro.kernels.dbfloop.solve_shard_flat`), so a
+process that only sees such shards never imports numpy.  ``edf-dbf``
+walks every shard through the sequential QPA loop of the same module.
 
 Backend choice follows :func:`repro.kernels.backends.resolve_backend`
-(``None`` means ``numpy``).  ``scalar`` is the reference loop itself, so
+(``None`` means ``numpy``).  ``scalar`` is the reference loop itself
+(``feasibility_test`` / ``first_fit_partition`` per instance), so
 equivalence tests can run both through one entry point.
 """
 
@@ -44,7 +46,7 @@ from ..core.partition import PartitionResult, first_fit_partition
 from .backends import resolve_backend
 from .batchmeta import ReportMeta
 from .buffers import TasksetEntry, platform_entry, taskset_entries
-from .dbfloop import RawResult, solve_shard_dbf
+from .dbfloop import RawResult, solve_shard_dbf, solve_shard_flat
 
 __all__ = ["BATCH_TESTS", "Instance", "test_feasibility_batch", "first_fit_batch"]
 
@@ -58,24 +60,29 @@ BATCH_TESTS = ("edf", "rms-ll", "edf-dbf")
 
 #: A lockstep call pays a fixed cost plus ~15 numpy dispatches per
 #: first-fit step, shared by the shard's width, and its first use imports
-#: numpy (~12 MB, ~0.13 s); the scalar loop pays per instance, task and
-#: machine probed.  So the task-machine pairs a shard needs before the
-#: lockstep pays fall as its width grows: ~1-2 K for a lone instance,
-#: ~512 at width 2, 256-512 at width 4.  ``width x pairs`` at this bound
-#: sits on that crossover across the measured grid (docs/kernels.md,
-#: "When the lockstep runs").
-LOCKSTEP_MIN_WORK = 1024
+#: numpy (~14 MB, ~0.13 s); the flat loop pays per instance, task and
+#: machine probed, but a probe there is a few float operations.  So the
+#: lockstep needs width before it pays, and about the same width for
+#: every measured shape, from 16 x 4 to 128 x 64: it ties the flat loop
+#: near 16 instances and wins from 32 (docs/kernels.md, "When the
+#: lockstep runs").
+LOCKSTEP_MIN_WIDTH = 32
 
 
 def takes_lockstep(width: int, n: int, m: int) -> bool:
     """Does a shard of ``width`` instances of ``n`` tasks on ``m``
-    machines run the ``edf`` / ``rms-ll`` lockstep?  Ties go to the
-    scalar loop, which needs no numpy import and no buffers."""
-    return width * width * n * m > LOCKSTEP_MIN_WORK
+    machines run the ``edf`` / ``rms-ll`` lockstep rather than the flat
+    loop?"""
+    return width >= LOCKSTEP_MIN_WIDTH
 
 
 def _always(width: int, n: int, m: int) -> bool:
     return True
+
+
+def _never(width: int, n: int, m: int) -> bool:
+    return False
+
 
 _LL_TABLES: dict[int, list[float]] = {}
 _LL_TABLES_MAX = 64
@@ -147,25 +154,31 @@ def _run_shard(
     test_name: str,
     alpha: float,
     meta: ReportMeta | None,
+    rule: Callable[[int, int, int], bool],
 ) -> list:
-    """Evaluate one uniform (task count, speeds) shard on the kernels."""
+    """Evaluate one uniform (task count, speeds) shard on the arm
+    ``rule`` picks: the lockstep, or a per-instance walk."""
     pfe = platform_entry(speeds, alpha)
+    m = len(speeds)
     if test_name == "edf-dbf":
         # QPA admission is a sequential fixed-point iteration, so it runs
-        # as a per-instance demand walk, not in lockstep
-        m = len(speeds)
+        # as a per-instance demand walk, never in lockstep
         raw = solve_shard_dbf(entries, pfe)
-        return [
-            _assemble(raw[t], entries[t], platforms[t], m, alpha, test_name, meta)
-            for t in range(len(entries))
-        ]
-    from . import lockstep  # deferred: only lockstep shards need it
+    else:
+        rms = test_name == "rms-ll"
+        ll_tab = _ll_table(n) if rms else []
+        # empty task sets have no step to vectorize
+        if n and rule(len(entries), n, m):
+            from . import lockstep  # deferred: only wide shards need numpy
 
-    rms = test_name == "rms-ll"
-    ll_tab = _ll_table(n) if rms else []
-    return lockstep.evaluate_shard(
-        entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
-    )
+            return lockstep.evaluate_shard(
+                entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
+            )
+        raw = solve_shard_flat(entries, pfe, ll_tab, rms)
+    return [
+        _assemble(raw[t], entries[t], platforms[t], m, alpha, test_name, meta)
+        for t in range(len(entries))
+    ]
 
 
 def _shards(
@@ -194,47 +207,36 @@ def _evaluate_sharded(
     test_name: str,
     alpha: float,
     meta: ReportMeta | None,
-    scalar_one: Callable[[TaskSet, Platform], object],
     rule: Callable[[int, int, int], bool],
 ) -> list:
     """Shard by (task count, speeds), run each shard, scatter back.
 
-    A batch that is one shard runs on the kernels when ``rule`` says so, else through ``scalar_one`` per instance; in a batch of several
-    shapes, and for ``edf-dbf``, every non-empty shard runs on the
-    kernels.  With ``meta`` (the theorem tests) every instance passes the
-    implicit-deadline gate before anything is evaluated, each task set
-    walked once: a kernel shard reads the flag its buffer entry computed
-    with the utilizations, a scalar one asks the task set.
+    With ``meta`` (the theorem tests) every instance passes the
+    implicit-deadline gate before anything is evaluated: the flag is
+    read from the buffer entry, computed in the same walk as the
+    utilizations.
     """
-    shards = _shards(instances)
-    plan: list[tuple[int, tuple[float, ...], list[int], list | None]] = []
-    for n, speeds, idxs in shards:
-        entries = None
-        # the rule is measured one shape at a time; a batch of several
-        # shapes keeps the kernels on every shard, as before the rule
-        if n and (
-            test_name == "edf-dbf"
-            or len(shards) > 1
-            or rule(len(idxs), n, len(speeds))
-        ):
-            entries = taskset_entries([instances[i][0] for i in idxs])
-            if meta is not None and not all(e.implicit for e in entries):
-                raise ValueError(_IMPLICIT_ERROR)
-        elif meta is not None and not all(instances[i][0].is_implicit for i in idxs):
+    plan = []
+    for n, speeds, idxs in _shards(instances):
+        entries = taskset_entries([instances[i][0] for i in idxs])
+        if meta is not None and not all(e.implicit for e in entries):
             raise ValueError(_IMPLICIT_ERROR)
         plan.append((n, speeds, idxs, entries))
-    if len(plan) == 1 and plan[0][3] is not None:
-        # one kernel shard holding the whole batch, in input order
+    if len(plan) == 1:
+        # one shard holding the whole batch, in input order
         n, speeds, _, entries = plan[0]
         return _run_shard(
-            entries, [pf for _, pf in instances], n, speeds, test_name, alpha, meta
+            entries,
+            [pf for _, pf in instances],
+            n,
+            speeds,
+            test_name,
+            alpha,
+            meta,
+            rule,
         )
     out: list = [None] * len(instances)
     for n, speeds, idxs, entries in plan:
-        if entries is None:
-            for i in idxs:
-                out[i] = scalar_one(*instances[i])
-            continue
         results = _run_shard(
             entries,
             [instances[i][1] for i in idxs],
@@ -243,6 +245,7 @@ def _evaluate_sharded(
             test_name,
             alpha,
             meta,
+            rule,
         )
         for t, i in enumerate(idxs):
             out[i] = results[t]
@@ -273,8 +276,8 @@ def test_feasibility_batch(
         Override the theorem's speed augmentation (must be positive).
     backend:
         ``scalar`` / ``numpy``; ``None`` means ``numpy``.  On ``numpy`` a
-        batch that is one shard too small for the lockstep to pay
-        (:func:`takes_lockstep`) runs the scalar loop.
+        shard too narrow for the lockstep to pay (:func:`takes_lockstep`)
+        runs the flat loop.
     """
     return _theorem_batch(
         instances, scheduler, adversary, alpha, backend, takes_lockstep
@@ -288,9 +291,21 @@ def _lockstep_feasibility_batch(
     alpha: float | None = None,
 ) -> list[FeasibilityReport]:
     """:func:`test_feasibility_batch` on ``numpy`` with every non-empty
-    shard in lockstep, whatever its size — so the ``backend-equivalence``
-    oracle audits the evaluator that small shards skip."""
+    shard in lockstep, whatever its width — so the ``backend-equivalence``
+    oracle audits the evaluator that narrow shards skip."""
     return _theorem_batch(instances, scheduler, adversary, alpha, "numpy", _always)
+
+
+def _flat_feasibility_batch(
+    instances: Sequence[Instance],
+    scheduler: Scheduler,
+    adversary: Adversary,
+    alpha: float | None = None,
+) -> list[FeasibilityReport]:
+    """:func:`test_feasibility_batch` on ``numpy`` with every shard on
+    the flat loop, whatever its width — its counterpart for the arm that
+    wide shards skip."""
+    return _theorem_batch(instances, scheduler, adversary, alpha, "numpy", _never)
 
 
 def _theorem_batch(
@@ -314,18 +329,18 @@ def _theorem_batch(
             raise ValueError("alpha must be positive")
         a = alpha
 
-    def scalar_one(ts: TaskSet, pf: Platform) -> FeasibilityReport:
-        # feasibility_test past its gate: the batch was gated up front
-        return _first_fit_report(ts, pf, scheduler, adversary, a, theorem)
-
     if resolve_backend(backend) == "scalar" or not items:
         # a constrained set fails identically (same exception, same
         # message, no partial work) on every backend
         if not all(ts.is_implicit for ts, _ in items):
             raise ValueError(_IMPLICIT_ERROR)
-        return [scalar_one(ts, pf) for ts, pf in items]
+        # feasibility_test past its gate: the batch was gated up front
+        return [
+            _first_fit_report(ts, pf, scheduler, adversary, a, theorem)
+            for ts, pf in items
+        ]
     meta = ReportMeta(scheduler=scheduler, adversary=adversary, theorem=theorem)
-    return _evaluate_sharded(items, _TEST_NAME[scheduler], a, meta, scalar_one, rule)
+    return _evaluate_sharded(items, _TEST_NAME[scheduler], a, meta, rule)
 
 
 def first_fit_batch(
@@ -352,11 +367,6 @@ def first_fit_batch(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     items = list(instances)
-    resolved = resolve_backend(backend)
-
-    def scalar_one(ts: TaskSet, pf: Platform) -> PartitionResult:
-        return first_fit_partition(ts, pf, test, alpha=alpha)
-
-    if resolved == "scalar" or not items:
-        return [scalar_one(ts, pf) for ts, pf in items]
-    return _evaluate_sharded(items, test, alpha, None, scalar_one, takes_lockstep)
+    if resolve_backend(backend) == "scalar" or not items:
+        return [first_fit_partition(ts, pf, test, alpha=alpha) for ts, pf in items]
+    return _evaluate_sharded(items, test, alpha, None, takes_lockstep)

@@ -1,10 +1,15 @@
-"""Vectorized lockstep batch first-fit (the ``numpy`` backend).
+"""Vectorized lockstep batch first-fit (the ``numpy`` backend's wide arm).
 
 All ``B`` instances of a shard run the §III first-fit loop *in
 lockstep*: step ``k`` places every instance's ``k``-th
 largest-utilization task simultaneously against a ``(B, m)``
 structure-of-arrays machine state (running Neumaier sums and
 compensations over zero-copy ndarray views of the shared flat buffers).
+Each step costs ~15 numpy dispatches whatever ``B`` is, so the lockstep
+runs only shards wide enough to share that cost
+(:func:`repro.kernels.batch.takes_lockstep`, 32 instances or more);
+narrower shards take the flat loop of :mod:`repro.kernels.dbfloop`, and
+this module — numpy with it — is imported by the first wide shard.
 
 Bit-identity with the scalar path is an invariant, not an aspiration —
 the ``backend-equivalence`` oracle check and the property suite compare

@@ -595,10 +595,10 @@ def check_backend_equivalence(
     difference, however small, is a bug.  Each instance is checked
     inside a two-element shard (with its reversed permutation, which
     shares the shard shape) through the public entry point, and — since
-    that entry point leaves small shards to the scalar loop — through the
-    lockstep evaluator itself, both as that pair and as a singleton,
-    across both theorem schedulers and an explicit non-default alpha,
-    plus the batched primitives.
+    that entry point picks one arm per shard by width — through each arm
+    itself, the flat loop and the lockstep, both as that pair and as a
+    singleton, across both theorem schedulers and an explicit
+    non-default alpha, plus the batched primitives.
     """
     from ..core.bounds import liu_layland_bound
     from ..core.dbf import dbf
@@ -608,7 +608,7 @@ def check_backend_equivalence(
         test_feasibility_batch,
         utilization_bounds_batch,
     )
-    from ..kernels.batch import _lockstep_feasibility_batch
+    from ..kernels.batch import _flat_feasibility_batch, _lockstep_feasibility_batch
 
     backend = "numpy"
     out: list[Violation] = []
@@ -631,15 +631,12 @@ def check_backend_equivalence(
                         pair, scheduler, "partitioned", alpha=alpha, backend=backend
                     )
                 ]
-                # the lockstep itself, whatever the size rule would pick
+                # each arm itself, whatever the size rule would pick
                 forced = [
                     report_to_dict(r)
-                    for r in _lockstep_feasibility_batch(
-                        pair, scheduler, "partitioned", alpha
-                    )
-                    + _lockstep_feasibility_batch(
-                        pair[:1], scheduler, "partitioned", alpha
-                    )
+                    for arm in (_lockstep_feasibility_batch, _flat_feasibility_batch)
+                    for r in arm(pair, scheduler, "partitioned", alpha)
+                    + arm(pair[:1], scheduler, "partitioned", alpha)
                 ]
                 for label, scalar_d, batch_d in (
                     ("batch[0]", direct[0], got[0]),
@@ -647,6 +644,9 @@ def check_backend_equivalence(
                     ("lockstep[0]", direct[0], forced[0]),
                     ("lockstep[1]", direct[1], forced[1]),
                     ("singleton", direct[0], forced[2]),
+                    ("flat[0]", direct[0], forced[3]),
+                    ("flat[1]", direct[1], forced[4]),
+                    ("flat singleton", direct[0], forced[5]),
                 ):
                     if batch_d != scalar_d:
                         keys = sorted(
@@ -671,10 +671,11 @@ def check_backend_equivalence(
             want: str | None = None
         except ValueError as exc:
             want = str(exc)
-        # on both sides of the lockstep size rule
+        # on both arms, whichever the size rule would pick
         for label, run in (
             ("", lambda: test_feasibility_batch(pair, "edf", backend=backend)),
             (" lockstep", lambda: _lockstep_feasibility_batch(pair, "edf", "partitioned")),
+            (" flat", lambda: _flat_feasibility_batch(pair, "edf", "partitioned")),
         ):
             try:
                 run()

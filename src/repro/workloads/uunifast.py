@@ -66,7 +66,12 @@ def uunifast_discard(
         if the target is impossible (``total_utilization > n * u_max``)
         or uncomfortably tight (rejection would almost never terminate).
     RuntimeError
-        if ``max_attempts`` rejections occur (pathologically tight target).
+        if ``max_attempts`` rejections occur (pathologically tight target:
+        the largest of ``n`` simplex shares runs ~``ln n`` times the mean
+        ``U / n``, so acceptance collapses well before the mean reaches
+        ``u_max``, e.g. with about as many tasks as machines at high
+        stress).  ``generate_taskset(..., method="randfixedsum")`` samples
+        the capped simplex directly instead.
     """
     if u_max <= 0:
         raise ValueError("u_max must be positive")
@@ -79,6 +84,10 @@ def uunifast_discard(
         if (utils <= u_max).all():
             return utils
     raise RuntimeError(
-        f"uunifast_discard: gave up after {max_attempts} attempts "
-        f"(n={n}, U={total_utilization}, u_max={u_max})"
+        f"uunifast_discard: gave up after {max_attempts} attempts at "
+        f"n={n}, U={total_utilization}, u_max={u_max}: the mean utilization "
+        f"U/n is {total_utilization / (n * u_max):.0%} of u_max, where almost "
+        f"every draw puts some task above the cap (acceptance collapses when "
+        f"n is close to the machine count m at high stress); draw with "
+        f'method="randfixedsum", which samples the capped simplex directly'
     )

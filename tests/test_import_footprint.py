@@ -10,7 +10,8 @@
   a shard worker never speaks HTTP, so it loads neither asyncio nor the
   client stack.  numpy arrives with the first lockstep shard: every
   scalar verdict, ``edf-dbf``'s exact demand analysis included, and
-  every small lone instance on ``--backend numpy`` runs without it.
+  every shard too narrow for the lockstep on ``--backend numpy`` (a
+  lone instance of any size, a batch of eight) runs without it.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
@@ -179,13 +180,15 @@ print(len(answers), all(not cached for _, cached in answers), 'numpy' in sys.mod
 @pytest.mark.parametrize(
     "shapes, call, numpy_loaded",
     [
-        # small lone instances: the scalar loop answers, numpy stays out
+        # lone instances and a batch of eight: the flat loop answers,
+        # numpy stays out
         ([(1, 1), (32, 32)], "[core.test(u) for u in units]", False),
-        # a large lone instance, or a uniform batch, takes the lockstep
-        ([(128, 64)], "[core.test(u) for u in units]", True),
-        ([(32, 32)] * 8, "core.batch(units)", True),
+        ([(128, 64)], "[core.test(u) for u in units]", False),
+        ([(32, 32)] * 8, "core.batch(units)", False),
+        # a shard as wide as E19's takes the lockstep
+        ([(16, 4)] * 256, "core.batch(units)", True),
     ],
-    ids=["small-singles", "large-single", "batch-of-eight"],
+    ids=["small-singles", "large-single", "batch-of-eight", "wide-shard"],
 )
 def test_numpy_arrives_with_the_first_lockstep_shard(shapes, call, numpy_loaded):
     """A ``--backend numpy`` worker imports numpy with the first shard

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import liu_layland_bound
 from repro.core.dbf import dbf
@@ -220,7 +223,7 @@ class TestBatchEquivalence:
 
 
 class TestLockstepSizeRule:
-    """Small shards take the scalar loop; the lockstep stays bit-identical
+    """Narrow shards take the flat loop; the lockstep stays bit-identical
     below the rule, and the implicit-deadline gate holds on both sides."""
 
     @staticmethod
@@ -235,14 +238,17 @@ class TestLockstepSizeRule:
     @pytest.mark.parametrize(
         "width, n, m, lockstep",
         [
-            (1, 32, 32, False),  # the measured near-tie goes to the scalar loop
-            (1, 64, 32, True),
-            (1, 128, 64, True),
+            (1, 32, 32, False),
+            (1, 64, 32, False),
+            (1, 128, 64, False),  # a serve-miss request
             (2, 16, 16, False),
-            (2, 32, 16, True),
+            (2, 32, 16, False),
             (4, 8, 8, False),
-            (4, 16, 8, True),
-            (8, 8, 8, True),
+            (4, 16, 8, False),
+            (8, 8, 8, False),
+            (16, 128, 64, False),  # the measured near-tie goes to the flat loop
+            (32, 8, 8, True),
+            (64, 128, 64, True),
             (256, 16, 4, True),  # the E18/E19 corpus
             (3, 0, 4, False),
         ],
@@ -264,26 +270,32 @@ class TestLockstepSizeRule:
 
     @staticmethod
     def _spy(monkeypatch):
-        calls = {"lockstep": 0, "scalar": 0}
+        calls = {"lockstep": 0, "flat": 0, "scalar": 0}
         real_shard = lockstep_mod.evaluate_shard
+        real_flat = batch_mod.solve_shard_flat
         real_report = batch_mod._first_fit_report
 
         def shard(entries, *args):
             calls["lockstep"] += len(entries)
             return real_shard(entries, *args)
 
+        def flat(entries, *args):
+            calls["flat"] += len(entries)
+            return real_flat(entries, *args)
+
         def report(*args):
             calls["scalar"] += 1
             return real_report(*args)
 
         monkeypatch.setattr(lockstep_mod, "evaluate_shard", shard)
+        monkeypatch.setattr(batch_mod, "solve_shard_flat", flat)
         monkeypatch.setattr(batch_mod, "_first_fit_report", report)
         return calls
 
     @pytest.mark.parametrize(
         "width, n, m, path",
-        [(1, 32, 32, "scalar"), (2, 16, 16, "scalar"), (2, 32, 32, "lockstep"),
-         (1, 128, 64, "lockstep")],
+        [(1, 32, 32, "flat"), (2, 16, 16, "flat"), (2, 32, 32, "flat"),
+         (1, 128, 64, "flat"), (32, 16, 4, "lockstep")],
     )
     def test_numpy_backend_dispatches_by_size(self, monkeypatch, width, n, m, path):
         instances = self._uniform(7, width, n, m)
@@ -311,7 +323,7 @@ class TestLockstepSizeRule:
             with pytest.raises(ValueError) as exc:
                 batch_mod._lockstep_feasibility_batch(batch, "edf", "partitioned")
             assert str(exc.value) == str(scalar_exc.value)
-        assert calls == {"lockstep": 0, "scalar": 0}
+        assert calls == {"lockstep": 0, "flat": 0, "scalar": 0}
 
     def test_each_task_set_is_walked_once(self, monkeypatch):
         walks = []
@@ -324,19 +336,163 @@ class TestLockstepSizeRule:
         monkeypatch.setattr(TaskSet, "is_implicit", property(counted))
         reset_kernel_caches()
         small = self._uniform(5, 3, 8, 4)
-        feasibility_batch(small, "edf", backend="numpy")
-        assert len(walks) == len(small)  # the gate, then no second walk
+        wide = self._uniform(6, 32, 8, 4)
         walks.clear()
         feasibility_batch(small, "edf", backend="scalar")
-        assert len(walks) == len(small)
+        assert len(walks) == len(small)  # the gate, then no second walk
         walks.clear()
-        large = self._uniform(6, 2, 32, 32)
-        feasibility_batch(large, "edf", backend="numpy")
-        misses = kernel_cache_stats().misses
-        feasibility_batch(large, "edf", backend="numpy")
-        # read from the buffer entries, built once with the utilizations
-        assert walks == [] and kernel_cache_stats().misses == misses
-        assert all(buffers.taskset_entry(ts).implicit for ts, _ in large)
+        # the numpy backend reads the flag from the buffer entries, built
+        # once with the utilizations, on either arm
+        for batch in (small, wide):
+            feasibility_batch(batch, "edf", backend="numpy")
+            misses = kernel_cache_stats().misses
+            feasibility_batch(batch, "edf", backend="numpy")
+            assert walks == [] and kernel_cache_stats().misses == misses
+            assert all(buffers.taskset_entry(ts).implicit for ts, _ in batch)
+
+
+def _flat_partitions(instances, test, alpha):
+    """``first_fit_batch`` with every shard on the flat loop."""
+    return batch_mod._evaluate_sharded(
+        list(instances), test, alpha, None, batch_mod._never
+    )
+
+
+def _boundary_u(prior, speed, test):
+    """The largest utilization the scalar ``test`` state admits on a
+    machine of effective ``speed`` already holding ``prior``: one ulp
+    more and ``leq`` rejects it."""
+    from repro.core.bounds import admission_test
+
+    state = admission_test(test).open(speed)
+    for u in prior:
+        state.add(Task(wcet=u, period=1.0))
+    pack, unpack = struct.pack, struct.unpack
+    lo, hi = 0, unpack("<q", pack("<d", 4.0 * speed + 1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        u = unpack("<d", pack("<q", mid))[0]
+        if state.admits(Task(wcet=u, period=1.0)):
+            lo = mid
+        else:
+            hi = mid
+    return unpack("<d", pack("<q", lo))[0]
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+#: log-uniform utilizations over 1e-9 .. 1e3 and speeds over a 1e6 ratio
+_UTILS = st.floats(min_value=-9.0, max_value=3.0).map(lambda e: 10.0**e)
+_SPEEDS = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+class TestFlatLoop:
+    """The flat loop, headroom skip included, against the scalar
+    partitioner: random instances over extreme magnitudes, machines
+    filled to within one ulp of ``leq``'s crossover, and ties."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        utils=st.lists(
+            st.one_of(_UTILS, st.sampled_from([0.25, 0.5, 1.0])), max_size=12
+        ),
+        speeds=st.lists(_SPEEDS, min_size=1, max_size=5),
+        alpha=st.floats(min_value=1e-3, max_value=1e3),
+        test=st.sampled_from(["edf", "rms-ll"]),
+    )
+    def test_matches_first_fit_partition(self, utils, speeds, alpha, test):
+        pf = Platform.from_speeds(speeds)
+        ts = TaskSet([Task(wcet=u, period=1.0) for u in utils])
+        want = first_fit_partition(ts, pf, test, alpha=alpha)
+        assert _flat_partitions([(ts, pf)], test, alpha) == [want]
+        scheduler = "edf" if test == "edf" else "rms"
+        report = batch_mod._flat_feasibility_batch(
+            [(ts, pf)], scheduler, "partitioned", alpha
+        )[0]
+        assert report_to_dict(report) == report_to_dict(
+            feasibility_test(ts, pf, scheduler, alpha=alpha)
+        )
+
+    @pytest.mark.parametrize("test", ["edf", "rms-ll"])
+    @pytest.mark.parametrize("speed", [1e-6, 0.37, 1.0, 2.5, 1e3])
+    @pytest.mark.parametrize("alpha", [1.0, 1 + math.sqrt(2)])
+    def test_machine_filled_within_one_ulp_of_the_crossover(self, test, speed, alpha):
+        cap = speed * alpha
+        # the fill leaves a last task no larger than the ones before it
+        fill = {"edf": (0.4, 0.3, 0.2), "rms-ll": (0.3, 0.2, 0.15)}[test]
+        prior = [f * cap for f in fill]
+        u_star = _boundary_u(prior, cap, test)
+        assert u_star <= prior[-1]  # still placed last
+        # a second, faster machine takes the task the first one refuses
+        pf = Platform.from_speeds([speed, 4.0 * speed])
+        instances = [
+            (TaskSet([Task(wcet=u, period=1.0) for u in prior + [_ulps(u_star, k)]]), pf)
+            for k in range(-2, 3)
+        ]
+        want = [first_fit_partition(ts, pf, test, alpha=alpha) for ts, _ in instances]
+        # the construction straddles the boundary: ulp 0 fits machine 0,
+        # ulp +1 spills to machine 1
+        assert [r.assignment[-1] for r in want] == [0, 0, 0, 1, 1]
+        assert _flat_partitions(instances, test, alpha) == want
+
+    def test_zero_slack_headroom_is_caught(self, monkeypatch):
+        """The boundary cases above fail a skip without its slack."""
+        from repro.kernels import dbfloop
+
+        monkeypatch.setattr(dbfloop, "_SLACK", 0.0)
+        cap = 1.0
+        prior = [0.4, 0.3, 0.2]
+        u_star = _boundary_u(prior, cap, "edf")
+        pf = Platform.from_speeds([cap, 4.0])
+        ts = TaskSet([Task(wcet=u, period=1.0) for u in prior + [u_star]])
+        want = first_fit_partition(ts, pf, "edf", alpha=1.0)
+        assert _flat_partitions([(ts, pf)], "edf", 1.0) != [want]
+
+    @pytest.mark.parametrize("test", ["edf", "rms-ll"])
+    def test_extreme_magnitudes_and_ties(self, test):
+        rng = np.random.default_rng(31)
+        instances = []
+        for k in range(40):
+            speeds = 10.0 ** rng.uniform(-3.0, 3.0, size=1 + k % 4)
+            n = 1 + k % 9
+            if k % 3 == 0:
+                utils = [float(10.0 ** rng.uniform(-9.0, 3.0))] * n  # ties
+            else:
+                utils = list(10.0 ** rng.uniform(-9.0, 3.0, size=n))
+            instances.append(
+                (
+                    TaskSet([Task(wcet=float(u), period=1.0) for u in utils]),
+                    Platform.from_speeds(float(s) for s in speeds),
+                )
+            )
+        for alpha in (1.0, 2.0, 3.34):
+            want = [first_fit_partition(ts, pf, test, alpha=alpha) for ts, pf in instances]
+            assert _flat_partitions(instances, test, alpha) == want
+            assert {r.success for r in want} == {True, False}
+
+    def test_planted_zero_slack_fault_is_reported(self, monkeypatch, tmp_path, capsys):
+        """A headroom skip that drops ``leq``'s tolerance is reported by
+        the fuzzer's ``backend-equivalence`` check."""
+        from repro.cli import main
+        from repro.kernels import dbfloop
+
+        monkeypatch.setattr(dbfloop, "_SLACK", 0.0)
+        rc = main(
+            [
+                "fuzz", "--seed", "1", "--budget", "40",
+                "--profile", "boundary-edf", "--profile", "boundary-rms-ll",
+                "--check", "backend-equivalence",
+                "--out-dir", str(tmp_path / "ce"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "report != scalar" in out  # the flat loop's verdicts
+        assert "lockstep" not in out
 
 
 class TestFirstFitBatch:
@@ -442,48 +598,66 @@ class TestBackendResolution:
             resolve_backend(REMOVED_BACKEND)
 
 
+def _wide_corpus(seed, shapes=2):
+    """Mixed-shape instances, every shard just wide enough for the lockstep."""
+    width = batch_mod.LOCKSTEP_MIN_WIDTH
+    return _corpus(seed, shapes * width, n_range=(8, 8 + shapes))
+
+
 class TestCaches:
+    """Both arms of the numpy backend read and fill the same buffer
+    caches, so each counter is pinned on narrow shards (the flat loop)
+    and on shards wide enough for the lockstep."""
+
+    @staticmethod
+    def _corpora(seed, size):
+        return {"flat": _corpus(seed, size), "lockstep": _wide_corpus(seed)}
+
     def test_stats_count_hits_and_misses(self):
-        reset_kernel_caches()
-        instances = _corpus(21, 8)
-        feasibility_batch(instances, "edf", backend="numpy")
-        first = kernel_cache_stats()
-        assert first.misses > 0
-        feasibility_batch(instances, "edf", backend="numpy")
-        second = kernel_cache_stats()
-        assert second.hits > first.hits
-        assert second.misses == first.misses
-        reset_kernel_caches()
-        cleared = kernel_cache_stats()
-        assert (cleared.hits, cleared.misses, cleared.size) == (0, 0, 0)
+        for arm, instances in self._corpora(21, 8).items():
+            reset_kernel_caches()
+            feasibility_batch(instances, "edf", backend="numpy")
+            assert bool(lockstep_mod._SHARD_CACHE) == (arm == "lockstep")
+            first = kernel_cache_stats()
+            assert first.misses > 0
+            feasibility_batch(instances, "edf", backend="numpy")
+            second = kernel_cache_stats()
+            assert second.hits > first.hits
+            assert second.misses == first.misses
+            reset_kernel_caches()
+            cleared = kernel_cache_stats()
+            assert (cleared.hits, cleared.misses, cleared.size) == (0, 0, 0)
 
     @pytest.mark.parametrize("backend", ["numpy"])
     def test_reset_does_not_change_results(self, backend):
-        instances = _corpus(22, 12)
-        before = _batch_reports(instances, "rms", "partitioned", backend)
-        reset_kernel_caches()
-        after = _batch_reports(instances, "rms", "partitioned", backend)
-        assert after == before
+        for instances in self._corpora(22, 12).values():
+            before = _batch_reports(instances, "rms", "partitioned", backend)
+            reset_kernel_caches()
+            after = _batch_reports(instances, "rms", "partitioned", backend)
+            assert after == before
 
     def test_dropped_tasksets_leave_no_entries(self):
-        reset_kernel_caches()
-        instances = _corpus(23, 50)
-        feasibility_batch(instances, "edf", backend="numpy")
-        platforms = len(buffers._PF_CACHE)
-        assert platforms and kernel_cache_stats().size == 50 + platforms
-        del instances
-        assert kernel_cache_stats().size == platforms
+        corpora = self._corpora(23, 50)
+        for arm in list(corpora):
+            reset_kernel_caches()
+            instances = corpora.pop(arm)
+            feasibility_batch(instances, "edf", backend="numpy")
+            platforms = len(buffers._PF_CACHE)
+            assert platforms
+            assert kernel_cache_stats().size == len(instances) + platforms
+            del instances
+            assert kernel_cache_stats().size == platforms
 
     def test_live_tasksets_hit_across_testers(self):
         # one instance list under two first-fit testers, as an
         # acceptance-sweep chunk evaluates it
-        reset_kernel_caches()
-        instances = _corpus(24, 30)
-        first_fit_batch(instances, "edf", alpha=1.0, backend="numpy")
-        first_fit_batch(instances, "rms-ll", alpha=1.5, backend="numpy")
-        stats = kernel_cache_stats()
-        assert stats.misses - len(buffers._PF_CACHE) == len(instances)
-        assert stats.hits >= len(instances)
+        for instances in self._corpora(24, 30).values():
+            reset_kernel_caches()
+            first_fit_batch(instances, "edf", alpha=1.0, backend="numpy")
+            first_fit_batch(instances, "rms-ll", alpha=1.5, backend="numpy")
+            stats = kernel_cache_stats()
+            assert stats.misses - len(buffers._PF_CACHE) == len(instances)
+            assert stats.hits >= len(instances)
 
     def test_id_reuse_after_drop_matches_scalar(self):
         reset_kernel_caches()

@@ -235,7 +235,7 @@ class TestShardCoreMemory:
         assert not buffers._TS_CACHE
 
     def test_lockstep_misses_leave_no_kernel_taskset_entries(self):
-        """Lone instances large enough for the lockstep, too."""
+        """Lone large instances (64 x 32), too."""
         reset_kernel_caches()
         core = ShardCore(cache_size=1024, backend="numpy")
         pf = geometric_platform(32, 4.0)

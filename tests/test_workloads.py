@@ -66,6 +66,19 @@ class TestUUniFastDiscard:
         with pytest.raises(ValueError):
             uunifast_discard(rng, 3, 1.0, u_max=0.0)
 
+    def test_give_up_names_the_target_and_the_way_out(self):
+        # 64 tasks at U = 118 under u_max = 4: the 64 x 64 geometric
+        # ratio-4 platform at stress 0.85, where acceptance collapses
+        rng = np.random.default_rng(7)
+        with pytest.raises(RuntimeError) as exc:
+            uunifast_discard(rng, 64, 118.0, u_max=4.0, max_attempts=50)
+        msg = str(exc.value)
+        assert msg.startswith("uunifast_discard: gave up after 50 attempts")
+        for part in ("n=64", "U=118.0", "u_max=4.0", "46% of u_max",
+                     "n is close to the machine count m at high stress",
+                     'method="randfixedsum"'):
+            assert part in msg
+
 
 class TestRandFixedSum:
     @given(
