@@ -4,7 +4,7 @@
 For each theorem scheduler, shard shape (n tasks x m machines) and
 shard width (instances sharing that shape), times the two arms of the
 ``numpy`` backend on the same instances: the flat per-instance loop
-(:func:`repro.kernels.dbfloop.solve_shard_flat`) and the lockstep
+(:func:`repro.kernels.flat.solve_shard_flat`) and the lockstep
 evaluator (:mod:`repro.kernels.lockstep`), interleaved round by round so
 slow host phases hit both alike.  Every round evaluates fresh
 ``TaskSet`` copies, as a served cache miss does, so both arms pay their

@@ -40,16 +40,11 @@ __all__ = [
     "demand_bound_horizon",
     "edf_demand_feasible",
     "qpa_edf_feasible",
-    "qpa_feasible_params",
     "EDFDemandBoundTest",
     "ProfileCacheStats",
     "profile_cache_stats",
     "reset_profile_cache",
 ]
-
-#: Parameter triple ``(wcet, period, deadline)`` — the name-free form a
-#: profile memo is keyed by and the batch kernels operate on.
-TaskParams = tuple[float, float, float]
 
 
 def dbf(task: Task, t: float) -> float:
@@ -213,9 +208,9 @@ class _DemandProfile:
 #: Demand profiles one call reuses, keyed by the name-free ``(wcet,
 #: period, deadline)`` triples of each candidate set (names do not affect
 #: the mathematics).  The call that probes the same sets repeatedly — one
-#: partitioning run, one kernel shard — owns the dict and hands it down;
-#: the profiles die with it.
-ProfileMemo = dict[tuple[TaskParams, ...], _DemandProfile]
+#: partitioning run, or one oracle check walking a set across speeds —
+#: owns the dict and hands it down; the profiles die with it.
+ProfileMemo = dict[tuple[tuple[float, float, float], ...], _DemandProfile]
 
 _PROFILE_HITS = 0
 _PROFILE_MISSES = 0
@@ -250,28 +245,16 @@ def reset_profile_cache() -> None:
 
 
 def _profile(tasks: tuple[Task, ...], memo: ProfileMemo | None) -> _DemandProfile:
-    key = tuple((t.wcet, t.period, t.deadline) for t in tasks)
-    return _profile_by_key(key, memo, tasks)
-
-
-def _profile_by_key(
-    key: tuple[TaskParams, ...],
-    memo: ProfileMemo | None,
-    tasks: tuple[Task, ...] | None = None,
-) -> _DemandProfile:
-    """The profile of ``key`` from ``memo``, built (and stored there) on
-    a miss; without a memo it is built for the one call."""
+    """The profile of ``tasks`` from ``memo``, built (and stored there)
+    on a miss; without a memo it is built for the one call."""
     global _PROFILE_HITS, _PROFILE_MISSES
+    key = tuple((t.wcet, t.period, t.deadline) for t in tasks)
     if memo is not None:
         prof = memo.get(key)
         if prof is not None:
             _PROFILE_HITS += 1
             return prof
     _PROFILE_MISSES += 1
-    if tasks is None:
-        # params-keyed lookup (batch kernels): materialize Task objects
-        # only on a miss — hits never touch them
-        tasks = tuple(Task(wcet=w, period=p, deadline=d) for (w, p, d) in key)
     prof = _DemandProfile(tasks)
     if memo is not None:
         memo[key] = prof
@@ -371,35 +354,10 @@ def qpa_edf_feasible(
         raise ValueError("speed must be positive")
     if not tasks:
         return True
-    return _qpa_verdict(_profile(tuple(tasks), memo), speed)
-
-
-def qpa_feasible_params(
-    params: Sequence[TaskParams],
-    speed: float,
-    *,
-    memo: ProfileMemo | None = None,
-) -> bool:
-    """QPA verdict for name-free ``(wcet, period, deadline)`` triples.
-
-    Computes the same deterministic function as :func:`qpa_edf_feasible`
-    (task names never enter it), so the batch kernels' first-fit probes
-    and the scalar partitioner's probes return the same verdicts; the
-    ``backend-equivalence`` oracle check asserts that they agree.
-    """
-    if speed <= 0:
-        raise ValueError("speed must be positive")
-    if not params:
-        return True
-    return _qpa_verdict(_profile_by_key(tuple(params), memo), speed)
-
-
-def _qpa_verdict(prof: _DemandProfile, speed: float) -> bool:
-    cached = prof._qpa.get(speed)
-    if cached is not None:
-        return cached
-    verdict = _qpa_uncached(prof, speed)
-    prof._qpa[speed] = verdict
+    prof = _profile(tuple(tasks), memo)
+    verdict = prof._qpa.get(speed)
+    if verdict is None:
+        verdict = prof._qpa[speed] = _qpa_uncached(prof, speed)
     return verdict
 
 

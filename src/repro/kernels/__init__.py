@@ -10,19 +10,17 @@ wide enough for vectorizing to pay
 (:func:`repro.kernels.batch.takes_lockstep`) runs in numpy lockstep
 over ndarray views of the buffers; every narrower shard, such as a
 lone instance of any size, walks flat Python lists
-(:func:`repro.kernels.dbfloop.solve_shard_flat`), and numpy is imported
+(:func:`repro.kernels.flat.solve_shard_flat`), and numpy is imported
 by the first shard that takes the lockstep.
 
 Public surface:
 
 * :func:`test_feasibility_batch` / :func:`first_fit_batch` — batch
   counterparts of the scalar test and partitioner;
-* :func:`utilization_bounds_batch` / :func:`dbf_demand_batch` — batched
-  scalar-identical primitives;
 * :data:`BACKENDS` / :func:`resolve_backend` — the ``scalar`` /
   ``numpy`` backend registry;
 * :data:`BATCH_TESTS` — the admission tests :func:`first_fit_batch`
-  evaluates in batch;
+  evaluates in batch (``edf``, ``rms-ll``);
 * :func:`kernel_cache_stats` / :func:`reset_kernel_caches` — the
   buffer cache counters.
 
@@ -34,7 +32,6 @@ from . import batch as _batch
 from . import buffers as _buffers
 from .batch import BATCH_TESTS, Instance, first_fit_batch, test_feasibility_batch
 from .buffers import KernelCacheStats, kernel_cache_stats
-from .primitives import dbf_demand_batch, utilization_bounds_batch
 
 
 def reset_kernel_caches() -> None:
@@ -57,11 +54,9 @@ __all__ = [
     "BATCH_TESTS",
     "Instance",
     "KernelCacheStats",
-    "dbf_demand_batch",
     "first_fit_batch",
     "kernel_cache_stats",
     "reset_kernel_caches",
     "resolve_backend",
     "test_feasibility_batch",
-    "utilization_bounds_batch",
 ]

@@ -11,8 +11,8 @@ Two backends evaluate batches of feasibility instances:
     viewed as ndarrays (:mod:`repro.kernels.lockstep`) for shards wide
     enough to pay, a per-instance walk over flat Python lists for
     narrower ones (:func:`repro.kernels.batch.takes_lockstep`,
-    :mod:`repro.kernels.dbfloop`); ``edf-dbf`` routes through the
-    sequential QPA walk of the same module.
+    :mod:`repro.kernels.flat`).  It covers the ``edf`` / ``rms-ll``
+    admission tests; every other test runs the scalar partitioner.
 
 ``None`` resolves to ``numpy``.  Any other name must be one of
 :data:`BACKENDS`; nothing is ever substituted, so benchmark and

@@ -12,13 +12,11 @@ speed vector) shape; instances are grouped automatically and results
 scattered back to input order, so callers can mix shapes freely.  The
 ``numpy`` backend picks an arm per shard.  A shard wide enough for
 vectorizing to pay (:func:`takes_lockstep`: 32 instances or more,
-E19's 256 say) runs every instance's ``edf`` /
-``rms-ll`` first-fit step as one numpy operation
-(:mod:`repro.kernels.lockstep`); every narrower shard — a lone 128 x 64
-miss, a batch of eight — walks its instances one at a time over flat
-Python lists (:func:`repro.kernels.dbfloop.solve_shard_flat`), so a
-process that only sees such shards never imports numpy.  ``edf-dbf``
-walks every shard through the sequential QPA loop of the same module.
+E19's 256 say) runs every instance's first-fit step as one numpy
+operation (:mod:`repro.kernels.lockstep`); every narrower shard — a
+lone 128 x 64 miss, a batch of eight — walks its instances one at a
+time over flat Python lists (:func:`repro.kernels.flat.solve_shard_flat`),
+so a process that only sees such shards never imports numpy.
 
 Backend choice follows :func:`repro.kernels.backends.resolve_backend`
 (``None`` means ``numpy``).  ``scalar`` is the reference loop itself
@@ -28,6 +26,7 @@ equivalence tests can run both through one entry point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.bounds import liu_layland_bound
@@ -44,9 +43,8 @@ from ..core.feasibility import (
 from ..core.model import Platform, TaskSet
 from ..core.partition import PartitionResult, first_fit_partition
 from .backends import resolve_backend
-from .batchmeta import ReportMeta
 from .buffers import TasksetEntry, platform_entry, taskset_entries
-from .dbfloop import RawResult, solve_shard_dbf, solve_shard_flat
+from .flat import RawResult, solve_shard_flat
 
 __all__ = ["BATCH_TESTS", "Instance", "test_feasibility_batch", "first_fit_batch"]
 
@@ -54,9 +52,18 @@ __all__ = ["BATCH_TESTS", "Instance", "test_feasibility_batch", "first_fit_batch
 Instance = tuple[TaskSet, Platform]
 
 #: Admission tests :func:`first_fit_batch` evaluates in batch: the
-#: paper's O(1)-state pair plus the exact constrained-deadline QPA walk
-#: (see ``dbfloop``).
-BATCH_TESTS = ("edf", "rms-ll", "edf-dbf")
+#: paper's O(1)-state pair, the only probes the kernels speed up.
+BATCH_TESTS = ("edf", "rms-ll")
+
+
+@dataclass(frozen=True)
+class ReportMeta:
+    """Theorem-level fields every report of one batch call shares."""
+
+    scheduler: str
+    adversary: str
+    theorem: str
+
 
 #: A lockstep call pays a fixed cost plus ~15 numpy dispatches per
 #: first-fit step, shared by the shard's width, and its first use imports
@@ -108,7 +115,7 @@ def _assemble(
     test_name: str,
     meta: ReportMeta | None,
 ) -> PartitionResult | FeasibilityReport:
-    """Expand one ``dbfloop`` raw triple into the scalar result shape."""
+    """Expand one flat-loop raw triple into the scalar result shape."""
     chosen, failed_k, loads = raw
     order = ent.order
     success = failed_k < 0
@@ -157,24 +164,19 @@ def _run_shard(
     rule: Callable[[int, int, int], bool],
 ) -> list:
     """Evaluate one uniform (task count, speeds) shard on the arm
-    ``rule`` picks: the lockstep, or a per-instance walk."""
+    ``rule`` picks: the lockstep, or the flat loop."""
     pfe = platform_entry(speeds, alpha)
     m = len(speeds)
-    if test_name == "edf-dbf":
-        # QPA admission is a sequential fixed-point iteration, so it runs
-        # as a per-instance demand walk, never in lockstep
-        raw = solve_shard_dbf(entries, pfe)
-    else:
-        rms = test_name == "rms-ll"
-        ll_tab = _ll_table(n) if rms else []
-        # empty task sets have no step to vectorize
-        if n and rule(len(entries), n, m):
-            from . import lockstep  # deferred: only wide shards need numpy
+    rms = test_name == "rms-ll"
+    ll_tab = _ll_table(n) if rms else []
+    # empty task sets have no step to vectorize
+    if n and rule(len(entries), n, m):
+        from . import lockstep  # deferred: only wide shards need numpy
 
-            return lockstep.evaluate_shard(
-                entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
-            )
-        raw = solve_shard_flat(entries, pfe, ll_tab, rms)
+        return lockstep.evaluate_shard(
+            entries, platforms, pfe, alpha, rms, test_name, ll_tab, meta
+        )
+    raw = solve_shard_flat(entries, pfe, ll_tab, rms)
     return [
         _assemble(raw[t], entries[t], platforms[t], m, alpha, test_name, meta)
         for t in range(len(entries))
@@ -354,9 +356,8 @@ def first_fit_batch(
 
     Semantically ``[first_fit_partition(ts, pf, test, alpha=alpha) for
     ts, pf in instances]`` with bit-identical results, restricted to the
-    admission tests the kernels implement: the O(1)-state pair (``edf``,
-    ``rms-ll``) and the exact constrained-deadline QPA walk
-    (``edf-dbf``); other admission tests keep the scalar partitioner.
+    O(1)-state admission tests of :data:`BATCH_TESTS`; every other test,
+    the exact QPA ``edf-dbf`` among them, keeps the scalar partitioner.
     """
     if test not in BATCH_TESTS:
         raise ValueError(

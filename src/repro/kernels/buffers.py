@@ -98,16 +98,6 @@ class KernelCacheStats:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": self.size,
-            "capacity": self.capacity,
-            "hit_ratio": self.hit_ratio,
-        }
-
 
 _TS_CACHE: dict[int, TasksetEntry] = {}
 _PF_CACHE: dict[tuple[tuple[float, ...], float], PlatformEntry] = {}

@@ -8,7 +8,7 @@ compensations over zero-copy ndarray views of the shared flat buffers).
 Each step costs ~15 numpy dispatches whatever ``B`` is, so the lockstep
 runs only shards wide enough to share that cost
 (:func:`repro.kernels.batch.takes_lockstep`, 32 instances or more);
-narrower shards take the flat loop of :mod:`repro.kernels.dbfloop`, and
+narrower shards take the flat loop of :mod:`repro.kernels.flat`, and
 this module — numpy with it — is imported by the first wide shard.
 
 Bit-identity with the scalar path is an invariant, not an aspiration —
@@ -50,7 +50,7 @@ from ..core.certificates import partitioned_infeasibility_certificate
 from ..core.feasibility import FeasibilityReport
 from ..core.model import EPS, Platform
 from ..core.partition import PartitionResult
-from .batchmeta import ReportMeta
+from .batch import ReportMeta
 from .buffers import PlatformEntry, TasksetEntry
 
 __all__ = ["evaluate_shard", "reset_lockstep_caches"]

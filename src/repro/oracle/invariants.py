@@ -598,16 +598,12 @@ def check_backend_equivalence(
     that entry point picks one arm per shard by width — through each arm
     itself, the flat loop and the lockstep, both as that pair and as a
     singleton, across both theorem schedulers and an explicit
-    non-default alpha, plus the batched primitives.
+    non-default alpha.  A constrained set must be refused up front on
+    every arm with the scalar path's exact error text; first-fit under
+    exact QPA admission has no kernel and is audited by the
+    ``constrained-partition`` check instead.
     """
-    from ..core.bounds import liu_layland_bound
-    from ..core.dbf import dbf
-    from ..kernels import (
-        dbf_demand_batch,
-        first_fit_batch,
-        test_feasibility_batch,
-        utilization_bounds_batch,
-    )
+    from ..kernels import test_feasibility_batch
     from ..kernels.batch import _flat_feasibility_batch, _lockstep_feasibility_batch
 
     backend = "numpy"
@@ -696,68 +692,6 @@ def check_backend_equivalence(
                         f"scalar path refuses",
                     )
                 )
-    # Batched primitives: exact equality against their scalar definitions
-    # (the batched dbf against the per-task sum; the demand profile
-    # computes that same sum today, and this pins it if the profile ever
-    # takes another route).
-    times = sorted({t.deadline for t in taskset} | {t.period for t in taskset})
-    scalar_bounds = [
-        (ts.total_utilization, liu_layland_bound(len(ts)))
-        for ts in (taskset, reversed_ts)
-    ]
-    scalar_dbf = [
-        [math.fsum(dbf(task, t) for task in ts.tasks) for t in times]
-        for ts in (taskset, reversed_ts)
-    ]
-    if (
-        utilization_bounds_batch([taskset, reversed_ts], backend=backend)
-        != scalar_bounds
-    ):
-        out.append(
-            Violation(
-                "backend-equivalence",
-                f"{backend} utilization_bounds_batch != scalar",
-            )
-        )
-    if (
-        dbf_demand_batch([taskset, reversed_ts], times, backend=backend)
-        != scalar_dbf
-    ):
-        out.append(
-            Violation(
-                "backend-equivalence",
-                f"{backend} dbf_demand_batch != scalar",
-            )
-        )
-    # First-fit with the exact QPA admission runs on *every* deadline
-    # model; the dbfloop kernel must reproduce the scalar partitioner
-    # bit-for-bit (assignment, failed index, compensated loads).
-    qpa_test = ADMISSION_TESTS["edf-dbf"]
-    scalar_ff = [
-        first_fit_partition(ts, platform, qpa_test, alpha=1.0)
-        for ts in (taskset, reversed_ts)
-    ]
-    got_ff = first_fit_batch(
-        [(taskset, platform), (reversed_ts, platform)],
-        "edf-dbf",
-        backend=backend,
-    )
-    single_ff = first_fit_batch(
-        [(taskset, platform)], "edf-dbf", backend=backend
-    )[0]
-    for label, want_r, have_r in (
-        ("batch[0]", scalar_ff[0], got_ff[0]),
-        ("batch[1]", scalar_ff[1], got_ff[1]),
-        ("singleton", scalar_ff[0], single_ff),
-    ):
-        if have_r != want_r:
-            out.append(
-                Violation(
-                    "backend-equivalence",
-                    f"{backend} first_fit_batch('edf-dbf') {label} != "
-                    f"scalar first-fit partition",
-                )
-            )
     return out
 
 

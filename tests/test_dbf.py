@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import gc
-import importlib
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +21,10 @@ from repro.core.dbf import (
     edf_demand_feasible,
     profile_cache_stats,
     qpa_edf_feasible,
-    qpa_feasible_params,
     reset_profile_cache,
 )
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition, verify_partition
-from repro.kernels import BACKENDS, dbf_demand_batch
 from repro.sim.uniprocessor import simulate_taskset_on_machine
 
 constrained_task = st.builds(
@@ -73,8 +69,6 @@ class TestDBFValues:
         grid = [float(t) for t in times]
         assert [dbf_taskset(tasks, t) for t in grid] == want
         assert dbf_series(tasks, grid) == want
-        for backend in BACKENDS:
-            assert dbf_demand_batch([TaskSet(tasks)], grid, backend=backend) == [want]
 
     def test_zero_before_deadline(self):
         t = Task(2, 10, deadline=4)
@@ -328,54 +322,6 @@ class TestProfileLifetime:
         assert profile_cache_stats().misses > 0
         assert _live_profiles() == before
 
-    def test_no_profile_outlives_a_kernel_batch(self, monkeypatch):
-        """A multi-instance numpy shard holds at most one instance's
-        profiles at a time (n·m candidate sets), and none survive it."""
-        from repro.kernels import first_fit_batch
-
-        # ``repro.core.dbf`` the attribute is the function; take the module
-        dbf_mod = importlib.import_module("repro.core.dbf")
-
-        class Counted(_DemandProfile):
-            __slots__ = ()
-            live = peak = 0
-
-            def __init__(self, tasks):
-                super().__init__(tasks)
-                Counted.live += 1
-                Counted.peak = max(Counted.peak, Counted.live)
-
-            def __del__(self):
-                Counted.live -= 1
-
-        n, m = 4, len(self.PLATFORM)
-        instances = [
-            (
-                TaskSet(
-                    [
-                        Task(1, 7 + i, deadline=4),
-                        Task(3, 11 + i, deadline=9),
-                        Task(2, 5 + i, deadline=3),
-                        Task(1, 6 + i, deadline=6),
-                    ]
-                ),
-                self.PLATFORM,
-            )
-            for i in range(12)
-        ]
-        before = _live_profiles()
-        reset_profile_cache()
-        monkeypatch.setattr(dbf_mod, "_DemandProfile", Counted)
-        got = first_fit_batch(instances, test="edf-dbf", backend="numpy")
-        assert got == [
-            first_fit_partition(ts, pf, "edf-dbf") for ts, pf in instances
-        ]
-        # every instance builds its own profiles, more than one
-        # instance's worth in total, yet no more than n·m are ever alive
-        assert Counted.peak <= n * m < profile_cache_stats().misses
-        assert Counted.live == 0
-        assert _live_profiles() == before
-
     def test_standalone_calls_keep_nothing(self):
         before = _live_profiles()
         tasks = list(self.TASKSET)
@@ -394,13 +340,11 @@ class TestProfileLifetime:
     )
     @settings(max_examples=100, deadline=None)
     def test_memoized_verdicts_equal_fresh_ones(self, tasks, speeds):
-        """One candidate set probed on machines of different speeds —
-        through either entry point — answers as a fresh probe would."""
+        """One candidate set probed on machines of different speeds
+        answers as a fresh probe would."""
         memo: dict = {}
-        params = [(t.wcet, t.period, t.deadline) for t in tasks]
         fresh = [qpa_edf_feasible(tasks, s) for s in speeds]
         assert [qpa_edf_feasible(tasks, s, memo=memo) for s in speeds] == fresh
-        assert [qpa_feasible_params(params, s, memo=memo) for s in speeds] == fresh
         assert len(memo) == 1
 
     def test_stats_count_hits_and_misses_and_reset_zeroes_them(self):

@@ -19,21 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import liu_layland_bound
-from repro.core.dbf import dbf
 from repro.core.feasibility import feasibility_test
-from repro.core.model import Machine, Platform, Task, TaskSet
+from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.io_.serialize import report_from_dict, report_to_dict
 from repro.kernels import (
     BACKENDS,
     buffers,
-    dbf_demand_batch,
     first_fit_batch,
     kernel_cache_stats,
     reset_kernel_caches,
     resolve_backend,
-    utilization_bounds_batch,
 )
 from repro.kernels import batch as batch_mod
 from repro.kernels import lockstep as lockstep_mod
@@ -106,26 +102,15 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_generator_profiles(self, backend, profile):
         rng = np.random.default_rng(hash(profile) % 2**32)
-        implicit, constrained = [], []
+        implicit = []
         for _ in range(40):
             ts, pf = draw_instance(rng, profile)
-            (implicit if ts.is_implicit else constrained).append((ts, pf))
-        assert implicit or constrained
+            if ts.is_implicit:
+                implicit.append((ts, pf))
         for scheduler, adversary in CONFIGS:
             want = _scalar_reports(implicit, scheduler, adversary)
             got = _batch_reports(implicit, scheduler, adversary, backend)
             assert got == want
-        # constrained draws (the deadline-axis profiles) route through
-        # the dbf admission kernel instead of the theorem tests
-        if constrained:
-            want = [
-                first_fit_partition(ts, pf, "edf-dbf", alpha=1.0)
-                for ts, pf in constrained
-            ]
-            assert (
-                first_fit_batch(constrained, "edf-dbf", backend=backend)
-                == want
-            )
 
     @pytest.mark.parametrize("backend", ["numpy"])
     def test_mixed_shapes_and_platforms_shard_correctly(self, backend):
@@ -441,9 +426,9 @@ class TestFlatLoop:
 
     def test_zero_slack_headroom_is_caught(self, monkeypatch):
         """The boundary cases above fail a skip without its slack."""
-        from repro.kernels import dbfloop
+        from repro.kernels import flat
 
-        monkeypatch.setattr(dbfloop, "_SLACK", 0.0)
+        monkeypatch.setattr(flat, "_SLACK", 0.0)
         cap = 1.0
         prior = [0.4, 0.3, 0.2]
         u_star = _boundary_u(prior, cap, "edf")
@@ -478,9 +463,9 @@ class TestFlatLoop:
         """A headroom skip that drops ``leq``'s tolerance is reported by
         the fuzzer's ``backend-equivalence`` check."""
         from repro.cli import main
-        from repro.kernels import dbfloop
+        from repro.kernels import flat
 
-        monkeypatch.setattr(dbfloop, "_SLACK", 0.0)
+        monkeypatch.setattr(flat, "_SLACK", 0.0)
         rc = main(
             [
                 "fuzz", "--seed", "1", "--budget", "40",
@@ -510,76 +495,17 @@ class TestFirstFitBatch:
             )
             assert got == want
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edf_dbf_matches_scalar_on_constrained_corpus(self, backend):
-        # the deadline-ratio axis end to end: constrained instances on
-        # mixed platforms, partitioned by exact QPA admission
-        rng = np.random.default_rng(23)
-        instances = []
-        for k in range(32):
-            platform = geometric_platform(2 + k % 3, (2.0, 4.0, 8.0)[k % 3])
-            instances.append(
-                (
-                    generate_taskset(
-                        rng,
-                        4 + k % 10,
-                        (0.4 + 0.5 * (k % 7) / 6) * platform.total_speed,
-                        u_max=platform.fastest_speed,
-                        dr_dist="uniform",
-                        dr_min=0.4,
-                        dr_max=1.0,
-                    ),
-                    platform,
-                )
-            )
-        assert any(not ts.is_implicit for ts, _ in instances)
-        for alpha in (1.0, 1.3):
-            want = [
-                first_fit_partition(ts, pf, "edf-dbf", alpha=alpha)
-                for ts, pf in instances
-            ]
-            got = first_fit_batch(
-                instances, "edf-dbf", alpha=alpha, backend=backend
-            )
-            assert got == want
-            # sharding must not leak state between instances: each
-            # singleton re-run reproduces its batch row exactly
-            for (ts, pf), batch_row in zip(instances[:6], want):
-                single = first_fit_batch(
-                    [(ts, pf)], "edf-dbf", alpha=alpha, backend=backend
-                )
-                assert single == [batch_row]
-
     def test_unsupported_admission_test_raises(self):
         pf = geometric_platform(2, 2.0)
         ts = TaskSet([Task(wcet=1.0, period=10.0)])
-        with pytest.raises(ValueError, match="'rms-rta'"):
-            first_fit_batch([(ts, pf)], "rms-rta")
+        # exact QPA admission has no kernel: it is the scalar partitioner's
+        for test in ("rms-rta", "edf-dbf"):
+            with pytest.raises(ValueError, match=f"not '{test}'"):
+                first_fit_batch([(ts, pf)], test)
 
     def test_nonpositive_alpha_raises(self):
         with pytest.raises(ValueError, match="alpha"):
             first_fit_batch([], "edf", alpha=0.0)
-
-
-class TestPrimitives:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_utilization_bounds(self, backend):
-        tasksets = [ts for ts, _ in _corpus(3, 17)]
-        want = [
-            (ts.total_utilization, liu_layland_bound(len(ts)))
-            for ts in tasksets
-        ]
-        assert utilization_bounds_batch(tasksets, backend=backend) == want
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dbf_demand(self, backend):
-        tasksets = [ts for ts, _ in _corpus(4, 9)]
-        times = [0.0, 1.0, 5.5, 12.0, 100.0]
-        want = [
-            [math.fsum(dbf(task, t) for task in ts.tasks) for t in times]
-            for ts in tasksets
-        ]
-        assert dbf_demand_batch(tasksets, times, backend=backend) == want
 
 
 class TestBackendResolution:
@@ -797,14 +723,18 @@ class TestAcceptanceSweepBackend:
             "edf": ff_tester("edf", 1.0),
             "rms": ff_tester("rms-ll", 1.0),
             "lp": lp_tester(),  # not kernel-backed: scalar fallback
+            "qpa": ff_tester("edf-dbf", 1.0),  # so is FF-QPA
         }
         kw = dict(
             n_tasks=8,
             normalized_utilizations=(0.7, 0.9),
             samples=12,
             name="kernels-test",
+            dr_dist="uniform",
         )
         want = acceptance_sweep(42, pf, testers, **kw)
+        # the constrained draws make QPA both accept and reject
+        assert any(0.0 < r < 1.0 for r in want.rates["qpa"])
         for backend in BACKENDS:
             got = acceptance_sweep(42, pf, testers, backend=backend, **kw)
             assert got == want
