@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.model import Platform, Task, TaskSet
+from ..core.model import Platform, TaskSet
 from ..core.partition import first_fit_partition
 
 __all__ = [

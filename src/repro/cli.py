@@ -558,6 +558,17 @@ def _cmd_slack(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service.shard import fork_worker
+
+    # Fork the pool before the front end imports its HTTP stack (asyncio,
+    # ssl): a worker holds only what it runs, and its first verdict waits
+    # on no second interpreter's start-up.
+    pool = [
+        fork_worker(
+            k, cache_size=args.cache_size, backend=args.backend, chaos=args.chaos
+        )
+        for k in range(args.workers)
+    ]
     from .service.frontend import serve_sharded
 
     return serve_sharded(
@@ -568,6 +579,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         chaos=args.chaos,
         quiet=not args.verbose,
+        pool=pool,
     )
 
 

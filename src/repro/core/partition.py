@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bounds import AdmissionTest, MachineState, admission_test
-from .model import Platform, Task, TaskSet
+from .model import Platform, TaskSet
 
 __all__ = [
     "TaskOrder",

@@ -3,7 +3,6 @@ workflow commands (``::error`` annotations on the PR diff)."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING
 
@@ -78,6 +77,10 @@ def _partial_fingerprint(finding) -> str:
     unrelated edits that shift its line number — and re-opens it the
     moment the offending line itself changes.
     """
+    # Imported here, not at module level: every ``repro`` process builds
+    # the parser that imports this module, and hashlib maps libcrypto.
+    import hashlib
+
     digest = hashlib.sha256(
         "|".join(finding.fingerprint).encode("utf-8")
     ).hexdigest()

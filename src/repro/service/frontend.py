@@ -39,14 +39,24 @@ canonical run performs the same admission probes as a direct call on
 the submitted instance, and (absent exact utilization ties) the
 remapped response is byte-identical to that direct call.
 
-Worker lifecycle (``workers >= 1``): workers are spawned as
-subprocesses over an inherited ``socketpair`` (pre-fork style, no
-dependence on fork safety under threads).  If a worker dies, the front
-end detects EOF on the pair, respawns the shard with an *empty* LRU,
-replays every in-flight frame exactly once, and answers ``503`` only
-for a request whose replay also died.  SIGTERM drains: stop accepting,
-finish in-flight HTTP requests, send every worker a ``shutdown`` frame
-(FIFO after its pending work), then reap the processes.
+Worker lifecycle (``workers >= 1``): every worker is a fork
+(:func:`~repro.service.shard.fork_worker`) that keeps only its end of a
+``socketpair``.  ``repro serve`` forks the first pool before it imports
+this module, so those workers never load asyncio or ssl.  If a worker
+dies, the front end detects EOF on the pair, forks a replacement from
+the running loop with an *empty* LRU, replays every in-flight frame
+exactly once, and answers ``503`` only for a request whose replay also
+died.  SIGTERM drains: stop accepting, finish in-flight HTTP requests,
+send every worker a ``shutdown`` frame (FIFO after its pending work),
+then reap the processes.
+
+Forking from the loop is safe because the front end holds exactly one
+thread, always: nothing here uses asyncio's default executor.  Dead
+workers are reaped by polling ``waitpid(WNOHANG)`` and the listen
+address is resolved on the loop thread (:func:`_numeric_hosts`).  A
+second thread holding a lock at a fork would leave that lock held
+forever in the child; ``tests/test_shard.py`` counts the front end's
+threads after startup and after a respawn.
 
 Consistency guarantees (see ``docs/service.md``): report and digest
 bytes are identical for every worker count and backend; the ``cached``
@@ -69,11 +79,9 @@ import os
 import pickle
 import signal
 import socket
-import subprocess
 import sys
 import time
 import traceback
-from pathlib import Path
 from typing import Any, Awaitable, Callable
 
 from .. import __version__
@@ -91,7 +99,12 @@ from .validation import (
     parse_partition_request,
     parse_test_request,
 )
-from .shard import _Worker, partition_query_digest, test_query_digest
+from .shard import (
+    _Worker,
+    fork_worker,
+    partition_query_digest,
+    test_query_digest,
+)
 
 __all__ = ["ShardedFrontend", "serve_sharded"]
 
@@ -263,14 +276,26 @@ class _InProcessShard(_ShardHandle):
 
 
 class _WorkerHandle(_ShardHandle):
-    """Front-end side of one shard worker process."""
+    """Front-end side of one shard worker process.
 
-    def __init__(self, frontend: "ShardedFrontend", index: int):
+    ``forked`` is a worker :func:`~repro.service.shard.fork_worker`
+    already started for this shard (``repro serve`` forks its pool
+    before importing the front end); the first :meth:`start` adopts it.
+    """
+
+    pid: int | None = None
+
+    def __init__(
+        self,
+        frontend: "ShardedFrontend",
+        index: int,
+        forked: tuple[int, socket.socket] | None = None,
+    ):
         self.frontend = frontend
         self.index = index
         self.state = "starting"  # starting | ok | restarting | dead
         self.restarts = 0
-        self.proc: subprocess.Popen | None = None
+        self._forked = forked
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.pending: dict[int, _PendingCall] = {}
@@ -283,49 +308,22 @@ class _WorkerHandle(_ShardHandle):
     def queue_depth(self) -> int:
         return len(self.pending)
 
-    @property
-    def pid(self) -> int | None:
-        return self.proc.pid if self.proc is not None else None
-
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker process and wire its socketpair end in."""
-        parent, child = socket.socketpair()
-        child.set_inheritable(True)
-        # `-c` rather than `-m repro.service.shard`: the package import
-        # of `.shard` under runpy's __main__ execution trips a spurious
-        # found-in-sys.modules RuntimeWarning on the worker's stderr.
-        argv = [
-            sys.executable,
-            "-c",
-            "from repro.service.shard import worker_main;"
-            " raise SystemExit(worker_main())",
-            "--fd",
-            str(child.fileno()),
-            "--shard",
-            str(self.index),
-            "--cache-size",
-            str(self.frontend.cache_size),
-        ]
-        if self.frontend.backend is not None:
-            argv += ["--backend", self.frontend.backend]
-        if self.frontend.chaos:
-            argv.append("--chaos")
-        # The worker must import repro from the same tree the front end
-        # runs from, installed or not.
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parent.parent.parent)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        # No worker code calls a BLAS routine, so numpy's import need not
-        # start one OpenBLAS thread per core; an operator's value wins.
-        env.setdefault("OPENBLAS_NUM_THREADS", "1")
-        # blocking Popen is confined to startup and crash-respawn; a
-        # fork+exec pause there is accepted over the complexity of an
-        # executor hop in the spawn path
-        self.proc = subprocess.Popen(  # repro: noqa[REP012]
-            argv, pass_fds=[child.fileno()], env=env
-        )
-        child.close()
+        """Fork the worker (or adopt a pre-forked one) and wire its
+        socketpair end in."""
+        forked, self._forked = self._forked, None
+        if forked is None:
+            # Only the child runs the blocking frame loop behind this
+            # call; the loop itself pauses for one fork, at startup or on
+            # crash respawn.
+            forked = fork_worker(  # repro: noqa[REP012]
+                self.index,
+                cache_size=self.frontend.cache_size,
+                backend=self.frontend.backend,
+                chaos=self.frontend.chaos,
+            )
+        self.pid, parent = forked
         self.reader, self.writer = await asyncio.open_connection(sock=parent)
         self._reader_task = asyncio.ensure_future(self._read_loop())
         self.state = "ok"
@@ -409,18 +407,29 @@ class _WorkerHandle(_ShardHandle):
                 pass  # the new worker died instantly; its reader loop handles it
 
     async def _reap(self, timeout: float) -> None:
-        """Wait for the worker process, escalating to SIGKILL."""
-        proc = self.proc
-        if proc is None:
+        """Wait for the worker process, escalating to SIGKILL.
+
+        Polls ``waitpid(WNOHANG)`` rather than parking a blocking wait
+        on an executor thread: the next worker is forked from this
+        process, which must hold one thread only.
+        """
+        pid = self.pid
+        if pid is None:
             return
-        loop = asyncio.get_running_loop()
-        try:
-            await asyncio.wait_for(
-                loop.run_in_executor(None, proc.wait), timeout
-            )
-        except asyncio.TimeoutError:
-            proc.kill()
-            await loop.run_in_executor(None, proc.wait)
+        deadline = time.monotonic() + timeout
+        delay = 0.001
+        while True:
+            try:
+                reaped, _ = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                return  # reaped already
+            if reaped:
+                return
+            if time.monotonic() >= deadline:
+                os.kill(pid, signal.SIGKILL)
+                deadline = float("inf")
+            await asyncio.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     # -- calls --------------------------------------------------------------
     async def call(self, op: str, payload: Any) -> Any:
@@ -486,9 +495,12 @@ class ShardedFrontend:
         backend: str | None = None,
         chaos: bool = False,
         quiet: bool = True,
+        pool: list[tuple[int, socket.socket]] | None = None,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if pool is not None and len(pool) != workers:
+            raise ValueError(f"pool holds {len(pool)} workers, not {workers}")
         self.host = host
         self.port = port
         self.workers = workers
@@ -500,7 +512,10 @@ class ShardedFrontend:
         self.handles: list[_ShardHandle] = (
             [_InProcessShard(self)]
             if workers == 0
-            else [_WorkerHandle(self, k) for k in range(workers)]
+            else [
+                _WorkerHandle(self, k, pool[k] if pool is not None else None)
+                for k in range(workers)
+            ]
         )
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Conn] = set()
@@ -520,7 +535,7 @@ class ShardedFrontend:
         for handle in self.handles:
             await handle.start()
         self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port
+            self._handle_conn, _numeric_hosts(self.host, self.port), self.port
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
@@ -882,6 +897,19 @@ class ShardedFrontend:
         )
 
 
+def _numeric_hosts(host: str | None, port: int) -> list[str]:
+    """The listen addresses ``host`` names, resolved on this thread.
+
+    asyncio resolves a host name (``localhost``, or ``""`` for every
+    interface) in its default executor, which would start a thread the
+    front end must never hold; numeric addresses it parses in place.
+    """
+    infos = socket.getaddrinfo(
+        host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )
+    return list(dict.fromkeys(info[4][0] for info in infos))
+
+
 def _json_bytes(body: Any) -> bytes:
     return json.dumps(body, sort_keys=True).encode("utf-8")
 
@@ -965,8 +993,13 @@ def serve_sharded(
     backend: str | None = None,
     chaos: bool = False,
     quiet: bool = True,
+    pool: list[tuple[int, socket.socket]] | None = None,
 ) -> int:
-    """Run the service until SIGTERM/SIGINT, drain, exit 0."""
+    """Run the service until SIGTERM/SIGINT, drain, exit 0.
+
+    ``pool`` holds the ``workers`` shard workers when the caller has
+    forked them already (see :func:`~repro.service.shard.fork_worker`).
+    """
 
     async def main() -> int:
         frontend = ShardedFrontend(
@@ -977,6 +1010,7 @@ def serve_sharded(
             backend=backend,
             chaos=chaos,
             quiet=quiet,
+            pool=pool,
         )
         await frontend.start()
         stop = asyncio.Event()

@@ -9,12 +9,12 @@ Two layers live here:
   in-process at ``--workers 0`` or in a worker process otherwise, which
   is what makes responses bit-identical across worker counts by
   construction rather than by testing luck.
-* :func:`worker_main` — the shard worker process entry point
-  (``python -m repro.service.shard --fd N``): a blocking frame loop
-  over the socketpair inherited from the front end.  One worker owns
-  one :class:`ShardCore`; because the front end routes every digest to
-  a fixed shard, no lock is contended across processes and the LRU in
-  each worker needs no coordination at all.
+* :func:`fork_worker` — the shard worker process: a fork of the front
+  end that keeps only its end of a ``socketpair`` and runs a blocking
+  frame loop over it.  One worker owns one :class:`ShardCore`; because
+  the front end routes every digest to a fixed shard, no lock is
+  contended across processes and the LRU in each worker needs no
+  coordination at all.
 
 Canonical-query digest helpers (:func:`test_query_digest`,
 :func:`partition_query_digest`) also live here so the front end and
@@ -28,7 +28,7 @@ the shards can never disagree on a cache key.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import signal
 import socket
@@ -55,7 +55,7 @@ __all__ = [
     "ShardCore",
     "test_query_digest",
     "partition_query_digest",
-    "worker_main",
+    "fork_worker",
 ]
 
 #: Fault-injection hooks, active only when a worker runs with
@@ -340,35 +340,73 @@ def serve_connection(sock: socket.socket, worker: _Worker) -> int:
             return 0
 
 
-def worker_main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro.service.shard``."""
-    parser = argparse.ArgumentParser(prog="repro.service.shard")
-    parser.add_argument("--fd", type=int, required=True,
-                        help="inherited socketpair file descriptor")
-    parser.add_argument("--shard", type=int, required=True)
-    parser.add_argument("--cache-size", type=int, default=1024)
-    parser.add_argument("--backend", default=None)
-    parser.add_argument("--chaos", action="store_true")
-    args = parser.parse_args(argv)
+def fork_worker(
+    shard: int,
+    *,
+    cache_size: int = 1024,
+    backend: str | None = None,
+    chaos: bool = False,
+) -> tuple[int, socket.socket]:
+    """Fork one shard worker: ``(its pid, the parent's end of its pair)``.
 
+    The one way a worker starts, at startup and on crash respawn alike.
+    A fork inherits every module the caller has imported, so the first
+    verdict never waits for a second interpreter to boot; ``repro
+    serve`` forks its pool before the front end imports its HTTP stack,
+    so a first-generation worker holds only what it runs.  The caller
+    must hold exactly one thread: a lock another thread held at the
+    fork would stay locked in the child forever.
+
+    The child never returns: it leaves through :func:`os._exit`, so it
+    never unwinds into the caller's stack, runs its ``finally`` blocks
+    or flushes its buffers.
+    """
+    parent, child = socket.socketpair()
+    pid = os.fork()
+    if pid:
+        child.close()
+        return pid, parent
+    code = 1
+    try:
+        code = _forked_worker(child, shard, cache_size, backend, chaos)
+    except BaseException:  # noqa: BLE001 - reported, then a hard exit
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _forked_worker(
+    sock: socket.socket,
+    shard: int,
+    cache_size: int,
+    backend: str | None,
+    chaos: bool,
+) -> int:
+    """The body of a freshly forked worker; returns its exit code."""
     # The front end owns shutdown: it drains via explicit frames (or by
     # closing the socketpair), so terminal-delivered SIGINT/SIGTERM to
-    # the process group must not kill a shard mid-drain.
+    # the process group must not kill a shard mid-drain.  The event
+    # loop's wakeup fd is about to be closed, so no signal may write to
+    # it (or to whatever file later reuses its number).
+    signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-    sock = socket.socket(fileno=args.fd)
-    worker = _Worker(
-        args.shard,
-        cache_size=args.cache_size,
-        backend=args.backend,
-        chaos=args.chaos,
-    )
-    try:
-        return serve_connection(sock, worker)
-    finally:
-        sock.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(worker_main())
+    # Objects inherited from the front end are never collected here: a
+    # garbage socket finalized in the child would close an fd number
+    # that, after the sweep below, may belong to one of the worker's
+    # own files.  Frozen objects are also never written by the
+    # collector, so their pages stay shared with the parent.
+    gc.freeze()
+    # Keep stdio and this worker's pair end; drop everything else: other
+    # shards' pair ends (a copy held here would hide their worker's EOF
+    # from the front end) and, on respawn, the listening socket, client
+    # connections and the event loop's epoll fd.
+    keep = sock.fileno()
+    os.closerange(3, keep)
+    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+    # No worker code calls a BLAS routine, so numpy's import need not
+    # start one OpenBLAS thread per core; an operator's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    worker = _Worker(shard, cache_size=cache_size, backend=backend, chaos=chaos)
+    return serve_connection(sock, worker)

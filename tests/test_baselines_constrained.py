@@ -26,7 +26,7 @@ from repro.baselines import (
 from repro.core.bounds import ADMISSION_TESTS, admission_test
 from repro.core.dbf import qpa_edf_feasible
 from repro.core.dbf_approx import edf_approx_demand_feasible
-from repro.core.model import Platform, Task, TaskSet
+from repro.core.model import Task
 from repro.core.partition import verify_partition
 from repro.core.rta import dm_rta_schedulable
 from repro.workloads.builder import generate_taskset

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.lp import lp_feasible
-from repro.core.model import TaskSet
 from repro.workloads.builder import (
     constrained_feasible_instance,
     generate_taskset,

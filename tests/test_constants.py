@@ -15,7 +15,6 @@ from repro.core.constants import (
     ALPHA_RMS_PRIOR,
     EDF_LP_CONSTANTS,
     RMS_LP_CONSTANTS,
-    ProofConstants,
     alpha_frontier,
     best_constants_for_alpha,
     conditions,

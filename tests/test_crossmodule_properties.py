@@ -8,7 +8,6 @@ adversaries, serialization vs verdicts, and speed-augmentation algebra.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.dbf import demand_bound_horizon, qpa_edf_feasible

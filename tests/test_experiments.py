@@ -8,8 +8,6 @@ curves are ordered) so a silent regression in the harness shows up here.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.experiments import all_experiments, get_experiment

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.bounds import rms_liu_layland_feasible, rms_rta_feasible
+from repro.core.bounds import rms_rta_feasible
 from repro.core.model import Task
 from repro.sim.gantt import render_gantt
 from repro.sim.trace import Trace

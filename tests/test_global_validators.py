@@ -10,7 +10,6 @@ from repro.core.model import Task
 from repro.sim.global_sched import GlobalSegment, GlobalTrace, simulate_global
 from repro.sim.global_validators import validate_global_trace
 from repro.sim.jobs import PeriodicSource
-from repro.sim.trace import JobRecord
 
 TASKS = [Task(2, 6), Task(2, 8)]
 

@@ -4,14 +4,13 @@ through testing, adversaries, certificates, and simulation."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.ratio import min_alpha_first_fit
 from repro.baselines.exact import exact_partitioned_edf_feasible
 from repro.baselines.ptas import ptas_feasibility_test
 from repro.core.feasibility import edf_test_vs_partitioned, rms_test_vs_partitioned
 from repro.core.lp import lp_feasible, lp_solve, verify_lemma_ii1
-from repro.core.model import Platform, Task, TaskSet
+from repro.core.model import Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.sim.multiprocessor import simulate_partitioned
 from repro.sim.validators import validate_all

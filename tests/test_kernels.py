@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -101,7 +102,9 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_generator_profiles(self, backend, profile):
-        rng = np.random.default_rng(hash(profile) % 2**32)
+        # str hashes are salted per process: a digest draws the same
+        # corpus on every run
+        rng = np.random.default_rng(zlib.crc32(profile.encode()))
         implicit = []
         for _ in range(40):
             ts, pf = draw_instance(rng, profile)

@@ -21,7 +21,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.loadgen import (
     PROFILES,
-    LoadReport,
     burst_arrivals,
     poisson_arrivals,
     run_load,

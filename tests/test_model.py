@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.model import EPS, Machine, Platform, Task, TaskSet, close, geq, leq
+from repro.core.model import Machine, Platform, Task, TaskSet, close, geq, leq
 
 
 class TestTolerantComparisons:

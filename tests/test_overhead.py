@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model import Platform, Task, TaskSet
+from repro.core.model import Task
 from repro.sim.multiprocessor import simulate_partitioned
 from repro.sim.uniprocessor import simulate_taskset_on_machine
 from repro.sim.validators import validate_all

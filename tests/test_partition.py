@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import admission_test
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import (
     first_fit_partition,

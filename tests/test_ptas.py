@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_partitioned_edf_feasible
 from repro.baselines.ptas import ptas_feasibility_test
-from repro.core.model import EPS, Platform, Task, TaskSet
+from repro.core.model import Platform, Task, TaskSet
 
 
 def ts(*utils):

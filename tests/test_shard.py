@@ -41,6 +41,7 @@ from repro.io_.serialize import (
     shard_for_digest,
 )
 from repro.kernels import buffers, kernel_cache_stats, reset_kernel_caches
+from repro.kernels.batch import LOCKSTEP_MIN_WIDTH
 from repro.service import HttpClient
 from repro.service.frontend import ShardedFrontend
 from repro.service.metrics import render_shard_prometheus
@@ -340,10 +341,10 @@ class TestHealthzAggregation:
 
         ok = _WorkerHandle.__new__(_WorkerHandle)
         ok.frontend, ok.index, ok.state, ok.restarts = frontend, 0, "ok", 0
-        ok.proc, ok.pending = None, {}
+        ok.pid, ok.pending = None, {}
         bad = _WorkerHandle.__new__(_WorkerHandle)
         bad.frontend, bad.index, bad.state, bad.restarts = frontend, 1, "restarting", 1
-        bad.proc, bad.pending = None, {}
+        bad.pid, bad.pending = None, {}
         frontend.handles = [ok, bad]
         health = frontend.handle_healthz()
         assert health["status"] == "degraded"
@@ -353,12 +354,19 @@ class TestHealthzAggregation:
 
 
 @pytest.mark.skipif(
-    not Path("/proc/self/environ").exists(),
-    reason="reads the worker's environment from /proc",
+    not Path("/proc/self/task").exists(),
+    reason="counts the worker's threads in /proc",
 )
 class TestWorkerEnvironment:
     """No worker code calls BLAS, so a worker starts no OpenBLAS thread
-    pool unless the operator asks for one."""
+    pool unless the operator asks for one.
+
+    A forked worker sets ``OPENBLAS_NUM_THREADS`` in its own
+    ``os.environ``, which ``/proc/<pid>/environ`` (the environment the
+    front end was exec'd with) never shows.  The value in effect is read
+    from what it governs instead: the threads numpy's import starts in
+    the worker.
+    """
 
     @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
     def test_openblas_threads(self, monkeypatch, given, expected):
@@ -366,13 +374,67 @@ class TestWorkerEnvironment:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
-        with _ShardedProc(1) as sharded:
-            status, body = _get(sharded.url + "/healthz")
-            assert status == 200
-            (shard,) = json.loads(body)["shards"]
-            environ = Path(f"/proc/{shard['pid']}/environ").read_bytes()
+        cores = os.cpu_count() or 1
+        if int(expected) > 1 and cores < 2:
+            pytest.skip("OpenBLAS starts at most one thread per core")
+        # A batch as wide as the lockstep's floor makes the worker
+        # import numpy, and with it OpenBLAS.
+        batch = {
+            "instances": [_request_body(seed) for seed in range(LOCKSTEP_MIN_WIDTH)]
+        }
+        with _ShardedProc(1, "--backend", "numpy") as sharded:
+            assert _post(sharded.url + "/v1/batch", batch)[0] == 200
+            (shard,) = json.loads(_get(sharded.url + "/healthz")[1])["shards"]
+            threads = len(os.listdir(f"/proc/{shard['pid']}/task"))
             sharded.terminate()
-        assert f"OPENBLAS_NUM_THREADS={expected}".encode() in environ.split(b"\0")
+        if expected == "1":
+            assert threads == 1
+        else:
+            assert 1 < threads <= int(expected)
+
+
+def _threads(pid: int) -> int:
+    return len(os.listdir(f"/proc/{pid}/task"))
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="reads /proc/<pid>/maps and task"
+)
+class TestServeProcessFootprint:
+    """What a real ``repro serve --workers 1`` maps and runs.
+
+    The worker is forked before the front end imports asyncio, so it
+    maps no TLS or libcrypto.  The front end forks respawns from its
+    event loop, which is safe only while it holds exactly one thread.
+    """
+
+    def test_worker_maps_no_openssl(self):
+        with _ShardedProc(1) as sharded:
+            assert _post(sharded.url + "/v1/test", _request_body(7))[0] == 200
+            (shard,) = json.loads(_get(sharded.url + "/healthz")[1])["shards"]
+            maps = Path(f"/proc/{shard['pid']}/maps").read_text()
+            sharded.terminate()
+        mapped = {line.split()[-1].rsplit("/", 1)[-1] for line in maps.splitlines()}
+        openssl = [
+            name
+            for name in mapped
+            if name.startswith(("_ssl.", "libssl", "_hashlib.", "libcrypto"))
+        ]
+        assert openssl == []
+
+    def test_front_end_holds_one_thread_across_a_respawn(self):
+        poison = _request_body(8)
+        poison["taskset"]["tasks"][0]["name"] = CHAOS_EXIT_NAME
+        with _ShardedProc(1, "--chaos") as sharded:
+            front = sharded.proc.pid
+            assert _post(sharded.url + "/v1/test", _request_body(9))[0] == 200
+            assert _threads(front) == 1
+            assert _post(sharded.url + "/v1/test", poison)[0] == 503
+            health = json.loads(_get(sharded.url + "/healthz")[1])
+            assert health["shards"][0]["restarts"] == 2
+            assert _post(sharded.url + "/v1/test", _request_body(9))[0] == 200
+            assert _threads(front) == 1
+            sharded.terminate()
 
 
 @pytest.fixture()

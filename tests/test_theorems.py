@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_partitioned_edf_feasible
-from repro.core.certificates import partitioned_infeasibility_certificate
 from repro.core.feasibility import (
     edf_test_vs_any,
     edf_test_vs_partitioned,
