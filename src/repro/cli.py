@@ -169,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help=(
-            "evaluation backend for cache misses (default: legacy scalar "
-            "path); responses gain a 'backend' provenance key"
+            "evaluation backend for cache misses (default: scalar, with "
+            "no provenance key); when given, responses gain a 'backend' "
+            "provenance key"
         ),
     )
     p.add_argument(

@@ -36,7 +36,8 @@ import sys
 import time
 from typing import Any
 
-from ..core.feasibility import feasibility_test, theorem_alpha
+# re-exported: benchmarks/perf/tracing.py wraps shard.feasibility_test (core.eval)
+from ..core.feasibility import feasibility_test, theorem_alpha  # noqa: F401
 from ..core.partition import first_fit_partition
 from ..io_.serialize import (
     instance_digest,
@@ -129,25 +130,7 @@ class ShardCore:
         blob = self.cache.get(unit.digest)
         if blob is not None:
             return blob, True
-        canonical = unit.taskset.subset(list(unit.order))
-        if self.backend is None:
-            report = feasibility_test(
-                canonical,
-                unit.platform,
-                unit.scheduler,  # type: ignore[arg-type]
-                unit.adversary,  # type: ignore[arg-type]
-                alpha=unit.alpha,
-            )
-            canon = report_to_dict(report)
-        else:
-            report = test_feasibility_batch(
-                [(canonical, unit.platform)],
-                unit.scheduler,  # type: ignore[arg-type]
-                unit.adversary,  # type: ignore[arg-type]
-                alpha=unit.alpha,
-                backend=self.backend,
-            )[0]
-            canon = report_to_dict(report, backend=self.backend)
+        canon = self._evaluate([unit])[0]
         self._observe_backend()
         blob = pickled(canon)
         self.cache.put(unit.digest, blob)
@@ -174,9 +157,8 @@ class ShardCore:
 
         Scan every unit against the cache first (classifying hit/miss),
         dedup misses by digest (permutations of one instance evaluate
-        once), evaluate the distinct misses — one scalar call each, or
-        one kernel call per theorem config — then fill results
-        positionally.  Both copies of a deduped digest report
+        once), evaluate the distinct misses — one batch call per theorem
+        config — then fill results positionally.  Both copies of a deduped digest report
         ``cached=False``: they were misses at scan time.
         """
         outcomes: list[tuple[bytes, bool] | None] = []
@@ -190,21 +172,7 @@ class ShardCore:
                 outcomes.append((blob, True))
         firsts = [units[ks[0]] for ks in pending.values()]
         if firsts:
-            if self.backend is None:
-                records = [
-                    report_to_dict(
-                        feasibility_test(
-                            unit.taskset.subset(list(unit.order)),
-                            unit.platform,
-                            unit.scheduler,  # type: ignore[arg-type]
-                            unit.adversary,  # type: ignore[arg-type]
-                            alpha=unit.alpha,
-                        )
-                    )
-                    for unit in firsts
-                ]
-            else:
-                records = self._evaluate_batch_kernel(firsts)
+            records = self._evaluate(firsts)
             self._observe_backend(len(firsts))
             for (digest, ks), canon in zip(pending.items(), records):
                 blob = pickled(canon)
@@ -213,15 +181,14 @@ class ShardCore:
                     outcomes[k] = (blob, False)
         return outcomes  # type: ignore[return-value]
 
-    def _evaluate_batch_kernel(
-        self, units: list[TestUnit]
-    ) -> list[dict[str, Any]]:
-        """Batch-evaluate misses through the selected backend.
+    def _evaluate(self, units: list[TestUnit]) -> list[dict[str, Any]]:
+        """Evaluate misses on their canonical instances through the backend.
 
-        Misses are grouped by theorem config (scheduler, adversary,
-        alpha) so each group becomes *one*
-        :func:`~repro.kernels.test_feasibility_batch` call — within a
-        group the kernels further shard by instance shape.
+        Without ``--backend`` that is the ``scalar`` backend, and the
+        reports carry no ``backend`` provenance key.  Misses are grouped
+        by theorem config (scheduler, adversary, alpha) so each group
+        becomes *one* :func:`~repro.kernels.test_feasibility_batch` call
+        — within a group the kernels further shard by instance shape.
         """
         groups: dict[tuple[str, str, float | None], list[int]] = {}
         for t, unit in enumerate(units):
@@ -238,7 +205,7 @@ class ShardCore:
                 scheduler,  # type: ignore[arg-type]
                 adversary,  # type: ignore[arg-type]
                 alpha=alpha,
-                backend=self.backend,
+                backend=self.backend or "scalar",
             )
             for t, rep in zip(idxs, reports):
                 out[t] = report_to_dict(rep, backend=self.backend)

@@ -5,6 +5,8 @@ that concrete: a single ready queue, and at every event the ``m``
 highest-priority ready jobs run, highest priority on the fastest machine
 (the standard discipline for global scheduling on uniform machines).
 Fully preemptive and migratory; a job never runs on two machines at once.
+The event loop is :func:`~repro.sim.engine.run_schedule`, the same one
+the uniprocessor simulator runs on a single machine.
 
 Global policies are *not* optimal and synchronous release is not
 necessarily their worst case — so unlike the partitioned simulator this
@@ -19,14 +21,13 @@ reproduces (see the test suite):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.model import Task
-from .engine import TIME_EPS, EventQueue
-from .jobs import Job, JobSource
-from .policies import SchedulingPolicy, policy_by_name
+from .engine import run_schedule
+from .jobs import JobSource
+from .policies import SchedulingPolicy
 from .trace import JobRecord
 
 __all__ = ["GlobalSegment", "GlobalTrace", "simulate_global"]
@@ -92,121 +93,19 @@ def simulate_global(
     """
     if not speeds or any(s <= 0 for s in speeds):
         raise ValueError("speeds must be positive and non-empty")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if isinstance(policy, str):
-        policy = policy_by_name(policy)
-
-    order = sorted(range(len(speeds)), key=lambda j: -speeds[j])  # fastest first
-    m = len(speeds)
-
-    releases: EventQueue[int] = EventQueue()
-    for si, src in enumerate(sources):
-        if src.peek() < horizon - TIME_EPS:
-            releases.push(src.peek(), si)
-
-    t = 0.0
-    ready: list[Job] = []
-    all_jobs: list[Job] = []
-    completions: dict[tuple[int, int], float] = {}
-    raw: list[GlobalSegment] = []
-
-    def admit(now: float) -> None:
-        while releases and releases.peek_time() <= now + TIME_EPS:
-            _, si = releases.pop()
-            src = sources[si]
-            job = src.pop()
-            ready.append(job)
-            all_jobs.append(job)
-            if src.peek() < horizon - TIME_EPS:
-                releases.push(src.peek(), si)
-
-    admit(t)
-    while True:
-        if not ready:
-            nxt = releases.peek_time()
-            if math.isinf(nxt) or nxt >= horizon - TIME_EPS:
-                break
-            t = nxt
-            admit(t)
-            continue
-
-        ranked = sorted(ready, key=lambda j: policy.key(j, tasks))
-        running = ranked[:m]  # job k on the k-th fastest machine
-        finish = min(
-            t + job.remaining / speeds[order[k]]
-            for k, job in enumerate(running)
-        )
-        event = min(finish, releases.peek_time(), horizon)
-
-        if event > t + TIME_EPS:
-            for k, job in enumerate(running):
-                machine = order[k]
-                raw.append(
-                    GlobalSegment(
-                        machine=machine,
-                        start=t,
-                        end=event,
-                        task_index=job.task_index,
-                        job_id=job.job_id,
-                    )
-                )
-                job.remaining -= (event - t) * speeds[machine]
-        t = event
-
-        for job in list(running):
-            if job.remaining <= TIME_EPS * max(1.0, job.work):
-                job.remaining = 0.0
-                completions[(job.task_index, job.job_id)] = t
-                ready.remove(job)
-
-        if t >= horizon - TIME_EPS:
-            break
-        admit(t)
-
-    records = []
-    for job in all_jobs:
-        comp = completions.get((job.task_index, job.job_id))
-        if comp is not None:
-            missed = comp > job.deadline + TIME_EPS
-        else:
-            missed = job.deadline <= horizon + TIME_EPS
-        records.append(
-            JobRecord(
-                task_index=job.task_index,
-                job_id=job.job_id,
-                release=job.release,
-                deadline=job.deadline,
-                work=job.work,
-                completion=comp,
-                missed=missed,
-            )
-        )
-
-    # merge back-to-back segments of the same (job, machine)
-    merged: list[GlobalSegment] = []
-    for seg in sorted(raw, key=lambda s: (s.machine, s.start)):
-        if (
-            merged
-            and merged[-1].machine == seg.machine
-            and merged[-1].task_index == seg.task_index
-            and merged[-1].job_id == seg.job_id
-            and abs(merged[-1].end - seg.start) <= TIME_EPS
-        ):
-            merged[-1] = GlobalSegment(
-                machine=seg.machine,
-                start=merged[-1].start,
-                end=seg.end,
-                task_index=seg.task_index,
-                job_id=seg.job_id,
-            )
-        else:
-            merged.append(seg)
-
+    end_time, policy_name, runs, records = run_schedule(
+        tasks, speeds, policy, sources, horizon
+    )
     return GlobalTrace(
         speeds=tuple(speeds),
-        horizon=horizon,
-        policy_name=policy.name,
-        segments=tuple(merged),
+        horizon=end_time,
+        policy_name=policy_name,
+        segments=tuple(
+            [
+                GlobalSegment(machine, start, end, job.task_index, job.job_id)
+                for machine, (starts, ends, owners) in enumerate(runs)
+                for start, end, job in zip(starts, ends, owners)
+            ]
+        ),
         jobs=tuple(records),
     )

@@ -6,6 +6,10 @@ Global schedules have two invariants partitioned ones don't:
   (constraint (2) of the paper's LP is the fluid version of this);
 * per-job work accounting must weight each interval by the speed of the
   machine it ran on (speeds differ across a job's lifetime).
+
+The dispatch check replays the trace between consecutive release and
+segment boundaries: throughout each such interval the k-th
+highest-priority ready job must run on the k-th fastest machine.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from typing import Sequence
 
 from ..core.model import Task
 from .engine import TIME_EPS
-from .global_sched import GlobalTrace
+from .global_sched import GlobalSegment, GlobalTrace
+from .jobs import Job
+from .policies import policy_by_name
 
 __all__ = ["validate_global_trace"]
 
@@ -75,4 +81,46 @@ def validate_global_trace(trace: GlobalTrace, tasks: Sequence[Task]) -> list[str
             expect = rec.completion > rec.deadline + TIME_EPS
             if rec.missed != expect:
                 errors.append(f"job {key}: inconsistent miss flag")
-    return errors
+    return errors + _dispatch_errors(trace, tasks)
+
+
+def _dispatch_errors(trace: GlobalTrace, tasks: Sequence[Task]) -> list[str]:
+    """The k-th highest-priority ready job runs on the k-th fastest
+    machine (ties in speed in machine order), at every instant."""
+    policy = policy_by_name(trace.policy_name)
+    fastest_first = sorted(range(len(trace.speeds)), key=lambda j: -trace.speeds[j])
+    recs = sorted(trace.jobs, key=lambda r: r.release)
+    segs = sorted(trace.segments, key=lambda s: s.start)
+    cuts = sorted(
+        {0.0, trace.horizon}
+        | {r.release for r in recs}
+        | {s.start for s in segs}
+        | {s.end for s in segs}
+    )
+    ready: dict[tuple[int, int], tuple[tuple, float | None]] = {}
+    running: dict[tuple[int, int], GlobalSegment] = {}
+    next_rec = next_seg = 0
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a <= TIME_EPS or b > trace.horizon + TIME_EPS:
+            continue
+        mid = (a + b) / 2
+        while next_rec < len(recs) and recs[next_rec].release < mid:
+            r = recs[next_rec]
+            next_rec += 1
+            shim = Job(r.task_index, r.job_id, r.release, r.deadline, r.work, r.work)
+            ready[(r.task_index, r.job_id)] = (policy.key(shim, tasks), r.completion)
+        while next_seg < len(segs) and segs[next_seg].start < mid:
+            seg = segs[next_seg]
+            next_seg += 1
+            running[(seg.task_index, seg.job_id)] = seg
+        ready = {k: v for k, v in ready.items() if v[1] is None or v[1] > mid}
+        running = {k: seg for k, seg in running.items() if seg.end > mid}
+        ranked = sorted(ready, key=lambda k: ready[k][0])
+        for rank, (key, machine) in enumerate(zip(ranked, fastest_first)):
+            seg = running.get(key)
+            if seg is None or seg.machine != machine:
+                return [
+                    f"at {mid}: job {key}, priority rank {rank} among ready "
+                    f"jobs, is not on machine {machine}"
+                ]
+    return []

@@ -19,9 +19,8 @@ import numpy as np
 from ..core.model import Platform, TaskSet
 from ..core.partition import PartitionResult
 from .hyperperiod import default_horizon
-from .jobs import JobSource, PeriodicSource, SporadicSource
 from .trace import Trace
-from .uniprocessor import simulate_uniprocessor
+from .uniprocessor import release_sources, simulate_uniprocessor
 
 __all__ = ["PartitionedSimulation", "simulate_partitioned"]
 
@@ -100,8 +99,9 @@ def simulate_partitioned(
         raise ValueError("assignment refers to a machine outside the platform")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if release == "sporadic" and rng is None:
-        raise ValueError("sporadic release requires an rng")
+    sources = release_sources(
+        taskset.tasks, range(len(taskset)), release, rng, jitter
+    )
 
     per_machine: list[list[int]] = [[] for _ in range(m)]
     for i, a in enumerate(mapping):
@@ -111,33 +111,15 @@ def simulate_partitioned(
     for j in range(m):
         local = [taskset[i] for i in per_machine[j]]
         if not local:
-            traces.append(
-                Trace(
-                    machine_speed=platform[j].speed * alpha,
-                    horizon=0.0,
-                    policy_name=policy,
-                    segments=(),
-                    jobs=(),
-                )
-            )
-            continue
-        local_horizon = horizon if horizon is not None else default_horizon(local)
-        if release == "periodic":
-            sources: list[JobSource] = [
-                PeriodicSource(task, idx)
-                for task, idx in zip(local, per_machine[j])
-            ]
+            local_horizon = 0.0  # an idle machine's empty trace
         else:
-            sources = [
-                SporadicSource(task, idx, rng, jitter=jitter)  # type: ignore[arg-type]
-                for task, idx in zip(local, per_machine[j])
-            ]
+            local_horizon = horizon if horizon is not None else default_horizon(local)
         traces.append(
             simulate_uniprocessor(
                 taskset.tasks,
                 platform[j].speed * alpha,
                 policy,
-                sources,
+                [sources[i] for i in per_machine[j]],
                 local_horizon,
                 stop_on_first_miss=stop_on_first_miss,
                 preemption_overhead=preemption_overhead,

@@ -3,7 +3,9 @@
 A policy is a priority key over ready jobs; the simulator always runs the
 ready job with the smallest key and re-evaluates at every release (full
 preemption).  Keys are total orders (ties broken by job identity) so
-schedules are deterministic and replayable.
+schedules are deterministic and replayable.  A key reads only what a job
+carries from its release (never its remaining work), so the simulator
+computes it once per job.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Event-driven preemptive uniprocessor simulator.
+"""Preemptive uniprocessor simulator.
 
 Simulates a single speed-``s`` machine executing jobs from a set of
 release sources under a priority policy (EDF or RMS), fully preemptively:
@@ -6,47 +6,24 @@ at every release or completion the highest-priority ready job runs.  A
 machine of speed ``s`` retires ``s`` units of work per unit time, so a
 job with ``remaining`` work finishes after ``remaining / s``.
 
-The simulator advances from event to event (releases, completions, the
-horizon) — between events the running job is fixed, so execution is exact
-up to floating-point addition; no time quantum is involved.
+This is the global simulator on one machine: both run the event loop
+:func:`~repro.sim.engine.run_schedule`, here on ``[speed]``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Literal, Sequence
 
 import numpy as np
 
 from ..core.model import Task, TaskSet
-from .engine import TIME_EPS, EventQueue
+from .engine import run_schedule
 from .hyperperiod import default_horizon
-from .jobs import Job, JobSource, PeriodicSource, SporadicSource
-from .policies import SchedulingPolicy, policy_by_name
-from .trace import JobRecord, Segment, Trace
+from .jobs import JobSource, PeriodicSource, SporadicSource
+from .policies import SchedulingPolicy
+from .trace import Segment, Trace
 
 __all__ = ["simulate_uniprocessor", "simulate_taskset_on_machine"]
-
-
-def _merge_segments(raw: list[Segment]) -> tuple[Segment, ...]:
-    """Merge back-to-back segments of the same job."""
-    merged: list[Segment] = []
-    for seg in raw:
-        if (
-            merged
-            and merged[-1].task_index == seg.task_index
-            and merged[-1].job_id == seg.job_id
-            and abs(merged[-1].end - seg.start) <= TIME_EPS
-        ):
-            merged[-1] = Segment(
-                start=merged[-1].start,
-                end=seg.end,
-                task_index=seg.task_index,
-                job_id=seg.job_id,
-            )
-        else:
-            merged.append(seg)
-    return tuple(merged)
 
 
 def simulate_uniprocessor(
@@ -85,129 +62,50 @@ def simulate_uniprocessor(
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if preemption_overhead < 0:
-        raise ValueError("preemption_overhead must be non-negative")
-    if isinstance(policy, str):
-        policy = policy_by_name(policy)
-
-    releases: EventQueue[int] = EventQueue()
-    for si, src in enumerate(sources):
-        if src.peek() < horizon - TIME_EPS:
-            releases.push(src.peek(), si)
-
-    t = 0.0
-    ready: list[Job] = []
-    all_jobs: list[Job] = []
-    completions: dict[tuple[int, int], float] = {}
-    raw_segments: list[Segment] = []
-    miss_detected = False
-
-    def admit_releases(now: float) -> None:
-        while releases and releases.peek_time() <= now + TIME_EPS:
-            _, si = releases.pop()
-            src = sources[si]
-            job = src.pop()
-            ready.append(job)
-            all_jobs.append(job)
-            if src.peek() < horizon - TIME_EPS:
-                releases.push(src.peek(), si)
-
-    admit_releases(t)
-    last_running: tuple[int, int] | None = None
-    while True:
-        if on_miss == "abort":
-            # firm deadlines: drop expired jobs before dispatching
-            expired = [
-                j for j in ready if j.deadline <= t + TIME_EPS and j.remaining > 0
-            ]
-            for j in expired:
-                ready.remove(j)
-                if stop_on_first_miss:
-                    miss_detected = True
-            if miss_detected and stop_on_first_miss:
-                break
-
-        if not ready:
-            nxt = releases.peek_time()
-            if math.isinf(nxt) or nxt >= horizon - TIME_EPS:
-                break
-            t = nxt
-            admit_releases(t)
-            continue
-
-        job = min(ready, key=lambda j: policy.key(j, tasks))
-        key = (job.task_index, job.job_id)
-        if (
-            preemption_overhead > 0.0
-            and key != last_running
-            and job.remaining < job.work - TIME_EPS
-        ):
-            # resumption after preemption: charge the overhead as extra work
-            job.remaining += preemption_overhead
-            job.work += preemption_overhead
-        last_running = key
-        finish = t + job.remaining / speed
-        next_release = releases.peek_time()
-        event = min(finish, next_release, horizon)
-        if on_miss == "abort" and job.deadline < event - TIME_EPS:
-            # cut execution at the deadline; the expiry sweep drops it next
-            event = max(t, job.deadline)
-
-        if event > t + TIME_EPS:
-            raw_segments.append(
-                Segment(start=t, end=event, task_index=job.task_index, job_id=job.job_id)
-            )
-            job.remaining -= (event - t) * speed
-        t = event
-
-        if abs(t - finish) <= TIME_EPS or job.remaining <= TIME_EPS * job.work:
-            job.remaining = 0.0
-            completions[(job.task_index, job.job_id)] = t
-            ready.remove(job)
-            if stop_on_first_miss and t > job.deadline + TIME_EPS:
-                miss_detected = True
-                break
-
-        if stop_on_first_miss and any(
-            j.deadline < t - TIME_EPS for j in ready
-        ):
-            miss_detected = True
-            break
-
-        if t >= horizon - TIME_EPS:
-            break
-        admit_releases(t)
-
-    end_time = t if (stop_on_first_miss and miss_detected) else horizon
-    records = []
-    for job in all_jobs:
-        comp = completions.get((job.task_index, job.job_id))
-        if comp is not None:
-            missed = comp > job.deadline + TIME_EPS
-        else:
-            # unfinished: a miss iff its deadline fell within the simulated span
-            missed = job.deadline <= end_time + TIME_EPS
-        records.append(
-            JobRecord(
-                task_index=job.task_index,
-                job_id=job.job_id,
-                release=job.release,
-                deadline=job.deadline,
-                work=job.work,
-                completion=comp,
-                missed=missed,
-            )
-        )
-
+    end_time, policy_name, ((starts, ends, owners),), records = run_schedule(
+        tasks,
+        [speed],
+        policy,
+        sources,
+        horizon,
+        stop_on_first_miss=stop_on_first_miss,
+        preemption_overhead=preemption_overhead,
+        on_miss=on_miss,
+    )
     return Trace(
         machine_speed=speed,
         horizon=end_time,
-        policy_name=policy.name,
-        segments=_merge_segments(raw_segments),
+        policy_name=policy_name,
+        segments=tuple(
+            [
+                Segment(start, end, job.task_index, job.job_id)
+                for start, end, job in zip(starts, ends, owners)
+            ]
+        ),
         jobs=tuple(records),
     )
+
+
+def release_sources(
+    tasks: Sequence[Task],
+    indices: Sequence[int],
+    release: Literal["periodic", "sporadic"],
+    rng: np.random.Generator | None,
+    jitter: float,
+) -> list[JobSource]:
+    """One release source per task, labelled with its task-set index (see
+    :func:`simulate_taskset_on_machine`); sources draw from ``rng`` only
+    as they advance."""
+    if release == "periodic":
+        return [PeriodicSource(task, i) for task, i in zip(tasks, indices)]
+    if release == "sporadic":
+        if rng is None:
+            raise ValueError("sporadic release requires an rng")
+        return [
+            SporadicSource(task, i, rng, jitter=jitter)
+            for task, i in zip(tasks, indices)
+        ]
+    raise ValueError(f"unknown release pattern {release!r}")
 
 
 def simulate_taskset_on_machine(
@@ -233,19 +131,9 @@ def simulate_taskset_on_machine(
     task_list = list(tasks)
     if horizon is None:
         horizon = default_horizon(task_list)
-    if release == "periodic":
-        sources: list[JobSource] = [
-            PeriodicSource(task, i) for i, task in enumerate(task_list)
-        ]
-    elif release == "sporadic":
-        if rng is None:
-            raise ValueError("sporadic release requires an rng")
-        sources = [
-            SporadicSource(task, i, rng, jitter=jitter)
-            for i, task in enumerate(task_list)
-        ]
-    else:
-        raise ValueError(f"unknown release pattern {release!r}")
+    sources = release_sources(
+        task_list, range(len(task_list)), release, rng, jitter
+    )
     return simulate_uniprocessor(
         task_list,
         speed,

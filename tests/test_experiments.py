@@ -240,16 +240,19 @@ class TestE23SpeedupDeadline:
 
 
 class TestE13Simulation:
-    def test_zero_misses_on_accepted_rows(self):
-        res = run("e13")
+    @pytest.fixture(scope="class")
+    def res(self):
+        # E13 is the slowest quick experiment; both tests read one run
+        return run("e13")
+
+    def test_zero_misses_on_accepted_rows(self, res):
         control = res.rows[-1]
         assert control["deadline misses"] > 0  # overload control
         for row in res.rows[:-1]:
             assert row["deadline misses"] == 0
             assert row["validator errors"] == 0
 
-    def test_render_includes_notes(self):
-        res = run("e13")
+    def test_render_includes_notes(self, res):
         out = res.render()
         assert "e13" in out
         assert "overload" in out

@@ -99,3 +99,19 @@ class TestGlobalValidators:
         corrupted = dataclasses.replace(clean, jobs=jobs)
         errors = validate_global_trace(corrupted, TASKS)
         assert any("miss flag" in e for e in errors)
+
+    def test_detects_dispatch_out_of_priority_order(self):
+        # one machine runs job (1, 0) first although (0, 0) has the
+        # earlier deadline; the work accounting alone still adds up
+        tasks = [Task(2, 6), Task(2, 8)]
+        sources = [PeriodicSource(t, i) for i, t in enumerate(tasks)]
+        trace = simulate_global(tasks, [1.0], "edf", sources, 6.0)
+        first, second = trace.segments[:2]
+        swapped = [
+            dataclasses.replace(first, task_index=second.task_index, job_id=second.job_id),
+            dataclasses.replace(second, task_index=first.task_index, job_id=first.job_id),
+        ]
+        errors = validate_global_trace(
+            with_segments(trace, swapped + list(trace.segments[2:])), tasks
+        )
+        assert any("priority rank 0" in e for e in errors)

@@ -100,7 +100,9 @@ class TestBatchEquivalence:
             assert got == want
 
     @pytest.mark.parametrize("backend", ["numpy"])
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    # `constrained` draws no implicit set; the batch's refusal of its
+    # draws is pinned by test_constrained_rejection_is_up_front_and_text_identical
+    @pytest.mark.parametrize("profile", sorted(set(PROFILES) - {"constrained"}))
     def test_generator_profiles(self, backend, profile):
         # str hashes are salted per process: a digest draws the same
         # corpus on every run
@@ -110,6 +112,7 @@ class TestBatchEquivalence:
             ts, pf = draw_instance(rng, profile)
             if ts.is_implicit:
                 implicit.append((ts, pf))
+        assert implicit, f"profile {profile!r} drew no implicit instance"
         for scheduler, adversary in CONFIGS:
             want = _scalar_reports(implicit, scheduler, adversary)
             got = _batch_reports(implicit, scheduler, adversary, backend)

@@ -671,6 +671,7 @@ class TestServeProcess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stderr.close()
 
 
 class TestLRUCacheUnit:
