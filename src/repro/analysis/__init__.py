@@ -1,55 +1,55 @@
 """Measurement machinery: acceptance sweeps, min-alpha search, speedup
-studies, runtime scaling, statistics."""
+studies, runtime scaling, statistics.
 
-from .acceptance import (
-    AcceptanceCurve,
-    Tester,
-    acceptance_sweep,
-    exact_edf_tester,
-    exact_rms_tester,
-    ff_tester,
-    lp_tester,
-)
-from .breakdown import BreakdownStudy, breakdown_utilizations
-from .hard_instances import HardInstance, search_hard_instance
-from .sensitivity import (
-    TaskSlack,
-    critical_tasks,
-    ff_acceptance,
-    per_task_slack,
-    system_scaling_margin,
-)
-from .ratio import MinAlphaResult, alpha_success_profile, min_alpha_first_fit
-from .runtime import RuntimePoint, runtime_scaling
-from .speedup import SpeedupStudy, empirical_speedup_study
-from .stats import Summary, bootstrap_ci, empirical_cdf, summarize
+Each public name is imported from its submodule on first access, so a
+process that needs one submodule (an E22 pool worker needs only
+:mod:`~repro.analysis.acceptance`) loads none of the others.
+"""
 
-__all__ = [
-    "AcceptanceCurve",
-    "Tester",
-    "acceptance_sweep",
-    "exact_edf_tester",
-    "exact_rms_tester",
-    "ff_tester",
-    "lp_tester",
-    "BreakdownStudy",
-    "breakdown_utilizations",
-    "HardInstance",
-    "search_hard_instance",
-    "TaskSlack",
-    "critical_tasks",
-    "ff_acceptance",
-    "per_task_slack",
-    "system_scaling_margin",
-    "MinAlphaResult",
-    "alpha_success_profile",
-    "min_alpha_first_fit",
-    "RuntimePoint",
-    "runtime_scaling",
-    "SpeedupStudy",
-    "empirical_speedup_study",
-    "Summary",
-    "bootstrap_ci",
-    "empirical_cdf",
-    "summarize",
-]
+from importlib import import_module
+from typing import Any
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "AcceptanceCurve": "acceptance",
+    "Tester": "acceptance",
+    "acceptance_sweep": "acceptance",
+    "exact_edf_tester": "acceptance",
+    "exact_rms_tester": "acceptance",
+    "ff_tester": "acceptance",
+    "lp_tester": "acceptance",
+    "BreakdownStudy": "breakdown",
+    "breakdown_utilizations": "breakdown",
+    "HardInstance": "hard_instances",
+    "search_hard_instance": "hard_instances",
+    "TaskSlack": "sensitivity",
+    "critical_tasks": "sensitivity",
+    "ff_acceptance": "sensitivity",
+    "per_task_slack": "sensitivity",
+    "system_scaling_margin": "sensitivity",
+    "MinAlphaResult": "ratio",
+    "alpha_success_profile": "ratio",
+    "min_alpha_first_fit": "ratio",
+    "RuntimePoint": "runtime",
+    "runtime_scaling": "runtime",
+    "SpeedupStudy": "speedup",
+    "empirical_speedup_study": "speedup",
+    "Summary": "stats",
+    "bootstrap_ci": "stats",
+    "empirical_cdf": "stats",
+    "summarize": "stats",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        # also how ``from repro.analysis import acceptance`` falls back
+        # to importing the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

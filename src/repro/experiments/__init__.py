@@ -1,6 +1,9 @@
 """The E1–E23 evaluation suite (see DESIGN.md §3).
 
-Importing this package registers every experiment; run one with::
+Importing this package loads only the experiment table
+(:data:`~repro.experiments.base.EXPERIMENTS`); an experiment's module,
+and whatever it needs (numpy, the simulator, ...), is imported when the
+experiment is first fetched.  Run one with::
 
     from repro.experiments import get_experiment
     print(get_experiment("e01")().render())
@@ -12,31 +15,7 @@ from .base import (
     Scale,
     all_experiments,
     get_experiment,
-    register,
     result_from_dict,
-)
-
-# Importing the modules registers the experiments.
-from . import (  # noqa: F401  (import-for-side-effect)
-    e01_constants,
-    e02_accept_edf,
-    e03_accept_rms,
-    e04_speedup_edf,
-    e05_speedup_rms,
-    e06_runtime,
-    e07_heterogeneity,
-    e08_ablation,
-    e09_edf_vs_rms,
-    e10_adversary_gap,
-    e11_baselines,
-    e12_frontier,
-    e13_simulation,
-    e14_hard_instances,
-    e15_anomalies,
-    e16_migration,
-    e17_breakdown,
-    e22_accept_deadline,
-    e23_speedup_deadline,
 )
 
 __all__ = [
@@ -45,6 +24,5 @@ __all__ = [
     "Scale",
     "all_experiments",
     "get_experiment",
-    "register",
     "result_from_dict",
 ]

@@ -1,15 +1,17 @@
-"""Experiment framework: results, scales, and the registry.
+"""Experiment framework: results, scales, and the experiment table.
 
-Each evaluation artifact (DESIGN.md §3, E1–E17) is one module exposing
-``run(seed, scale) -> ExperimentResult``.  ``scale='quick'`` keeps bench
-and CI runs in seconds; ``scale='full'`` produces the EXPERIMENTS.md
-numbers.  Both scales use deterministic seeds, so every number in the
-docs is reproducible with one CLI call.
+Each evaluation artifact (DESIGN.md §3) is one module exposing
+``run(seed, scale) -> ExperimentResult`` and one row of
+:data:`EXPERIMENTS`.  ``scale='quick'`` keeps bench and CI runs in
+seconds; ``scale='full'`` produces the EXPERIMENTS.md numbers.  Both
+scales use deterministic seeds, so every number in the docs is
+reproducible with one CLI call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Literal, Mapping
 
 from ..io_.tables import format_table
@@ -18,7 +20,8 @@ __all__ = [
     "Scale",
     "ExperimentResult",
     "result_from_dict",
-    "register",
+    "EXPERIMENTS",
+    "experiment_result",
     "get_experiment",
     "all_experiments",
 ]
@@ -79,31 +82,48 @@ def result_from_dict(data: Mapping[str, Any]) -> ExperimentResult:
 
 Runner = Callable[..., ExperimentResult]
 
-_REGISTRY: dict[str, tuple[str, Runner]] = {}
+#: id -> (module under ``repro.experiments``, title).  Adding an
+#: experiment means adding its module and one row here; a module is
+#: imported only when its experiment runs.
+EXPERIMENTS: dict[str, tuple[str, str]] = {
+    "e01": ("e01_constants", "Theorem constants and proof-inequality verification"),
+    "e02": ("e02_accept_edf", "EDF acceptance ratio vs normalized utilization (Fig. 1)"),
+    "e03": ("e03_accept_rms", "RMS acceptance ratio vs normalized utilization (Fig. 2)"),
+    "e04": ("e04_speedup_edf", "Empirical speedup factor, EDF (Fig. 3)"),
+    "e05": ("e05_speedup_rms", "Empirical speedup factor, RMS (Fig. 4)"),
+    "e06": ("e06_runtime", "Runtime scaling of the first-fit test (Table 2)"),
+    "e07": ("e07_heterogeneity", "Heterogeneity sweep at constant capacity (Fig. 5)"),
+    "e08": ("e08_ablation", "Task/machine ordering and fit-rule ablation (Table 3)"),
+    "e09": ("e09_edf_vs_rms", "EDF-vs-RMS acceptance gap vs tasks per machine (Fig. 6)"),
+    "e10": ("e10_adversary_gap", "Partitioned-vs-any adversary gap audit (Table 4)"),
+    "e11": ("e11_baselines", "Baseline agreement: ours vs Andersson-Tovar vs PTAS (Table 5)"),
+    "e12": ("e12_frontier", "Constant-optimization frontier (Fig. 7)"),
+    "e13": ("e13_simulation", "Simulation cross-validation of accepted partitions (Table 6)"),
+    "e14": ("e14_hard_instances", "Adversarial lower bounds via hard-instance search (Table 7)"),
+    "e15": ("e15_anomalies", "First-fit packing-anomaly scan across alpha (Table 8)"),
+    "e16": ("e16_migration", "Migration vs partitioning, executed (Table 9)"),
+    "e17": ("e17_breakdown", "Breakdown utilization distributions (Table 10)"),
+    "e22": ("e22_accept_deadline", "Constrained-deadline acceptance vs deadline ratio"),
+    "e23": ("e23_speedup_deadline", "Empirical speedup factors vs deadline ratio"),
+}
 
 
-def register(experiment_id: str, title: str):
-    """Decorator: add a ``run(seed, scale)`` function to the registry."""
-
-    def wrap(fn: Runner) -> Runner:
-        if experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id}")
-        _REGISTRY[experiment_id] = (title, fn)
-        return fn
-
-    return wrap
+def experiment_result(experiment_id: str, **fields: Any) -> ExperimentResult:
+    """``experiment_id``'s result, titled from :data:`EXPERIMENTS`."""
+    return ExperimentResult(experiment_id, EXPERIMENTS[experiment_id][1], **fields)
 
 
 def get_experiment(experiment_id: str) -> Runner:
-    """Runner for one experiment id (e.g. ``'e01'``)."""
+    """Runner for one experiment id (e.g. ``'e01'``); imports its module."""
     try:
-        return _REGISTRY[experiment_id][1]
+        module, _ = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
+            f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
+    return import_module(f"{__package__}.{module}").run
 
 
 def all_experiments() -> dict[str, str]:
-    """Mapping experiment id -> title."""
-    return {eid: title for eid, (title, _) in sorted(_REGISTRY.items())}
+    """Mapping experiment id -> title, without importing any experiment."""
+    return {eid: title for eid, (_, title) in sorted(EXPERIMENTS.items())}

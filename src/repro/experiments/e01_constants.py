@@ -12,10 +12,9 @@ Validates, numerically, every constant the paper states:
 from __future__ import annotations
 
 from ..core import constants as C
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e01", "Theorem constants and proof-inequality verification")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rows: list[dict] = []
     rows.append(
@@ -81,9 +80,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
             }
         )
 
-    return ExperimentResult(
-        experiment_id="e01",
-        title="Theorem constants and proof-inequality verification",
+    return experiment_result(
+        "e01",
         rows=rows,
         extra_tables={
             "Proof-inequality values (must exceed 1)": cond_rows,

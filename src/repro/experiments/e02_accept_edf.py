@@ -19,12 +19,11 @@ from ..analysis.acceptance import (
     lp_tester,
 )
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 GRID = (0.60, 0.70, 0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 1.0)
 
 
-@register("e02", "EDF acceptance ratio vs normalized utilization (Fig. 1)")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -49,9 +48,8 @@ def run(
         name="e02/accept-edf",
         backend=backend,
     )
-    return ExperimentResult(
-        experiment_id="e02",
-        title="EDF acceptance ratio vs normalized utilization (Fig. 1)",
+    return experiment_result(
+        "e02",
         rows=curve.as_rows(),
         notes=(
             f"Platform: 4 machines, geometric speeds ratio 8; n=16 tasks "

@@ -17,12 +17,11 @@ from ..analysis.acceptance import (
     ff_tester,
 )
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 GRID = (0.40, 0.50, 0.60, 0.65, 0.70, 0.75, 0.80, 0.90, 1.0)
 
 
-@register("e03", "RMS acceptance ratio vs normalized utilization (Fig. 2)")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -48,9 +47,8 @@ def run(
         name="e03/accept-rms",
         backend=backend,
     )
-    return ExperimentResult(
-        experiment_id="e03",
-        title="RMS acceptance ratio vs normalized utilization (Fig. 2)",
+    return experiment_result(
+        "e03",
         rows=curve.as_rows(),
         notes=(
             f"Platform: 4 machines, geometric speeds ratio 8; n=16 tasks; "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..analysis.speedup import empirical_speedup_study
 from ..analysis.stats import empirical_cdf
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
 def _study_rows(studies) -> tuple[list[dict], list[dict]]:
@@ -39,7 +39,6 @@ def _study_rows(studies) -> tuple[list[dict], list[dict]]:
     return rows, cdf_rows
 
 
-@register("e04", "Empirical speedup factor, EDF (Fig. 3)")
 def run(
     seed: int = DEFAULT_SEED, scale: Scale = "full", jobs: int | None = 1
 ) -> ExperimentResult:
@@ -69,9 +68,8 @@ def run(
         ),
     ]
     rows, cdf_rows = _study_rows(studies)
-    return ExperimentResult(
-        experiment_id="e04",
-        title="Empirical speedup factor, EDF (Fig. 3)",
+    return experiment_result(
+        "e04",
         rows=rows,
         extra_tables={"alpha* CDF quantiles": cdf_rows},
         notes=(

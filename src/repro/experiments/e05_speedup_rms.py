@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from ..analysis.speedup import empirical_speedup_study
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 from .e04_speedup_edf import _study_rows
 
 
-@register("e05", "Empirical speedup factor, RMS (Fig. 4)")
 def run(
     seed: int = DEFAULT_SEED, scale: Scale = "full", jobs: int | None = 1
 ) -> ExperimentResult:
@@ -44,9 +43,8 @@ def run(
         ),
     ]
     rows, cdf_rows = _study_rows(studies)
-    return ExperimentResult(
-        experiment_id="e05",
-        title="Empirical speedup factor, RMS (Fig. 4)",
+    return experiment_result(
+        "e05",
         rows=rows,
         extra_tables={"alpha* CDF quantiles": cdf_rows},
         notes=(

@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.runtime import runtime_scaling
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e06", "Runtime scaling of the first-fit test (Table 2)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     if scale == "quick":
@@ -41,9 +40,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     ]
     norm = [p.seconds_per_nm for p in points]
     spread = max(norm) / min(norm) if min(norm) > 0 else float("inf")
-    return ExperimentResult(
-        experiment_id="e06",
-        title="Runtime scaling of the first-fit test (Table 2)",
+    return experiment_result(
+        "e06",
         rows=rows,
         notes=(
             f"Max/min spread of the normalized column: {spread:.2f}x. "

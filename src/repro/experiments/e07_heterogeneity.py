@@ -15,12 +15,11 @@ from __future__ import annotations
 from ..analysis.acceptance import acceptance_sweep, ff_tester, lp_tester
 from ..analysis.speedup import empirical_speedup_study
 from ..workloads.platforms import geometric_platform, normalized
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 RATIOS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
-@register("e07", "Heterogeneity sweep at constant capacity (Fig. 5)")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -65,9 +64,8 @@ def run(
                 "max alpha*": study.summary.maximum,
             }
         )
-    return ExperimentResult(
-        experiment_id="e07",
-        title="Heterogeneity sweep at constant capacity (Fig. 5)",
+    return experiment_result(
+        "e07",
         rows=rows,
         notes=(
             f"m={m} machines, geometric speeds, total speed held at {m}; "

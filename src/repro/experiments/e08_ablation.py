@@ -15,10 +15,9 @@ import numpy as np
 from ..baselines.heuristics import all_strategies, run_strategy
 from ..workloads.builder import generate_taskset
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e08", "Task/machine ordering and fit-rule ablation (Table 3)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     platform = geometric_platform(4, 8.0)
@@ -48,9 +47,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
             }
         )
     rows.sort(key=lambda r: -r["acceptance"])
-    return ExperimentResult(
-        experiment_id="e08",
-        title="Task/machine ordering and fit-rule ablation (Table 3)",
+    return experiment_result(
+        "e08",
         rows=rows,
         notes=(
             f"EDF admission, alpha=1, U/S={stress}, n=16, {samples} shared "

@@ -12,12 +12,11 @@ from __future__ import annotations
 from ..analysis.acceptance import acceptance_sweep, ff_tester
 from ..core.bounds import liu_layland_bound
 from ..workloads.platforms import identical_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 TASKS_PER_MACHINE = (1, 2, 4, 8, 16)
 
 
-@register("e09", "EDF-vs-RMS acceptance gap vs tasks per machine (Fig. 6)")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -55,9 +54,8 @@ def run(
                 "FF-RMS-RTA accept": curve.rates["FF-RMS-RTA"][0],
             }
         )
-    return ExperimentResult(
-        experiment_id="e09",
-        title="EDF-vs-RMS acceptance gap vs tasks per machine (Fig. 6)",
+    return experiment_result(
+        "e09",
         rows=rows,
         notes=(
             f"m={m} identical machines, U/S={stress}, {samples} task sets "

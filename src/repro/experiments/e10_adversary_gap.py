@@ -35,7 +35,7 @@ from ..runner import run_trials
 from ..workloads.builder import generate_taskset
 from ..workloads.campaigns import Campaign, Trial, campaign_seed
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
 def _classify_draw(platform: Platform, trial: Trial) -> dict[str, Any] | None:
@@ -62,7 +62,6 @@ def _classify_draw(platform: Platform, trial: Trial) -> dict[str, Any] | None:
     return {"bucket": bucket, "alpha_star": alpha_star}
 
 
-@register("e10", "Partitioned-vs-any adversary gap audit (Table 4)")
 def run(
     seed: int = DEFAULT_SEED, scale: Scale = "full", jobs: int | None = 1
 ) -> ExperimentResult:
@@ -115,9 +114,8 @@ def run(
             if not np.isnan(bounds[bucket]):
                 row["bound respected"] = s.maximum <= bounds[bucket] + 2e-3
         rows.append(row)
-    return ExperimentResult(
-        experiment_id="e10",
-        title="Partitioned-vs-any adversary gap audit (Table 4)",
+    return experiment_result(
+        "e10",
         rows=rows,
         notes=(
             f"{draws} draws around capacity (U/S in [0.9, 1.1]) on a "

@@ -33,7 +33,7 @@ from ..runner import run_trials
 from ..workloads.builder import generate_taskset
 from ..workloads.campaigns import Campaign, Trial, campaign_seed
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 _TESTS = ("ours(a=2)", "AT[2](a=3)", "PTAS(eps=.25)", "LP(any)", "exact")
 
@@ -63,7 +63,6 @@ def _compare_sample(platform: Platform, trial: Trial) -> dict[str, Any] | None:
     }
 
 
-@register("e11", "Baseline agreement: ours vs Andersson-Tovar vs PTAS (Table 5)")
 def run(
     seed: int = DEFAULT_SEED, scale: Scale = "full", jobs: int | None = 1
 ) -> ExperimentResult:
@@ -106,9 +105,8 @@ def run(
                 "false rejections": s["false_reject"],
             }
         )
-    return ExperimentResult(
-        experiment_id="e11",
-        title="Baseline agreement: ours vs Andersson-Tovar vs PTAS (Table 5)",
+    return experiment_result(
+        "e11",
         rows=rows,
         notes=(
             f"{decided} exactly-decided instances (n=10, m=3, U/S in "

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 
 from ..core.constants import alpha_frontier, minimal_alpha
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 C_F_GRID = (4.0, 8.0, 13.25, 20.0, 28.412, 40.0, 80.0, 160.0)
 
 
-@register("e12", "Constant-optimization frontier (Fig. 7)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     tol = 5e-3 if scale == "quick" else 2e-3
     rows = []
@@ -43,9 +42,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
         {"scheduler": "edf", "global min alpha": a_edf, "paper": 2.98},
         {"scheduler": "rms", "global min alpha": a_rms, "paper": 3.34},
     ]
-    return ExperimentResult(
-        experiment_id="e12",
-        title="Constant-optimization frontier (Fig. 7)",
+    return experiment_result(
+        "e12",
         rows=rows,
         extra_tables={"Global optimum over all constants": opt_rows},
         notes=(

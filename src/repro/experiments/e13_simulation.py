@@ -22,10 +22,9 @@ from ..sim.multiprocessor import simulate_partitioned
 from ..sim.validators import validate_all
 from ..workloads.builder import partitioned_feasible_instance
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e13", "Simulation cross-validation of accepted partitions (Table 6)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     platform = geometric_platform(3, 4.0)
@@ -102,9 +101,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
             ),
         }
     )
-    return ExperimentResult(
-        experiment_id="e13",
-        title="Simulation cross-validation of accepted partitions (Table 6)",
+    return experiment_result(
+        "e13",
         rows=rows,
         notes=(
             "Integer periods, per-machine hyperperiod horizons; synchronous "

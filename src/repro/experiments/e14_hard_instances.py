@@ -20,10 +20,9 @@ from ..analysis.hard_instances import search_hard_instance
 from ..analysis.speedup import empirical_speedup_study
 from ..core.constants import ALPHA_EDF_PARTITIONED, ALPHA_RMS_PARTITIONED
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e14", "Adversarial lower bounds via hard-instance search (Table 7)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     platform = geometric_platform(4, 8.0)
@@ -60,9 +59,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
                 "hard instance n": len(hard.taskset),
             }
         )
-    return ExperimentResult(
-        experiment_id="e14",
-        title="Adversarial lower bounds via hard-instance search (Table 7)",
+    return experiment_result(
+        "e14",
         rows=rows,
         notes=(
             f"Platform: 4 machines, geometric ratio 8; hill-climb with "

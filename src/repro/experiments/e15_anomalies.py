@@ -20,7 +20,7 @@ import numpy as np
 from ..analysis.ratio import alpha_success_profile
 from ..workloads.builder import generate_taskset
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
 def _is_monotone(profile: np.ndarray) -> bool:
@@ -32,7 +32,6 @@ def _is_monotone(profile: np.ndarray) -> bool:
     return True
 
 
-@register("e15", "First-fit packing-anomaly scan across alpha (Table 8)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     platform = geometric_platform(4, 8.0)
@@ -72,9 +71,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
                 "anomaly rate": anomalies / scanned if scanned else float("nan"),
             }
         )
-    return ExperimentResult(
-        experiment_id="e15",
-        title="First-fit packing-anomaly scan across alpha (Table 8)",
+    return experiment_result(
+        "e15",
         rows=rows,
         notes=(
             f"{instances} instances per admission test, {grid_points}-point "

@@ -32,7 +32,7 @@ from ..sim.global_sched import simulate_global
 from ..sim.jobs import PeriodicSource
 from ..sim.multiprocessor import simulate_partitioned
 from ..workloads.builder import generate_taskset
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
 def _global_clean(taskset: TaskSet, speeds: list[float]) -> bool:
@@ -100,7 +100,6 @@ def _thirds_family(rng: np.random.Generator, count: int) -> list[TaskSet]:
     return out
 
 
-@register("e16", "Migration vs partitioning, executed (Table 9)")
 def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
     rng = np.random.default_rng(seed)
     count = 15 if scale == "quick" else 100
@@ -125,9 +124,8 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
                 "LP feasible": lp / count,
             }
         )
-    return ExperimentResult(
-        experiment_id="e16",
-        title="Migration vs partitioning, executed (Table 9)",
+    return experiment_result(
+        "e16",
         rows=rows,
         notes=(
             "Two unit machines; synchronous periodic release to the "

@@ -18,10 +18,9 @@ from __future__ import annotations
 from ..analysis.acceptance import exact_edf_tester, ff_tester
 from ..analysis.breakdown import breakdown_utilizations
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 
-@register("e17", "Breakdown utilization distributions (Table 10)")
 def run(
     seed: int = DEFAULT_SEED, scale: Scale = "full", jobs: int | None = 1
 ) -> ExperimentResult:
@@ -55,9 +54,8 @@ def run(
             }
         )
     rows.sort(key=lambda r: -r["mean breakdown U/S"])
-    return ExperimentResult(
-        experiment_id="e17",
-        title="Breakdown utilization distributions (Table 10)",
+    return experiment_result(
+        "e17",
         rows=rows,
         notes=(
             f"4 machines geometric ratio 8, n=16, {samples} shared instance "

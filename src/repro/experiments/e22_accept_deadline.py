@@ -24,7 +24,7 @@ from ..baselines.chen_fp_dbf import chen_partition
 from ..baselines.han_zhao import han_zhao_partition
 from ..core.model import Platform, TaskSet
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 GRID = (0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
 
@@ -52,7 +52,6 @@ class ChenTester:
         return chen_partition(taskset, platform, alpha=self.alpha).success
 
 
-@register("e22", "Constrained-deadline acceptance vs deadline ratio")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -84,9 +83,8 @@ def run(
         )
         for row in curve.as_rows():
             rows.append({"dr_min": dr_min, **row})
-    return ExperimentResult(
-        experiment_id="e22",
-        title="Constrained-deadline acceptance vs deadline ratio",
+    return experiment_result(
+        "e22",
         rows=rows,
         notes=(
             f"Platform: 4 machines, geometric speeds ratio 8; n=16 tasks "

@@ -27,7 +27,7 @@ from ..runner import run_trials
 from ..workloads.builder import constrained_feasible_instance
 from ..workloads.campaigns import Campaign, Trial, campaign_seed
 from ..workloads.platforms import geometric_platform
-from .base import DEFAULT_SEED, ExperimentResult, Scale, register
+from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
 
 #: deadline-ratio bands: ratios drawn uniform on [dr_min, 1]
 DR_MINS = (1.0, 0.8, 0.6, 0.4)
@@ -75,7 +75,6 @@ def _speedup_trial(
     return out
 
 
-@register("e23", "Empirical speedup factors vs deadline ratio")
 def run(
     seed: int = DEFAULT_SEED,
     scale: Scale = "full",
@@ -114,9 +113,8 @@ def run(
                     "bound": bound,
                 }
             )
-    return ExperimentResult(
-        experiment_id="e23",
-        title="Empirical speedup factors vs deadline ratio",
+    return experiment_result(
+        "e23",
         rows=rows,
         notes=(
             f"Platform: 4 machines, geometric speeds ratio 8; 4 tasks per "

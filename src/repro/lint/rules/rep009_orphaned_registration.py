@@ -1,20 +1,21 @@
 """REP009 — registry member module unreachable from its registry.
 
-The repo's plugin surfaces — ``repro.experiments`` and the lint rule
-set itself — register by import side effect: a module calls
-``@register`` at import time, and the package ``__init__`` imports
-every member so the registrations run.  The failure mode is silent: a
-new ``e18_*.py`` that never gets added to the ``__init__`` import list
-simply does not exist as far as ``repro experiments list`` is
-concerned.  No error, no test failure, just an experiment that cannot
-be launched (this bit PR 1 during the campaign-runner bring-up).
+A plugin surface such as the lint rule set registers by import side
+effect: a module calls ``@register`` at import time, and the package
+``__init__`` imports every member so the registrations run.  The
+failure mode is silent: a new ``rep*.py`` that never gets added to the
+``__init__`` import list simply does not exist.  No error, no test
+failure, just a rule that never runs.  (``repro.experiments`` is not a
+registry in this sense: it names its modules in a static table and
+imports one on demand, and a test holds the table to the files on
+disk.)
 
 Phase 2 walks the project import graph from each registry package's
 ``__init__`` and flags member modules (direct children matching the
 registry's filename pattern) that no reachable module imports.  The
 rule stays silent when the registry ``__init__`` itself is outside the
 analyzed file set, so linting a single file never fabricates orphans.
-Registries default to the two in-repo surfaces and extend via
+Registries default to the lint rule set and extend via
 ``[tool.repro-lint.registries]`` in pyproject.
 """
 
@@ -32,10 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["OrphanedRegistration", "DEFAULT_REGISTRIES"]
 
 #: registry package → fnmatch pattern of member module filenames
-DEFAULT_REGISTRIES: dict[str, str] = {
-    "repro.experiments": "e*",
-    "repro.lint.rules": "rep*",
-}
+DEFAULT_REGISTRIES: dict[str, str] = {"repro.lint.rules": "rep*"}
 
 
 @register
@@ -47,7 +45,7 @@ class OrphanedRegistration(ProgramRule):
         "registry __init__"
     )
     rationale = (
-        "Registration-by-import means an experiment or rule module the "
+        "Registration-by-import means a plugin module the "
         "registry package never imports silently does not exist: its "
         "@register decorator never runs.  Reachability from the "
         "registry __init__ over project import edges is the ground "

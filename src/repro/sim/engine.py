@@ -10,6 +10,7 @@ is involved.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Generic, Literal, Sequence, TypeVar
 
@@ -126,98 +127,107 @@ def run_schedule(
             if nxt < horizon - TIME_EPS:
                 releases.push(nxt, si)
 
-    admit_releases(t)
-    last_running: list[Job] = []
-    while True:
-        if on_miss == "abort":
-            # firm deadlines: drop expired jobs before dispatching
-            expired = [
-                e for e in ready if e[2].deadline <= t + TIME_EPS and e[2].remaining > 0
-            ]
-            for e in expired:
-                ready.remove(e)
-                if stop_on_first_miss:
-                    miss_detected = True
+    # every Job and JobRecord is a tracked object and the loop makes no
+    # cycles, so the cyclic collector would only re-walk the growing
+    # trace on each full collection
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        admit_releases(t)
+        last_running: list[Job] = []
+        while True:
+            if on_miss == "abort":
+                # firm deadlines: drop expired jobs before dispatching
+                expired = [
+                    e for e in ready if e[2].deadline <= t + TIME_EPS and e[2].remaining > 0
+                ]
+                for e in expired:
+                    ready.remove(e)
+                    if stop_on_first_miss:
+                        miss_detected = True
+                if miss_detected:
+                    break
+
+            if not ready:
+                nxt = releases.peek_time()
+                if nxt >= horizon - TIME_EPS:
+                    break
+                t = nxt
+                admit_releases(t)
+                continue
+
+            # heapq.nsmallest(1, ...) is min() behind a Python-level call
+            running = [min(ready)] if m == 1 else heapq.nsmallest(m, ready)
+            if preemption_overhead > 0.0:
+                # resumption after preemption: charge the overhead as extra work
+                was_running, last_running = last_running, [e[2] for e in running]
+                for job in last_running:
+                    if job not in was_running and job.remaining < job.work - TIME_EPS:
+                        job.remaining += preemption_overhead
+                        job.work += preemption_overhead
+            next_release = releases.peek_time()
+            event = min(next_release, horizon)
+            for (_, _, job), (speed, _, _, _) in zip(running, fleet):
+                finish = t + job.remaining / speed
+                if finish < event:
+                    event = finish
+            if on_miss == "abort":
+                # cut execution at a deadline; the expiry sweep drops the job next
+                for _, _, job in running:
+                    if job.deadline < event - TIME_EPS:
+                        event = max(t, job.deadline)
+
+            advance = event > t + TIME_EPS
+            for entry, (speed, starts, ends, owners) in zip(running, fleet):
+                _, seq, job = entry
+                finish = t + job.remaining / speed
+                if advance:
+                    if owners and owners[-1] is job and abs(ends[-1] - t) <= TIME_EPS:
+                        ends[-1] = event
+                    else:
+                        starts.append(t)
+                        ends.append(event)
+                        owners.append(job)
+                    job.remaining -= (event - t) * speed
+                if abs(event - finish) <= TIME_EPS or job.remaining <= TIME_EPS * job.work:
+                    job.remaining = 0.0
+                    completions[seq] = event
+                    ready.remove(entry)
+                    if stop_on_first_miss and event > job.deadline + TIME_EPS:
+                        miss_detected = True
+            t = event
             if miss_detected:
                 break
 
-        if not ready:
-            nxt = releases.peek_time()
-            if nxt >= horizon - TIME_EPS:
+            if stop_on_first_miss and any(e[2].deadline < t - TIME_EPS for e in ready):
+                miss_detected = True
                 break
-            t = nxt
-            admit_releases(t)
-            continue
 
-        # heapq.nsmallest(1, ...) is min() behind a Python-level call
-        running = [min(ready)] if m == 1 else heapq.nsmallest(m, ready)
-        if preemption_overhead > 0.0:
-            # resumption after preemption: charge the overhead as extra work
-            was_running, last_running = last_running, [e[2] for e in running]
-            for job in last_running:
-                if job not in was_running and job.remaining < job.work - TIME_EPS:
-                    job.remaining += preemption_overhead
-                    job.work += preemption_overhead
-        next_release = releases.peek_time()
-        event = min(next_release, horizon)
-        for (_, _, job), (speed, _, _, _) in zip(running, fleet):
-            finish = t + job.remaining / speed
-            if finish < event:
-                event = finish
-        if on_miss == "abort":
-            # cut execution at a deadline; the expiry sweep drops the job next
-            for _, _, job in running:
-                if job.deadline < event - TIME_EPS:
-                    event = max(t, job.deadline)
+            if t >= horizon - TIME_EPS:
+                break
+            if next_release <= t + TIME_EPS:
+                admit_releases(t)
 
-        advance = event > t + TIME_EPS
-        for entry, (speed, starts, ends, owners) in zip(running, fleet):
-            _, seq, job = entry
-            finish = t + job.remaining / speed
-            if advance:
-                if owners and owners[-1] is job and abs(ends[-1] - t) <= TIME_EPS:
-                    ends[-1] = event
-                else:
-                    starts.append(t)
-                    ends.append(event)
-                    owners.append(job)
-                job.remaining -= (event - t) * speed
-            if abs(event - finish) <= TIME_EPS or job.remaining <= TIME_EPS * job.work:
-                job.remaining = 0.0
-                completions[seq] = event
-                ready.remove(entry)
-                if stop_on_first_miss and event > job.deadline + TIME_EPS:
-                    miss_detected = True
-        t = event
-        if miss_detected:
-            break
-
-        if stop_on_first_miss and any(e[2].deadline < t - TIME_EPS for e in ready):
-            miss_detected = True
-            break
-
-        if t >= horizon - TIME_EPS:
-            break
-        if next_release <= t + TIME_EPS:
-            admit_releases(t)
-
-    end_time = t if miss_detected else horizon
-    records = []
-    for job, comp in zip(all_jobs, completions):
-        if comp is not None:
-            missed = comp > job.deadline + TIME_EPS
-        else:
-            # unfinished: a miss iff its deadline fell within the simulated span
-            missed = job.deadline <= end_time + TIME_EPS
-        records.append(
-            JobRecord(
-                task_index=job.task_index,
-                job_id=job.job_id,
-                release=job.release,
-                deadline=job.deadline,
-                work=job.work,
-                completion=comp,
-                missed=missed,
+        end_time = t if miss_detected else horizon
+        records = []
+        for job, comp in zip(all_jobs, completions):
+            if comp is not None:
+                missed = comp > job.deadline + TIME_EPS
+            else:
+                # unfinished: a miss iff its deadline fell within the simulated span
+                missed = job.deadline <= end_time + TIME_EPS
+            records.append(
+                JobRecord(
+                    task_index=job.task_index,
+                    job_id=job.job_id,
+                    release=job.release,
+                    deadline=job.deadline,
+                    work=job.work,
+                    completion=comp,
+                    missed=missed,
+                )
             )
-        )
-    return end_time, policy.name, runs, records
+        return end_time, policy.name, runs, records
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,3 +1,3 @@
-# lint-fixture-path: src/repro/experiments/__init__.py
+# lint-fixture-path: src/repro/lint/rules/__init__.py
 # lint-expect:
-from . import e01_demo  # noqa: F401 - registration side effect
+from . import rep901_demo  # noqa: F401 - registration side effect

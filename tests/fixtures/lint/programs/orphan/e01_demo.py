@@ -1,3 +1,3 @@
-# lint-fixture-path: src/repro/experiments/e01_demo.py
+# lint-fixture-path: src/repro/lint/rules/rep901_demo.py
 # lint-expect:
 REGISTERED = True

@@ -1,3 +1,3 @@
-# lint-fixture-path: src/repro/experiments/e02_demo.py
+# lint-fixture-path: src/repro/lint/rules/rep902_demo.py
 # lint-expect: REP009@1
 REGISTERED = True

@@ -25,6 +25,29 @@ class TestRegistry:
         # e18-e21 are benchmark artifacts, not registry experiments
         assert ids == [f"e{k:02d}" for k in range(1, 18)] + ["e22", "e23"]
 
+    def test_table_has_one_row_per_module(self):
+        """A module missing from the table could never be run."""
+        from pathlib import Path
+
+        import repro.experiments
+        from repro.experiments.base import EXPERIMENTS
+
+        package = Path(repro.experiments.__file__).parent
+        on_disk = sorted(p.stem for p in package.glob("e[0-9][0-9]_*.py"))
+        named = [module for module, _ in EXPERIMENTS.values()]
+        assert sorted(named) == on_disk
+        assert all(module.startswith(eid + "_") for eid, (module, _) in EXPERIMENTS.items())
+
+    def test_runner_is_the_module_run(self):
+        import importlib
+
+        from repro.experiments.base import EXPERIMENTS
+
+        for eid, (module, _) in EXPERIMENTS.items():
+            assert get_experiment(eid) is importlib.import_module(
+                f"repro.experiments.{module}"
+            ).run
+
     def test_result_archiving_roundtrip(self, tmp_path):
         import json
 

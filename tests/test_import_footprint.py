@@ -14,6 +14,10 @@
   lone instance of any size, a batch of eight) runs without it.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
+* ``import repro.experiments`` and ``repro list`` load only the
+  experiment table; fetching one experiment loads its own module and
+  the analysis submodules it uses, not the other experiments, the
+  simulator or the rest of the analysis.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
   nor ``ssl``.
 
@@ -36,7 +40,7 @@ import repro
 SRC = Path(repro.__file__).resolve().parent.parent
 
 
-def _run(code: str) -> list[str]:
+def _stdout(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -47,7 +51,11 @@ def _run(code: str) -> list[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _run(code: str) -> list[str]:
+    return _stdout(code).split()
 
 
 @pytest.mark.parametrize(
@@ -104,6 +112,56 @@ def test_front_end_loads_no_evaluation_code():
     """
     heavy = ("numpy", "repro.experiments", "repro.sim", "repro.workloads")
     assert _loaded(code, heavy) == []
+
+
+def _loaded_under(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    probe = (
+        textwrap.dedent(code)
+        + "\nimport sys\n"
+        + f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
+    )
+    return _run(probe)
+
+
+#: the analysis submodules E22 does not use
+_UNUSED_BY_E22 = tuple(
+    f"repro.analysis.{name}"
+    for name in (
+        "hard_instances", "speedup", "ratio", "runtime", "breakdown", "sensitivity", "stats"
+    )
+)
+
+
+def test_experiment_table_loads_no_experiment():
+    code = "import repro.experiments"
+    assert _loaded(code, ("numpy", "repro.sim")) == []
+    assert _loaded_under(code, ("repro.experiments.e",)) == []
+
+
+def test_list_loads_no_experiment():
+    out = _stdout(textwrap.dedent(
+        """
+        import sys
+        from repro.cli import main
+        main(["list"])
+        print(*sorted(m for m in sys.modules if m.startswith("repro.experiments.e")))
+        """
+    )).splitlines()
+    from repro.experiments.base import EXPERIMENTS
+
+    assert len(EXPERIMENTS) == 19
+    assert out == [f"{eid}  {title}" for eid, (_, title) in EXPERIMENTS.items()] + [""]
+
+
+def test_one_experiment_loads_only_its_closure():
+    code = """
+    from repro.experiments import get_experiment
+    get_experiment("e22")
+    """
+    assert _loaded(code, ("repro.sim",) + _UNUSED_BY_E22) == []
+    assert _loaded_under(code, ("repro.experiments.e",)) == [
+        "repro.experiments.e22_accept_deadline"
+    ]
 
 
 def test_parser_loads_no_lint_analysis():
@@ -260,7 +318,16 @@ def test_admission_test_table_names_every_registration():
 
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.core", "repro.kernels", "repro.lint", "repro.service"],
+    [
+        "repro",
+        "repro.analysis",
+        "repro.core",
+        "repro.experiments",
+        "repro.kernels",
+        "repro.lint",
+        "repro.service",
+        "repro.workloads",
+    ],
 )
 def test_public_names_still_resolve(package):
     out = _run(textwrap.dedent(

@@ -871,13 +871,13 @@ class TestLintChanged:
 
     def test_registry_package_change_falls_back(self, tmp_path):
         root = _make_project(tmp_path)
-        exp = root / "src" / "repro" / "experiments"
-        exp.mkdir(parents=True)
-        (exp / "__init__.py").write_text("from . import e01_demo\n")
-        (exp / "e01_demo.py").write_text("REGISTERED = True\n")
+        rules = root / "src" / "repro" / "lint" / "rules"
+        rules.mkdir(parents=True)
+        (rules / "__init__.py").write_text("from . import rep901_demo\n")
+        (rules / "rep901_demo.py").write_text("REGISTERED = True\n")
         config = LintConfig(root=root)
         result, fallback = lint_changed(
-            ["src/repro/experiments/e01_demo.py"], config, search_paths=["src"]
+            ["src/repro/lint/rules/rep901_demo.py"], config, search_paths=["src"]
         )
         assert fallback is not None and "registry" in fallback
 

@@ -1,14 +1,18 @@
-"""Tests for the event-queue primitive and hyperperiod helpers."""
+"""Tests for the event-queue primitive, the schedule loop's collector
+handling and the hyperperiod helpers."""
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
 
 from repro.core.model import Task
-from repro.sim.engine import EventQueue
+from repro.sim.engine import EventQueue, run_schedule
 from repro.sim.hyperperiod import default_horizon, hyperperiod
+from repro.sim.jobs import PeriodicSource
+from repro.sim.policies import SchedulingPolicy
 
 
 class TestEventQueue:
@@ -39,6 +43,58 @@ class TestEventQueue:
         assert q and len(q) == 1
         q.pop()
         assert not q
+
+
+TASKS = [Task(wcet=1, period=4), Task(wcet=2, period=6), Task(wcet=3, period=12)]
+
+
+def _schedule(policy="edf", horizon=1200.0):
+    sources = [PeriodicSource(task, k) for k, task in enumerate(TASKS)]
+    return run_schedule(TASKS, [1.0, 0.5], policy, sources, horizon)
+
+
+class _FailingPolicy(SchedulingPolicy):
+    name = "failing"
+
+    def key(self, job, tasks):
+        raise RuntimeError("no key")
+
+
+class TestCollectorPause:
+    """``run_schedule`` pauses the cyclic garbage collector for its loop
+    and hands the caller's setting back however the loop ends."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_return(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        _schedule()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_raise(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="no key"):
+            _schedule(_FailingPolicy())
+        assert gc.isenabled() is enabled
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        """Nothing the loop allocates waits for the paused collector:
+        reference counting frees the whole trace once it is dropped."""
+        gc.enable()
+        gc.collect()
+        _, _, runs, records = _schedule(horizon=12_000.0)
+        assert len(records) == 6000
+        del runs, records
+        assert gc.collect() == 0
 
 
 class TestHyperperiod:
