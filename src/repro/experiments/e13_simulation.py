@@ -9,7 +9,7 @@ Closes the loop between the analytical tests and actual execution:
 * sporadic releases (random extra gaps) are only easier: zero misses;
 * negative control: deliberately overloaded machines must miss.
 
-Every trace passes the independent validators before counting.
+Every trace passes the independent validator before counting.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from ..core.model import Task, TaskSet
 from ..core.partition import first_fit_partition
 from ..sim.multiprocessor import simulate_partitioned
-from ..sim.validators import validate_all
+from ..sim.validators import validate_trace
 from ..workloads.builder import partitioned_feasible_instance
 from ..workloads.platforms import geometric_platform
 from .base import DEFAULT_SEED, ExperimentResult, Scale, experiment_result
@@ -66,7 +66,7 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
                 jobs += sim.total_jobs
                 misses += sim.total_misses
                 for trace in sim.traces:
-                    validator_errors += len(validate_all(trace, inst.taskset.tasks))
+                    validator_errors += len(validate_trace(trace, inst.taskset.tasks))
         rows.append(
             {
                 "policy": policy,
@@ -97,7 +97,7 @@ def run(seed: int = DEFAULT_SEED, scale: Scale = "full") -> ExperimentResult:
             "jobs simulated": sim.total_jobs,
             "deadline misses": sim.total_misses,
             "validator errors": sum(
-                len(validate_all(t, overload.tasks)) for t in sim.traces
+                len(validate_trace(t, overload.tasks)) for t in sim.traces
             ),
         }
     )

@@ -1,25 +1,21 @@
-"""Discrete-event schedule simulator: jobs, policies, traces, validators."""
+"""Discrete-event schedule simulator: jobs, policies, traces, validator."""
 
 from .engine import TIME_EPS, EventQueue
 from .gantt import render_gantt
-from .global_sched import GlobalSegment, GlobalTrace, simulate_global
-from .global_validators import validate_global_trace
+from .global_sched import simulate_global
 from .hyperperiod import default_horizon, hyperperiod
 from .jobs import Job, JobSource, PeriodicSource, SporadicSource
 from .multiprocessor import PartitionedSimulation, simulate_partitioned
 from .policies import EDFPolicy, RMSPolicy, SchedulingPolicy, policy_by_name
 from .trace import JobRecord, Segment, Trace
 from .uniprocessor import simulate_taskset_on_machine, simulate_uniprocessor
-from .validators import validate_all, validate_policy_compliance, validate_trace
+from .validators import validate_trace
 
 __all__ = [
     "TIME_EPS",
     "EventQueue",
     "render_gantt",
-    "GlobalSegment",
-    "GlobalTrace",
     "simulate_global",
-    "validate_global_trace",
     "default_horizon",
     "hyperperiod",
     "Job",
@@ -37,7 +33,5 @@ __all__ = [
     "Trace",
     "simulate_taskset_on_machine",
     "simulate_uniprocessor",
-    "validate_all",
-    "validate_policy_compliance",
     "validate_trace",
 ]

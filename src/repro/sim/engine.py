@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Generic, Literal, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Generic, Iterator, Literal, Sequence, TypeVar
 
 from ..core.model import Task
 from .jobs import Job, JobSource
 from .policies import SchedulingPolicy, policy_by_name
-from .trace import JobRecord
+from .trace import JobRecord, Segment, Trace
 
-__all__ = ["TIME_EPS", "EventQueue", "run_schedule"]
+__all__ = ["TIME_EPS", "EventQueue", "collector_paused", "run_schedule"]
 
 #: Absolute tolerance for comparing simulation times.  All simulation
 #: quantities are O(periods), so an absolute epsilon is appropriate.
@@ -62,6 +63,24 @@ class EventQueue(Generic[T]):
         return bool(self._heap)
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a block, handing the
+    caller's setting back however the block ends.
+
+    For blocks that allocate many tracked objects and make no cycles:
+    there the collector would only re-walk the growing heap on each full
+    collection, and reference counting frees everything anyway.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def run_schedule(
     tasks: Sequence[Task],
     speeds: Sequence[float],
@@ -72,7 +91,7 @@ def run_schedule(
     stop_on_first_miss: bool = False,
     preemption_overhead: float = 0.0,
     on_miss: Literal["continue", "abort"] = "continue",
-) -> tuple[float, str, list[tuple[list[float], list[float], list[Job]]], list[JobRecord]]:
+) -> Trace:
     """Run a preemptive priority schedule on machines of ``speeds``.
 
     At every event the ``m`` highest-priority ready jobs run, the k-th on
@@ -82,11 +101,12 @@ def run_schedule(
     ``preemption_overhead`` and ``on_miss`` act on each running job as
     documented on :func:`~repro.sim.uniprocessor.simulate_uniprocessor`.
 
-    Returns ``(end_time, policy_name, runs, records)``: ``runs[j]`` is
-    machine ``j``'s ``(starts, ends, jobs)`` columns of maximal intervals
-    in time order (back-to-back intervals of one job merged), and
-    ``records`` holds one :class:`~repro.sim.trace.JobRecord` per
-    released job in release order.
+    Returns the :class:`~repro.sim.trace.Trace` over ``[0, end]``, where
+    ``end`` is ``horizon`` or the time ``stop_on_first_miss`` cut the run.
+    Its segments are maximal (back-to-back intervals of one job merged),
+    grouped by machine in time order; its records hold one
+    :class:`~repro.sim.trace.JobRecord` per released job in release
+    order.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -96,8 +116,8 @@ def run_schedule(
         policy = policy_by_name(policy)
 
     m = len(speeds)
-    # columns, not an object per interval: long runs hold fewer objects
-    # for the garbage collector to traverse
+    # per machine, columns of intervals: the last one is extended in place
+    # while its job keeps running
     runs: list[tuple[list[float], list[float], list[Job]]] = [([], [], []) for _ in speeds]
     fastest_first = sorted(range(m), key=lambda j: -speeds[j])
     fleet = [(speeds[j], *runs[j]) for j in fastest_first]
@@ -127,12 +147,9 @@ def run_schedule(
             if nxt < horizon - TIME_EPS:
                 releases.push(nxt, si)
 
-    # every Job and JobRecord is a tracked object and the loop makes no
-    # cycles, so the cyclic collector would only re-walk the growing
-    # trace on each full collection
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    # every Job, JobRecord and Segment is a tracked object, and none of
+    # them is in a cycle
+    with collector_paused():
         admit_releases(t)
         last_running: list[Job] = []
         while True:
@@ -227,7 +244,17 @@ def run_schedule(
                     missed=missed,
                 )
             )
-        return end_time, policy.name, runs, records
-    finally:
-        if collecting:
-            gc.enable()
+        return Trace(
+            speeds=tuple(speeds),
+            horizon=end_time,
+            policy_name=policy.name,
+            on_miss=on_miss,
+            segments=tuple(
+                [
+                    Segment(machine, start, end, job.task_index, job.job_id)
+                    for machine, (starts, ends, owners) in enumerate(runs)
+                    for start, end, job in zip(starts, ends, owners)
+                ]
+            ),
+            jobs=tuple(records),
+        )

@@ -21,62 +21,15 @@ reproduces (see the test suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.model import Task
 from .engine import run_schedule
 from .jobs import JobSource
 from .policies import SchedulingPolicy
-from .trace import JobRecord
+from .trace import Trace
 
-__all__ = ["GlobalSegment", "GlobalTrace", "simulate_global"]
-
-
-@dataclass(frozen=True)
-class GlobalSegment:
-    """One job running on one machine for an interval."""
-
-    machine: int
-    start: float
-    end: float
-    task_index: int
-    job_id: int
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class GlobalTrace:
-    """Execution record of a global schedule."""
-
-    speeds: tuple[float, ...]
-    horizon: float
-    policy_name: str
-    segments: tuple[GlobalSegment, ...]
-    jobs: tuple[JobRecord, ...]
-
-    @property
-    def any_miss(self) -> bool:
-        return any(j.missed for j in self.jobs)
-
-    @property
-    def misses(self) -> tuple[JobRecord, ...]:
-        return tuple(j for j in self.jobs if j.missed)
-
-    @property
-    def migrations(self) -> int:
-        """Number of times a job resumed on a different machine."""
-        last: dict[tuple[int, int], int] = {}
-        count = 0
-        for seg in sorted(self.segments, key=lambda s: s.start):
-            key = (seg.task_index, seg.job_id)
-            if key in last and last[key] != seg.machine:
-                count += 1
-            last[key] = seg.machine
-        return count
+__all__ = ["simulate_global"]
 
 
 def simulate_global(
@@ -85,7 +38,7 @@ def simulate_global(
     policy: SchedulingPolicy | str,
     sources: Sequence[JobSource],
     horizon: float,
-) -> GlobalTrace:
+) -> Trace:
     """Simulate global preemptive scheduling over ``[0, horizon]``.
 
     Machines are used fastest-first: the k-th highest-priority ready job
@@ -93,19 +46,4 @@ def simulate_global(
     """
     if not speeds or any(s <= 0 for s in speeds):
         raise ValueError("speeds must be positive and non-empty")
-    end_time, policy_name, runs, records = run_schedule(
-        tasks, speeds, policy, sources, horizon
-    )
-    return GlobalTrace(
-        speeds=tuple(speeds),
-        horizon=end_time,
-        policy_name=policy_name,
-        segments=tuple(
-            [
-                GlobalSegment(machine, start, end, job.task_index, job.job_id)
-                for machine, (starts, ends, owners) in enumerate(runs)
-                for start, end, job in zip(starts, ends, owners)
-            ]
-        ),
-        jobs=tuple(records),
-    )
+    return run_schedule(tasks, speeds, policy, sources, horizon)

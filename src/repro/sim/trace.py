@@ -1,21 +1,26 @@
 """Execution traces: what actually ran, when, on which machine.
 
 Traces are the simulator's auditable output — every claim the library
-makes about schedulability can be checked against them by the validators
+makes about schedulability can be checked against them by the validator
 (:mod:`repro.sim.validators`) without trusting the simulator's internals.
+One trace type serves every simulator: a uniprocessor schedule is the
+one-machine case of a global schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 __all__ = ["Segment", "JobRecord", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
-    """A maximal interval during which one job ran uninterrupted."""
+    """A maximal interval during which one job ran uninterrupted on one
+    machine."""
 
+    machine: int
     start: float
     end: float
     task_index: int
@@ -50,11 +55,19 @@ class JobRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete execution record of one machine over ``[0, horizon]``."""
+    """Complete execution record of machines of ``speeds`` over
+    ``[0, horizon]``.
 
-    machine_speed: float
+    ``on_miss`` records how the run treated a job whose deadline passed
+    with work left: ``'continue'`` kept it ready, ``'abort'`` dropped it
+    at the deadline.  ``segments`` are grouped by machine, each machine's
+    in time order.
+    """
+
+    speeds: tuple[float, ...]
     horizon: float
     policy_name: str
+    on_miss: Literal["continue", "abort"]
     segments: tuple[Segment, ...]
     jobs: tuple[JobRecord, ...]
 
@@ -68,14 +81,20 @@ class Trace:
 
     @property
     def busy_time(self) -> float:
+        """Machine time spent executing, summed over machines."""
         return sum(s.duration for s in self.segments)
 
     @property
-    def utilization_observed(self) -> float:
-        """Fraction of the horizon the machine was busy."""
-        if self.horizon <= 0:
-            return 0.0
-        return self.busy_time / self.horizon
+    def migrations(self) -> int:
+        """Number of times a job resumed on a different machine."""
+        last: dict[tuple[int, int], int] = {}
+        count = 0
+        for seg in sorted(self.segments, key=lambda s: s.start):
+            key = (seg.task_index, seg.job_id)
+            if key in last and last[key] != seg.machine:
+                count += 1
+            last[key] = seg.machine
+        return count
 
     def max_response_time(self, task_index: int) -> float | None:
         """Largest observed response time of a task's completed jobs."""

@@ -21,7 +21,7 @@ from .engine import run_schedule
 from .hyperperiod import default_horizon
 from .jobs import JobSource, PeriodicSource, SporadicSource
 from .policies import SchedulingPolicy
-from .trace import Segment, Trace
+from .trace import Trace
 
 __all__ = ["simulate_uniprocessor", "simulate_taskset_on_machine"]
 
@@ -57,12 +57,13 @@ def simulate_uniprocessor(
     lets experiments quantify how much overhead an accepted partition can
     absorb.
 
-    Returns a :class:`~repro.sim.trace.Trace`; validate it with
-    :mod:`repro.sim.validators` for independent assurance.
+    Returns a one-machine :class:`~repro.sim.trace.Trace`; validate it
+    with :func:`~repro.sim.validators.validate_trace` for independent
+    assurance.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
-    end_time, policy_name, ((starts, ends, owners),), records = run_schedule(
+    return run_schedule(
         tasks,
         [speed],
         policy,
@@ -71,18 +72,6 @@ def simulate_uniprocessor(
         stop_on_first_miss=stop_on_first_miss,
         preemption_overhead=preemption_overhead,
         on_miss=on_miss,
-    )
-    return Trace(
-        machine_speed=speed,
-        horizon=end_time,
-        policy_name=policy_name,
-        segments=tuple(
-            [
-                Segment(start, end, job.task_index, job.job_id)
-                for start, end, job in zip(starts, ends, owners)
-            ]
-        ),
-        jobs=tuple(records),
     )
 
 

@@ -1,216 +1,214 @@
-"""Independent trace validators.
+"""Independent trace validator.
 
-These re-derive every invariant a correct preemptive schedule must
-satisfy *from the trace alone*, without trusting the simulator: interval
-sanity, work conservation per job, completion/miss bookkeeping, priority
-compliance (the running job is always a highest-priority ready job, with
-preemption at releases), and work-conserving idling.  The test suite runs
-them over randomized simulations; experiments may run them as sanity
-rails.
+:func:`validate_trace` re-derives every invariant a correct preemptive
+schedule must satisfy *from the trace alone*, without trusting the
+simulator: interval sanity per machine, per-job work accounting weighted
+by the speed of the machine each interval ran on, completion and miss
+bookkeeping, and dispatch compliance — between consecutive events the
+k-th highest-priority ready job runs on the k-th fastest machine.  A
+uniprocessor trace is the one-machine case, where dispatch compliance is
+the priority rule with preemption at releases and no idling while a job
+is ready.
 
-Each validator returns a list of human-readable violation strings —
-empty means clean.
+The validator spells out each policy's priority order itself rather than
+asking :mod:`repro.sim.policies`, so a fault planted in a policy cannot
+hide from it.  The test suite runs it over randomized simulations;
+experiments run it as a sanity rail.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Sequence
 
 from ..core.model import Task
-from .engine import TIME_EPS
-from .jobs import Job
-from .policies import policy_by_name
+from .engine import TIME_EPS, collector_paused
 from .trace import JobRecord, Trace
 
-__all__ = ["validate_trace", "validate_policy_compliance", "validate_all"]
+__all__ = ["validate_trace"]
 
 _WORK_EPS = 1e-6
 
+# event kinds of the chronological sweep
+_RELEASE, _LEAVE, _START, _END = range(4)
 
-def _job_key(record: JobRecord) -> tuple[int, int]:
-    return (record.task_index, record.job_id)
+
+def _priority_keys(trace: Trace, tasks: Sequence[Task]) -> list[tuple]:
+    """Each job's priority key in record order; lower runs first."""
+    if trace.policy_name == "edf":
+        return [(r.deadline, r.release, r.task_index, r.job_id) for r in trace.jobs]
+    if trace.policy_name == "rms":
+        return [(tasks[r.task_index].period, r.task_index, r.job_id) for r in trace.jobs]
+    raise KeyError(f"no priority order known for policy {trace.policy_name!r}")
+
+
+def _name(rec: JobRecord) -> tuple[int, int]:
+    return (rec.task_index, rec.job_id)
 
 
 def validate_trace(trace: Trace, tasks: Sequence[Task]) -> list[str]:
-    """Structural and accounting invariants."""
+    """Every invariant of ``trace`` on its machines; [] when clean.
+
+    * per machine: every segment has a positive duration, lies inside
+      ``[0, horizon]`` and overlaps no other;
+    * per job: every segment has a record and starts no earlier than the
+      release; the job never runs on two machines at once; its executed
+      work equals ``work`` when complete and does not exceed it when not;
+      completion equals the last segment's end; the miss flag agrees
+      with the completion, or with the horizon when unfinished;
+    * dispatch: between consecutive event times the k-th
+      highest-priority ready job runs on the k-th fastest machine (ties
+      in speed in machine order) and the remaining machines idle.  A job
+      is ready from its release until its completion; an unfinished job
+      that missed leaves at its deadline on ``on_miss='abort'`` traces
+      only.  Dispatch is reported at its first violation, past which the
+      replay has nothing sound to compare against.
+
+    Releases and segments are replayed in one chronological pass, with
+    the collector paused as in :func:`~repro.sim.engine.run_schedule`.
+    """
+    with collector_paused():
+        return _violations(trace, tasks)
+
+
+def _violations(trace: Trace, tasks: Sequence[Task]) -> list[str]:
     errors: list[str] = []
-    records = {_job_key(r): r for r in trace.jobs}
+    jobs = trace.jobs
+    segments = trace.segments
+    speeds = trace.speeds
+    horizon = trace.horizon
+    m = len(speeds)
+    index = {(r.task_index, r.job_id): i for i, r in enumerate(jobs)}
+    keys = _priority_keys(trace, tasks)
 
-    prev_end = 0.0
-    for k, seg in enumerate(trace.segments):
-        if seg.end <= seg.start + 0.0:
+    # (time, kind, segment, job); segment is -1 for job events
+    events: list[tuple[float, int, int, int]] = []
+    executed = [0.0] * len(jobs)
+    last_end = [-1.0] * len(jobs)
+    seg_job = [-1] * len(segments)
+    for k, seg in enumerate(segments):
+        machine, start, end = seg.machine, seg.start, seg.end
+        if end <= start:
             errors.append(f"segment {k}: non-positive duration {seg}")
-        if seg.start < prev_end - TIME_EPS:
-            errors.append(f"segment {k}: overlaps previous (starts {seg.start} < {prev_end})")
-        if seg.start < -TIME_EPS or seg.end > trace.horizon + TIME_EPS:
+        if start < -TIME_EPS or end > horizon + TIME_EPS:
             errors.append(f"segment {k}: outside [0, horizon] {seg}")
-        key = (seg.task_index, seg.job_id)
-        rec = records.get(key)
-        if rec is None:
-            errors.append(f"segment {k}: no job record for {key}")
-        elif seg.start < rec.release - TIME_EPS:
+        if not 0 <= machine < m:
+            errors.append(f"segment {k}: no machine {machine} among {m}")
+            continue
+        i = index.get((seg.task_index, seg.job_id), -1)
+        if i < 0:
+            errors.append(f"segment {k}: no job record for {(seg.task_index, seg.job_id)}")
+            continue
+        rec = jobs[i]
+        if start < rec.release - TIME_EPS:
             errors.append(
-                f"segment {k}: job {key} ran at {seg.start} before release {rec.release}"
+                f"segment {k}: job {_name(rec)} ran at {start} before release {rec.release}"
             )
-        prev_end = max(prev_end, seg.end)
+        seg_job[k] = i
+        executed[i] += (end - start) * speeds[machine]
+        if end > last_end[i]:
+            last_end[i] = end
+        events.append((start, _START, k, i))
+        events.append((end, _END, k, i))
 
-    executed: dict[tuple[int, int], float] = {}
-    last_end: dict[tuple[int, int], float] = {}
-    for seg in trace.segments:
-        key = (seg.task_index, seg.job_id)
-        executed[key] = executed.get(key, 0.0) + seg.duration * trace.machine_speed
-        last_end[key] = seg.end
-
-    for key, rec in records.items():
-        done = executed.get(key, 0.0)
+    abort = trace.on_miss == "abort"
+    for i, rec in enumerate(jobs):
+        done, work = executed[i], rec.work
+        events.append((rec.release, _RELEASE, -1, i))
         if rec.completion is not None:
-            if abs(done - rec.work) > _WORK_EPS * max(1.0, rec.work):
+            if abs(done - work) > _WORK_EPS * max(1.0, work):
                 errors.append(
-                    f"job {key}: completed with {done} executed, work is {rec.work}"
+                    f"job {_name(rec)}: completed with {done} executed, work is {work}"
                 )
-            if key in last_end and abs(last_end[key] - rec.completion) > TIME_EPS:
+            if last_end[i] >= 0 and abs(last_end[i] - rec.completion) > TIME_EPS:
                 errors.append(
-                    f"job {key}: completion {rec.completion} != last segment end {last_end[key]}"
+                    f"job {_name(rec)}: completion {rec.completion} != last segment "
+                    f"end {last_end[i]}"
                 )
             expect_missed = rec.completion > rec.deadline + TIME_EPS
-            if rec.missed != expect_missed:
-                errors.append(
-                    f"job {key}: missed flag {rec.missed} inconsistent with "
-                    f"completion {rec.completion} vs deadline {rec.deadline}"
-                )
+            events.append((rec.completion, _LEAVE, -1, i))
         else:
-            if done > rec.work * (1.0 + _WORK_EPS) + _WORK_EPS:
+            if done > work * (1.0 + _WORK_EPS) + _WORK_EPS:
                 errors.append(
-                    f"job {key}: executed {done} exceeds work {rec.work} yet incomplete"
+                    f"job {_name(rec)}: executed {done} exceeds work {work} yet incomplete"
                 )
-            expect_missed = rec.deadline <= trace.horizon + TIME_EPS
-            if rec.missed != expect_missed:
-                errors.append(
-                    f"job {key}: incomplete, missed flag {rec.missed} vs deadline "
-                    f"{rec.deadline} and horizon {trace.horizon}"
-                )
-    return errors
-
-
-def validate_policy_compliance(trace: Trace, tasks: Sequence[Task]) -> list[str]:
-    """Priority and work-conservation compliance.
-
-    Replays the trace chronologically in a single sweep (O((S + J) log J)
-    for S segments and J jobs): at every segment start the running job
-    must have a minimal priority key among ready incomplete jobs; no
-    higher-priority release may occur strictly inside a segment; the
-    machine may not idle while a ready incomplete job exists.
-    """
-    errors: list[str] = []
-    policy = policy_by_name(trace.policy_name)
-
-    # Reconstruct Job shims for key computation.
-    shims: dict[tuple[int, int], Job] = {}
-    for rec in trace.jobs:
-        shims[_job_key(rec)] = Job(
-            task_index=rec.task_index,
-            job_id=rec.job_id,
-            release=rec.release,
-            deadline=rec.deadline,
-            work=rec.work,
-            remaining=rec.work,
-        )
-
-    releases = sorted(
-        ((rec.release, _job_key(rec)) for rec in trace.jobs),
-        key=lambda rk: rk[0],
-    )
-
-    # Jobs recorded as missed-and-incomplete may have been *aborted* at
-    # their deadline (firm-deadline simulation, on_miss='abort'); after
-    # that instant they are no longer schedulable, so they must not count
-    # as ready.  Continue-mode traces never idle past such a job anyway,
-    # so the relaxation cannot create false negatives there either way.
-    abort_time = {
-        _job_key(rec): rec.deadline
-        for rec in trace.jobs
-        if rec.completion is None and rec.missed
-    }
-
-    # Sweep state: jobs released so far and not yet finished ("active"),
-    # plus executed work per job.
-    active: dict[tuple[int, int], Job] = {}
-    executed: dict[tuple[int, int], float] = {}
-    release_ptr = 0
-
-    def admit_up_to(time: float) -> None:
-        nonlocal release_ptr
-        while release_ptr < len(releases) and releases[release_ptr][0] <= time + TIME_EPS:
-            _, key = releases[release_ptr]
-            active[key] = shims[key]
-            release_ptr += 1
-        for key in [
-            k for k in active if k in abort_time and abort_time[k] <= time + TIME_EPS
-        ]:
-            del active[key]
-
-    def check_no_ready_at(label: str, time: float, exclude=None) -> None:
-        """No active job (except `exclude`) may exist — used for idle gaps."""
-        for key, job in active.items():
-            if key == exclude:
-                continue
+            expect_missed = rec.deadline <= horizon + TIME_EPS
+            if abort and expect_missed:
+                events.append((rec.deadline, _LEAVE, -1, i))
+        if rec.missed != expect_missed:
             errors.append(
-                f"{label} while job ({job.task_index},{job.job_id}) was ready"
+                f"job {_name(rec)}: missed flag {rec.missed} inconsistent with "
+                f"completion {rec.completion}, deadline {rec.deadline} and "
+                f"horizon {horizon}"
             )
-            return
 
-    # Interleave idle-gap checks with segments in one chronological pass.
-    prev_end = 0.0
-    for k, seg in enumerate(trace.segments):
-        if seg.start > prev_end + TIME_EPS:
-            # idle gap [prev_end, seg.start): anything released by
-            # prev_end and unfinished violates work conservation
-            admit_up_to(prev_end)
-            check_no_ready_at(f"idle gap [{prev_end}, {seg.start}]", prev_end)
-
-        admit_up_to(seg.start)
-        seg_key = (seg.task_index, seg.job_id)
-        running = shims.get(seg_key)
-        if running is None:
-            prev_end = max(prev_end, seg.end)
-            continue  # validate_trace reports the phantom segment
-        run_key = policy.key(running, tasks)
-        for key, job in active.items():
-            if key == seg_key:
-                continue
-            if policy.key(job, tasks) < run_key:
-                errors.append(
-                    f"segment {k}: job ({seg.task_index},{seg.job_id}) ran at "
-                    f"{seg.start} while higher-priority "
-                    f"({job.task_index},{job.job_id}) was ready"
-                )
-                break
-
-        # releases strictly inside the segment must not outrank the runner
-        probe = release_ptr
-        while probe < len(releases) and releases[probe][0] < seg.end - TIME_EPS:
-            rel, key = releases[probe]
-            if rel > seg.start + TIME_EPS and policy.key(shims[key], tasks) < run_key:
-                errors.append(
-                    f"segment {k}: higher-priority release of {key} at {rel} "
-                    f"did not preempt ({seg.task_index},{seg.job_id})"
-                )
-                break
-            probe += 1
-
-        executed[seg_key] = executed.get(seg_key, 0.0) + seg.duration * trace.machine_speed
-        if executed[seg_key] >= running.work * (1.0 - _WORK_EPS):
-            active.pop(seg_key, None)
-        prev_end = max(prev_end, seg.end)
-
-    if trace.horizon > prev_end + TIME_EPS:
-        admit_up_to(prev_end)
-        check_no_ready_at(
-            f"idle gap [{prev_end}, {trace.horizon}]", prev_end
-        )
+    events.sort(key=itemgetter(0))
+    following = [e[0] for e in events[1:]]
+    following.append(horizon)
+    fastest_first = sorted(range(m), key=lambda j: -speeds[j])
+    ready: list[tuple[tuple, int]] = []  # (priority key, job), ascending
+    on_machine = [-1] * m  # segment running on each machine
+    on_job = [-1] * len(jobs)  # segment running each job
+    dispatch_ok = True
+    for (t, kind, k, i), nxt in zip(events, following):
+        if kind == _RELEASE:
+            insort(ready, (keys[i], i))
+        elif kind == _LEAVE:
+            at = bisect_left(ready, (keys[i], i))
+            if at < len(ready) and ready[at][1] == i:
+                del ready[at]
+        elif kind == _START:
+            j = segments[k].machine
+            prev = on_machine[j]
+            if prev >= 0 and segments[prev].end > t + TIME_EPS:
+                errors.append(f"machine {j}: segment {k} overlaps segment {prev} at {t}")
+            on_machine[j] = k
+            prev = on_job[i]
+            if prev >= 0 and segments[prev].end > t + TIME_EPS:
+                errors.append(f"job {_name(jobs[i])}: executes on two machines at {t}")
+            on_job[i] = k
+        else:
+            j = segments[k].machine
+            if on_machine[j] == k:
+                on_machine[j] = -1
+            if on_job[i] == k:
+                on_job[i] = -1
+        if dispatch_ok and nxt > t + TIME_EPS and t < horizon - TIME_EPS:
+            for rank, j in enumerate(fastest_first):
+                k = on_machine[j]
+                have = seg_job[k] if k >= 0 else -1
+                want = ready[rank][1] if rank < len(ready) else -1
+                if have != want:
+                    where = f"[{t}, {min(nxt, horizon)}] on machine {j}"
+                    errors.append(_dispatch_error(trace, keys, where, rank, want, k, have))
+                    dispatch_ok = False
+                    break
     return errors
 
 
-def validate_all(trace: Trace, tasks: Sequence[Task]) -> list[str]:
-    """All validators combined."""
-    return validate_trace(trace, tasks) + validate_policy_compliance(trace, tasks)
+def _dispatch_error(
+    trace: Trace, keys: list[tuple], where: str, rank: int, want: int, seg: int, have: int
+) -> str:
+    """Describe a machine not running job ``want``, the ready job of
+    priority ``rank`` (-1: it should idle), over the span ``where``; it
+    runs segment ``seg`` of job ``have`` instead (-1 for both: it idles)."""
+    if seg < 0:
+        wanted = _name(trace.jobs[want])
+        return f"idle gap {where} while job {wanted} (priority rank {rank}) was ready"
+    running = trace.segments[seg]
+    ran = (running.task_index, running.job_id)
+    if want < 0:
+        return f"{where}: job {ran} runs on a machine that should idle"
+    rec = trace.jobs[want]
+    if keys[want] > keys[have]:
+        return f"{where}: job {ran} runs instead of job {_name(rec)} (priority rank {rank})"
+    if running.start < rec.release - TIME_EPS:
+        return (
+            f"{where}: higher-priority release of {_name(rec)} at {rec.release} "
+            f"did not preempt {ran}"
+        )
+    return (
+        f"{where}: job {ran} runs while higher-priority job {_name(rec)} "
+        f"(priority rank {rank}) was ready"
+    )

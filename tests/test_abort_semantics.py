@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.model import Task
 from repro.sim.uniprocessor import simulate_taskset_on_machine
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 
 
 class TestAbortOnMiss:
@@ -77,7 +77,7 @@ class TestAbortOnMiss:
             tasks, 1.0, "edf", horizon=140, on_miss="abort"
         )
         assert trace.any_miss
-        assert validate_all(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
     def test_stop_on_first_miss_with_abort(self):
         tasks = [Task(3, 4), Task(3, 5)]

@@ -23,7 +23,7 @@ from repro.io_.serialize import (
     taskset_to_dict,
 )
 from repro.sim.multiprocessor import simulate_partitioned
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 
 task_strategy = st.builds(
     Task,
@@ -85,7 +85,7 @@ class TestVerdictConsistency:
         sim = simulate_partitioned(taskset, platform, result, "edf")
         assert not sim.any_miss
         for trace in sim.traces:
-            assert validate_all(trace, taskset.tasks) == []
+            assert validate_trace(trace, taskset.tasks) == []
 
     @given(taskset_strategy, platform_strategy)
     @settings(max_examples=60, deadline=None)

@@ -44,7 +44,12 @@ class TestGantt:
 
     def test_empty_trace(self):
         trace = Trace(
-            machine_speed=1.0, horizon=0.0, policy_name="edf", segments=(), jobs=()
+            speeds=(1.0,),
+            horizon=0.0,
+            policy_name="edf",
+            on_miss="continue",
+            segments=(),
+            jobs=(),
         )
         assert render_gantt(trace, []) == "(empty trace)"
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.sim.global_sched import simulate_global
-from repro.sim.global_validators import validate_global_trace
+from repro.sim.validators import validate_trace
 from repro.sim.jobs import PeriodicSource
 from repro.sim.multiprocessor import simulate_partitioned
 
@@ -38,7 +38,7 @@ class TestBasics:
         # both jobs run simultaneously from t=0
         first_two = sorted(trace.segments, key=lambda s: s.start)[:2]
         assert first_two[0].start == first_two[1].start == 0.0
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
     def test_highest_priority_gets_fastest_machine(self):
         tasks = [Task(2, 4, name="hot"), Task(2, 8, name="cold")]
@@ -59,7 +59,7 @@ class TestBasics:
         # force at least some migration under EDF
         tasks = [Task(6, 12), Task(2, 4)]
         trace = run_global(tasks, [1.0, 2.0], horizon=12.0)
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
         assert trace.migrations >= 0  # structurally valid either way
 
 
@@ -82,7 +82,7 @@ class TestMigrationBeatsPartitioning:
         # two jobs hog both machines until t=8; the third cannot finish
         # 8 units of work in the remaining 4
         assert trace.any_miss
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
     def test_migration_schedules_light_spillover(self):
         """A set no *single* machine could interleave but migration
@@ -91,7 +91,7 @@ class TestMigrationBeatsPartitioning:
         tasks = [Task(3, 4), Task(3, 4), Task(1, 2)]  # U = 1.75 wait <= 2
         trace = run_global(tasks, [1.0, 1.0], horizon=8.0)
         assert not trace.any_miss
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
 
 class TestDhallEffect:
@@ -107,7 +107,7 @@ class TestDhallEffect:
 
         trace = run_global(tasks, speeds, "edf", horizon=60.0)
         assert trace.any_miss, "Dhall instance should break global EDF"
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
         platform = Platform.from_speeds(speeds)
         taskset = TaskSet(tasks)
@@ -127,9 +127,9 @@ class TestDhallEffect:
             ]
             speeds = rng.uniform(0.5, 2.0, size=int(rng.integers(1, 4))).tolist()
             trace = run_global(tasks, speeds, "edf", horizon=48.0)
-            assert validate_global_trace(trace, tasks) == []
+            assert validate_trace(trace, tasks) == []
 
     def test_global_rms_also_validates(self, rng):
         tasks = [Task(1, 4), Task(2, 6), Task(2, 9)]
         trace = run_global(tasks, [1.0, 1.0], "rms", horizon=36.0)
-        assert validate_global_trace(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []

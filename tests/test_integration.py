@@ -13,7 +13,7 @@ from repro.core.lp import lp_feasible, lp_solve, verify_lemma_ii1
 from repro.core.model import Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.sim.multiprocessor import simulate_partitioned
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 from repro.workloads.builder import (
     generate_taskset,
     partitioned_feasible_instance,
@@ -82,7 +82,7 @@ class TestAdmissionControlScenario:
         )
         assert not sim.any_miss
         for trace in sim.traces:
-            assert validate_all(trace, final.tasks) == []
+            assert validate_trace(trace, final.tasks) == []
 
 
 class TestMinAlphaAgainstTheorems:

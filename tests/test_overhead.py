@@ -7,7 +7,7 @@ import pytest
 from repro.core.model import Task
 from repro.sim.multiprocessor import simulate_partitioned
 from repro.sim.uniprocessor import simulate_taskset_on_machine
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 
 
 class TestPreemptionOverhead:
@@ -57,7 +57,7 @@ class TestPreemptionOverhead:
         trace = simulate_taskset_on_machine(
             tasks, 1.0, "edf", horizon=180, preemption_overhead=0.1
         )
-        assert validate_all(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
 
     def test_overhead_can_break_tight_sets(self):
         # U = 1.0 exactly: zero-overhead feasible, any overhead overflows

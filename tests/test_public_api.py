@@ -31,7 +31,6 @@ PACKAGES = [
     "repro.sim.uniprocessor",
     "repro.sim.multiprocessor",
     "repro.sim.global_sched",
-    "repro.sim.global_validators",
     "repro.sim.trace",
     "repro.sim.validators",
     "repro.sim.hyperperiod",

@@ -1,8 +1,9 @@
-"""Tests for the event-queue primitive, the schedule loop's collector
-handling and the hyperperiod helpers."""
+"""Tests for the event-queue primitive, the collector handling of the
+schedule loop and the validator, and the hyperperiod helpers."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 
@@ -13,6 +14,7 @@ from repro.sim.engine import EventQueue, run_schedule
 from repro.sim.hyperperiod import default_horizon, hyperperiod
 from repro.sim.jobs import PeriodicSource
 from repro.sim.policies import SchedulingPolicy
+from repro.sim.validators import validate_trace
 
 
 class TestEventQueue:
@@ -86,14 +88,26 @@ class TestCollectorPause:
             _schedule(_FailingPolicy())
         assert gc.isenabled() is enabled
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_validator_restores_state(self, enabled):
+        """The validator pauses the collector too, on a clean audit and on
+        a trace whose policy it cannot order."""
+        gc.enable() if enabled else gc.disable()
+        trace = _schedule(horizon=120.0)
+        assert validate_trace(trace, TASKS) == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError, match="failing"):
+            validate_trace(dataclasses.replace(trace, policy_name="failing"), TASKS)
+        assert gc.isenabled() is enabled
+
     def test_run_leaves_no_cyclic_garbage(self):
         """Nothing the loop allocates waits for the paused collector:
         reference counting frees the whole trace once it is dropped."""
         gc.enable()
         gc.collect()
-        _, _, runs, records = _schedule(horizon=12_000.0)
-        assert len(records) == 6000
-        del runs, records
+        trace = _schedule(horizon=12_000.0)
+        assert len(trace.jobs) == 6000
+        del trace
         assert gc.collect() == 0
 
 

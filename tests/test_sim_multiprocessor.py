@@ -7,7 +7,7 @@ import pytest
 from repro.core.model import Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.sim.multiprocessor import simulate_partitioned
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 from repro.workloads.builder import partitioned_feasible_instance
 from repro.workloads.platforms import geometric_platform
 
@@ -117,7 +117,7 @@ class TestEndToEnd:
                 )
                 assert not sim.any_miss
                 for trace in sim.traces:
-                    assert validate_all(trace, inst.taskset.tasks) == []
+                    assert validate_trace(trace, inst.taskset.tasks) == []
 
     def test_witness_assignment_simulates_clean(self, rng):
         """The constructive witness itself is a valid schedule at speed 1."""

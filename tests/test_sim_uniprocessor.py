@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.model import Task
 from repro.sim.jobs import PeriodicSource
 from repro.sim.uniprocessor import simulate_taskset_on_machine, simulate_uniprocessor
-from repro.sim.validators import validate_all
+from repro.sim.validators import validate_trace
 
 
 class TestBasicExecution:
@@ -182,12 +182,12 @@ class TestAgainstTheory:
             trace = simulate_taskset_on_machine(
                 tasks, float(rng.uniform(0.5, 2.0)), policy
             )
-            assert validate_all(trace, tasks) == []
+            assert validate_trace(trace, tasks) == []
 
     def test_sporadic_traces_validate(self, rng):
         tasks = [Task(1, 4), Task(2, 7), Task(1, 9)]
         trace = simulate_taskset_on_machine(
             tasks, 1.0, "edf", release="sporadic", rng=rng, horizon=100
         )
-        assert validate_all(trace, tasks) == []
+        assert validate_trace(trace, tasks) == []
         assert not trace.any_miss  # U < 1 and sporadic only adds slack

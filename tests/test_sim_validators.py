@@ -1,4 +1,4 @@
-"""The validators must catch corrupted traces (negative tests)."""
+"""The validator must catch corrupted one-machine traces (negative tests)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import dataclasses
 import pytest
 
 from repro.core.model import Task
+from repro.sim.global_sched import simulate_global
+from repro.sim.jobs import PeriodicSource
+from repro.sim.policies import RMSPolicy
 from repro.sim.trace import JobRecord, Segment, Trace
 from repro.sim.uniprocessor import simulate_taskset_on_machine
-from repro.sim.validators import (
-    validate_all,
-    validate_policy_compliance,
-    validate_trace,
-)
+from repro.sim.validators import validate_trace
 
 TASKS = [Task(2, 6), Task(2, 8)]
 
@@ -34,11 +33,11 @@ def _replace_jobs(trace: Trace, jobs) -> Trace:
 class TestValidateTrace:
     def test_clean_trace_passes(self, clean_trace):
         assert validate_trace(clean_trace, TASKS) == []
-        assert validate_policy_compliance(clean_trace, TASKS) == []
 
     def test_detects_overlapping_segments(self, clean_trace):
         segs = list(clean_trace.segments)
         bad = Segment(
+            machine=0,
             start=segs[0].start,
             end=segs[0].end + 0.5,
             task_index=segs[0].task_index,
@@ -62,6 +61,7 @@ class TestValidateTrace:
         # shrink one segment: completed job no longer accounts for its work
         segs = list(clean_trace.segments)
         segs[0] = Segment(
+            machine=0,
             start=segs[0].start,
             end=segs[0].end - 0.5,
             task_index=segs[0].task_index,
@@ -80,7 +80,7 @@ class TestValidateTrace:
         assert any("missed flag" in e for e in errors)
 
     def test_detects_phantom_segment(self, clean_trace):
-        phantom = Segment(start=20.0, end=21.0, task_index=9, job_id=0)
+        phantom = Segment(machine=0, start=20.0, end=21.0, task_index=9, job_id=0)
         corrupted = _replace_segments(
             clean_trace, list(clean_trace.segments) + [phantom]
         )
@@ -94,57 +94,110 @@ class TestPolicyCompliance:
         # short-deadline job is ready
         tasks = [Task(2, 10), Task(2, 4)]
         segments = (
-            Segment(start=0.0, end=2.0, task_index=0, job_id=0),  # wrong: t1 ready
-            Segment(start=2.0, end=4.0, task_index=1, job_id=0),
+            Segment(machine=0, start=0.0, end=2.0, task_index=0, job_id=0),  # wrong: t1 ready
+            Segment(machine=0, start=2.0, end=4.0, task_index=1, job_id=0),
         )
         jobs = (
             JobRecord(0, 0, 0.0, 10.0, 2.0, 2.0, False),
             JobRecord(1, 0, 0.0, 4.0, 2.0, 4.0, False),
         )
         trace = Trace(
-            machine_speed=1.0,
+            speeds=(1.0,),
             horizon=10.0,
             policy_name="edf",
+            on_miss="continue",
             segments=segments,
             jobs=jobs,
         )
-        errors = validate_policy_compliance(trace, tasks)
+        errors = validate_trace(trace, tasks)
         assert any("higher-priority" in e for e in errors)
 
     def test_detects_non_work_conserving_idle(self):
         tasks = [Task(2, 10)]
-        segments = (Segment(start=3.0, end=5.0, task_index=0, job_id=0),)
+        segments = (Segment(machine=0, start=3.0, end=5.0, task_index=0, job_id=0),)
         jobs = (JobRecord(0, 0, 0.0, 10.0, 2.0, 5.0, False),)
         trace = Trace(
-            machine_speed=1.0,
+            speeds=(1.0,),
             horizon=10.0,
             policy_name="edf",
+            on_miss="continue",
             segments=segments,
             jobs=jobs,
         )
-        errors = validate_policy_compliance(trace, tasks)
+        errors = validate_trace(trace, tasks)
         assert any("idle gap" in e for e in errors)
 
     def test_detects_missed_preemption(self):
         # job released mid-segment with higher priority, not preempted
         tasks = [Task(4, 20), Task(1, 3)]
         segments = (
-            Segment(start=0.0, end=4.0, task_index=0, job_id=0),
-            Segment(start=4.0, end=5.0, task_index=1, job_id=0),
+            Segment(machine=0, start=0.0, end=4.0, task_index=0, job_id=0),
+            Segment(machine=0, start=4.0, end=5.0, task_index=1, job_id=0),
         )
         jobs = (
             JobRecord(0, 0, 0.0, 20.0, 4.0, 4.0, False),
             JobRecord(1, 0, 1.0, 4.0, 1.0, 5.0, True),
         )
         trace = Trace(
-            machine_speed=1.0,
+            speeds=(1.0,),
             horizon=20.0,
             policy_name="edf",
+            on_miss="continue",
             segments=segments,
             jobs=jobs,
         )
-        errors = validate_policy_compliance(trace, tasks)
+        errors = validate_trace(trace, tasks)
         assert any("did not preempt" in e for e in errors)
 
-    def test_validate_all_aggregates(self, clean_trace):
-        assert validate_all(clean_trace, TASKS) == []
+
+class TestMissedJobReadiness:
+    """An unfinished job that missed its deadline stays ready on a
+    continue-mode trace and leaves at the deadline on an abort-mode one."""
+
+    TASKS = [Task(5, 8, deadline=4)]
+
+    @staticmethod
+    def _trace(on_miss):
+        # a 5-unit job due at 4 runs over [0, 4], then the machine idles
+        return Trace(
+            speeds=(1.0,),
+            horizon=8.0,
+            policy_name="edf",
+            on_miss=on_miss,
+            segments=(Segment(machine=0, start=0.0, end=4.0, task_index=0, job_id=0),),
+            jobs=(JobRecord(0, 0, 0.0, 4.0, 5.0, None, True),),
+        )
+
+    def test_continue_mode_idle_after_the_deadline_is_flagged(self):
+        errors = validate_trace(self._trace("continue"), self.TASKS)
+        assert any("idle gap [4.0, 8.0]" in e for e in errors)
+
+    def test_abort_mode_idle_after_the_deadline_passes(self):
+        assert validate_trace(self._trace("abort"), self.TASKS) == []
+
+
+class TestPlantedEngineFault:
+    """A fault planted in the policy the simulator dispatches by is caught,
+    because the validator derives priorities itself."""
+
+    TASKS = [Task(1, 8) for _ in range(4)]  # equal periods: every pick is a tie
+
+    @pytest.fixture(autouse=True)
+    def _rms_inverted_on_ties(self, monkeypatch):
+        def key(self, job, tasks):
+            return (tasks[job.task_index].period, -job.task_index, job.job_id)
+
+        monkeypatch.setattr(RMSPolicy, "key", key)
+
+    def test_caught_on_one_machine(self):
+        trace = simulate_taskset_on_machine(self.TASKS, 1.0, "rms", horizon=16)
+        assert not trace.any_miss  # the fault breaks no deadline
+        errors = validate_trace(trace, self.TASKS)
+        assert any("higher-priority job (0, 0) (priority rank 0)" in e for e in errors)
+
+    def test_caught_on_three_machines(self):
+        sources = [PeriodicSource(t, i) for i, t in enumerate(self.TASKS)]
+        trace = simulate_global(self.TASKS, [1.0, 1.0, 1.0], "rms", sources, 16.0)
+        assert not trace.any_miss
+        errors = validate_trace(trace, self.TASKS)
+        assert any("higher-priority job (0, 0) (priority rank 0)" in e for e in errors)
