@@ -70,10 +70,8 @@ from .feasibility import (
     theorem_alpha,
 )
 from .lp import (
-    LPSolution,
     check_lp_solution,
     lp_feasible,
-    lp_solve,
     lp_stress,
     verify_lemma_ii1,
 )

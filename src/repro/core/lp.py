@@ -12,17 +12,35 @@ by machine ``j``::
     (3)  for all j:  sum_i u[i, j] / s_j    <= 1        (machine capacity)
     (4)  u >= 0
 
-Solved with scipy's HiGHS.  Besides the yes/no oracle we expose the
-*stress* ``beta*``: the minimum uniform relaxation of constraints (2)+(3)
-that admits a solution — ``beta* <= 1`` iff the LP is feasible, and the
-value is a useful continuous measure of how overloaded an instance is
-(equivalently, ``1/beta*`` is the largest factor by which the platform
-could be slowed while staying LP-feasible).
+Besides the yes/no oracle we expose the *stress* ``beta*``: the minimum
+uniform relaxation of constraints (2)+(3) that admits a solution —
+``beta* <= 1`` iff the LP is feasible, and the value is a useful
+continuous measure of how overloaded an instance is (equivalently,
+``1/beta*`` is the largest factor by which the platform could be slowed
+while staying LP-feasible).
+
+No solver is needed.  Put ``x[i, j] = u[i, j] / s_j``, the share of time
+task ``i`` spends on machine ``j``: (1) becomes ``sum_j s_j x[i, j] ==
+w_i``, and (2)+(3) relaxed by ``beta`` say that no task runs, and no
+machine is busy, for more than ``beta`` of the time.  That is preemptive
+scheduling of jobs of size ``w_i`` on uniform machines within makespan
+``beta``, whose optimum has a closed form (Horvath, Lam & Sethi 1977;
+Gonzalez & Sahni 1978; the implicit-deadline uniform-multiprocessor test
+of Funk, Goossens & Baruah 2001).  With ``w`` and ``s`` sorted
+descending::
+
+    beta* = max( max_{1 <= k <= min(n, m-1)} sum_{i<=k} w_i / sum_{j<=k} s_j,
+                 sum_i w_i / sum_j s_j )
+
+The ``k`` largest tasks run at most ``beta`` each and can at best
+occupy the ``k`` fastest machines, which bounds ``beta`` from below; the
+level algorithm meets every bound at once.  :func:`check_lp_solution`
+and :func:`verify_lemma_ii1` audit an explicit ``u`` independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import fsum
 from typing import TYPE_CHECKING
 
 from .model import Platform, TaskSet
@@ -30,24 +48,22 @@ from .model import Platform, TaskSet
 if TYPE_CHECKING:
     from numpy import ndarray
 
-# scipy is imported inside the two functions that build and solve the LP:
-# it costs ~45 MB and ~0.2 s in every process, and most never solve one.
-# numpy likewise, in each function that computes with it: a serving
-# front end imports this module through `repro` and never touches an LP.
+# numpy is imported inside each verifier that computes with it: every
+# process imports this module through `repro`, and most never verify a
+# witness.
 
 __all__ = [
-    "LPSolution",
     "lp_feasible",
     "lp_stress",
-    "lp_solve",
     "check_lp_solution",
     "verify_lemma_ii1",
     "tol_leq",
     "tol_geq",
 ]
 
-#: Feasibility slack granted to the solver's answer.  HiGHS enforces
-#: constraints to ~1e-9; we accept 1e-7 to be safe across platforms.
+#: Slack granted on the LP side: ``beta* <= 1 + LP_TOL`` (relative above
+#: magnitude 1) counts as feasible, and the verifiers accept constraint
+#: violations up to it.
 LP_TOL: float = 1e-7
 
 
@@ -72,20 +88,6 @@ def tol_geq(a, b, *, tol: float = LP_TOL):
     return tol_leq(b, a, tol=tol)
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    """A solved LP instance."""
-
-    #: n x m utilization-assignment matrix (or None when infeasible)
-    u: ndarray | None
-    #: minimum uniform relaxation beta* of constraints (2)+(3)
-    stress: float
-
-    @property
-    def feasible(self) -> bool:
-        return bool(tol_leq(self.stress, 1.0))
-
-
 def _necessary_conditions(taskset: TaskSet, platform: Platform) -> bool:
     """Cheap necessary conditions: every task fits the fastest machine
     (constraint 2 summed against s_m) and total utilization fits total
@@ -98,89 +100,17 @@ def _necessary_conditions(taskset: TaskSet, platform: Platform) -> bool:
     return True
 
 
-def _build_stress_lp(taskset: TaskSet, platform: Platform):
-    """Build ``min beta`` subject to (1), (2)<=beta, (3)<=beta, u>=0.
-
-    Variables: u flattened row-major (i*m + j), then beta last.
-    """
-    import numpy as np
-    from scipy.sparse import coo_matrix
-
-    n = len(taskset)
-    m = len(platform)
-    w = np.array(taskset.utilizations)
-    s = np.array(platform.speeds)
-    nv = n * m + 1
-
-    # Equality (1): one row per task.
-    eq_rows = np.repeat(np.arange(n), m)
-    eq_cols = np.arange(n * m)
-    eq_vals = np.ones(n * m)
-    a_eq = coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, nv)).tocsr()
-    b_eq = w
-
-    # Inequalities: n rows of (2) then m rows of (3); each has -beta.
-    rows = []
-    cols = []
-    vals = []
-    inv_s = 1.0 / s
-    for i in range(n):
-        for j in range(m):
-            rows.append(i)
-            cols.append(i * m + j)
-            vals.append(inv_s[j])
-        rows.append(i)
-        cols.append(n * m)
-        vals.append(-1.0)
-    for j in range(m):
-        r = n + j
-        for i in range(n):
-            rows.append(r)
-            cols.append(i * m + j)
-            vals.append(inv_s[j])
-        rows.append(r)
-        cols.append(n * m)
-        vals.append(-1.0)
-    a_ub = coo_matrix((vals, (rows, cols)), shape=(n + m, nv)).tocsr()
-    b_ub = np.zeros(n + m)
-
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    return c, a_ub, b_ub, a_eq, b_eq
-
-
-def lp_solve(taskset: TaskSet, platform: Platform) -> LPSolution:
-    """Solve the stress LP; always succeeds (beta can absorb any overload).
-
-    Returns the assignment matrix at the optimum and ``beta*``.
-    """
-    import numpy as np
-    from scipy.optimize import linprog
-
-    n = len(taskset)
-    if n == 0:
-        m = len(platform)
-        return LPSolution(u=np.zeros((0, m)), stress=0.0)
-    m = len(platform)
-    c, a_ub, b_ub, a_eq, b_eq = _build_stress_lp(taskset, platform)
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * (n * m + 1),
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - stress LP is always feasible
-        raise RuntimeError(f"LP solver failed unexpectedly: {res.message}")
-    u = np.asarray(res.x[: n * m]).reshape(n, m)
-    return LPSolution(u=u, stress=float(res.x[-1]))
-
-
 def lp_stress(taskset: TaskSet, platform: Platform) -> float:
-    """Minimum uniform relaxation ``beta*`` (see module docstring)."""
-    return lp_solve(taskset, platform).stress
+    """Minimum uniform relaxation ``beta*``, in closed form (see module
+    docstring); 0 for an empty task set."""
+    w = sorted(taskset.utilizations, reverse=True)
+    if not w:
+        return 0.0
+    s = sorted(platform.speeds, reverse=True)
+    beta = fsum(w) / fsum(s)
+    for k in range(1, min(len(w), len(s) - 1) + 1):
+        beta = max(beta, fsum(w[:k]) / fsum(s[:k]))
+    return beta
 
 
 def lp_feasible(taskset: TaskSet, platform: Platform) -> bool:
@@ -191,7 +121,7 @@ def lp_feasible(taskset: TaskSet, platform: Platform) -> bool:
     """
     if not _necessary_conditions(taskset, platform):
         return False
-    return lp_solve(taskset, platform).feasible
+    return bool(tol_leq(lp_stress(taskset, platform), 1.0))
 
 
 def check_lp_solution(

@@ -21,7 +21,7 @@ from repro.core.bounds import (
     rms_liu_layland_feasible,
     rms_rta_feasible,
 )
-from repro.core.model import Task
+from repro.core.model import Platform, Task, TaskSet
 
 LN2 = math.log(2)
 
@@ -409,10 +409,21 @@ class TestLintDrivenAccumulationFixes:
 
     def test_lp_feasible_routes_through_tol_leq(self):
         """stress == 1 + tol/2 is feasible, 1 + 3*tol is not, and the
-        verdict is a plain bool (numpy scalars must not leak out)."""
-        from repro.core.lp import LP_TOL, LPSolution
+        verdict is a plain bool (numpy scalars must not leak out).
 
-        onto = LPSolution(u=None, stress=1.0 + 0.5 * LP_TOL)
-        over = LPSolution(u=None, stress=1.0 + 3.0 * LP_TOL)
-        assert onto.feasible is True
-        assert over.feasible is False
+        On speeds [1, 1, 4] with w = (4, 1 + x) only the two-machine
+        prefix binds: beta* = (5 + x)/5 = 1 + x/5, while both
+        necessary conditions (4 <= 4, 5 + x <= 6) hold."""
+        from repro.core.lp import LP_TOL, _necessary_conditions, lp_feasible, lp_stress
+
+        platform = Platform.from_speeds([1.0, 1.0, 4.0])
+        verdicts = []
+        for x, stress in ((2.5e-7, 1.0 + 0.5 * LP_TOL), (1.5e-6, 1.0 + 3.0 * LP_TOL)):
+            taskset = TaskSet(
+                [Task.from_utilization(4.0, 10.0), Task.from_utilization(1.0 + x, 10.0)]
+            )
+            assert _necessary_conditions(taskset, platform)
+            assert lp_stress(taskset, platform) == pytest.approx(stress, rel=1e-12)
+            verdicts.append(lp_feasible(taskset, platform))
+        assert verdicts[0] is True
+        assert verdicts[1] is False

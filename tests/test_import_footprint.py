@@ -1,10 +1,11 @@
 """Each process imports only what it runs.
 
-* Only solving the §II LP may load scipy: it costs each interpreter
-  ~45 MB of peak RSS and ~0.2 s of start-up, and the serving processes,
-  the campaign pool and the first-fit test never solve an LP.  Forked
-  pool workers inherit their parent's modules, so checking the parent
-  covers the campaign pool too.
+* No process loads scipy, which would cost each interpreter ~45 MB of
+  peak RSS and ~0.2 s of start-up: not the serving processes, the
+  campaign pool or the first-fit test, and not the §II LP either, whose
+  ``beta*`` has a closed form.  Forked pool workers inherit their
+  parent's modules, so checking the parent covers the campaign pool
+  too.
 * A ``repro serve --workers N`` front end never evaluates, so it loads
   neither numpy nor the experiments, simulator or workload generators;
   a shard worker never speaks HTTP, so it loads neither asyncio nor the
@@ -70,29 +71,20 @@ def _run(code: str) -> list[str]:
         assert feasibility_test(taskset, platform).accepted
         assert first_fit_partition(taskset, platform).success
         """,
+        """
+        from repro import Platform, Task, TaskSet, lp_feasible, lp_stress
+        platform = Platform.from_speeds([1.0, 2.0])
+        taskset = TaskSet([Task.from_utilization(u, 10.0) for u in (1.5, 1.2)])
+        assert lp_feasible(taskset, platform)
+        single = TaskSet([Task.from_utilization(0.5, 10.0)])
+        assert lp_stress(single, Platform.from_speeds([1.0])) == 0.5
+        """,
     ],
-    ids=["service", "experiments-cli", "first-fit"],
+    ids=["service", "experiments-cli", "first-fit", "lp"],
 )
 def test_scipy_not_imported(code):
     probe = textwrap.dedent(code) + "\nimport sys\nprint('scipy' in sys.modules)\n"
     assert _run(probe) == ["False"]
-
-
-def test_lp_imports_scipy_on_first_solve():
-    out = _run(textwrap.dedent(
-        """
-        import sys
-        from repro import Platform, Task, TaskSet, lp_feasible, lp_stress
-        print('scipy' in sys.modules)
-        platform = Platform.from_speeds([1.0, 2.0])
-        taskset = TaskSet([Task.from_utilization(u, 10.0) for u in (1.5, 1.2)])
-        print(lp_feasible(taskset, platform))
-        single = TaskSet([Task.from_utilization(0.5, 10.0)])
-        print(round(lp_stress(single, Platform.from_speeds([1.0])), 6))
-        print('scipy.optimize' in sys.modules)
-        """
-    ))
-    assert out == ["False", "True", "0.5", "True"]
 
 
 def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:

@@ -9,7 +9,7 @@ from repro.analysis.ratio import min_alpha_first_fit
 from repro.baselines.exact import exact_partitioned_edf_feasible
 from repro.baselines.ptas import ptas_feasibility_test
 from repro.core.feasibility import edf_test_vs_partitioned, rms_test_vs_partitioned
-from repro.core.lp import lp_feasible, lp_solve, verify_lemma_ii1
+from repro.core.lp import lp_feasible, tol_leq, verify_lemma_ii1
 from repro.core.model import Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.sim.multiprocessor import simulate_partitioned
@@ -19,6 +19,8 @@ from repro.workloads.builder import (
     partitioned_feasible_instance,
 )
 from repro.workloads.platforms import big_little_platform, geometric_platform
+
+from .lp_reference import reference_lp
 
 
 class TestFourOraclesAgree:
@@ -50,9 +52,9 @@ class TestFourOraclesAgree:
             taskset = generate_taskset(
                 rng, 6, 0.8 * platform.total_speed, u_max=platform.fastest_speed
             )
-            sol = lp_solve(taskset, platform)
-            if sol.feasible:
-                assert verify_lemma_ii1(sol.u, taskset, platform, 2.98)
+            u, beta = reference_lp(taskset, platform)
+            if tol_leq(beta, 1.0):
+                assert verify_lemma_ii1(u, taskset, platform, 2.98)
 
 
 class TestAdmissionControlScenario:

@@ -154,19 +154,25 @@ class TestSelfTest:
         )
 
 
+@pytest.fixture(scope="module")
+def real_src_serial() -> LintResult:
+    """One cold, serial, uncached analysis of the real ``src/``, shared
+    by every test here that reads it."""
+    return lint_paths([REPO_ROOT / "src"], LintConfig(root=REPO_ROOT))
+
+
 class TestMetaLint:
     """This repository holds itself to the discipline it ships."""
 
-    def test_src_is_clean(self):
-        result = lint_paths([REPO_ROOT / "src"], LintConfig(root=REPO_ROOT))
+    def test_src_is_clean(self, real_src_serial):
+        result = real_src_serial
         assert result.parse_errors == []
         assert result.findings == [], "\n".join(
             f.render() for f in result.findings
         )
 
-    def test_no_unused_suppressions_in_src(self):
-        config = LintConfig(root=REPO_ROOT)
-        result = lint_paths([REPO_ROOT / "src"], config)
+    def test_no_unused_suppressions_in_src(self, real_src_serial):
+        result = real_src_serial
         assert result.unused_suppressions == [], "\n".join(
             s.render() for s in result.unused_suppressions
         )
@@ -815,12 +821,12 @@ class TestCacheAndParallel:
         ser_json.pop("stats")
         assert par_json == ser_json
 
-    def test_jobs_and_warm_cache_identical_on_real_src(self, tmp_path):
+    def test_jobs_and_warm_cache_identical_on_real_src(self, tmp_path, real_src_serial):
         """The acceptance criterion, verbatim: ``repro lint src/`` with
         ``--jobs 4`` and with a warm cache are byte-identical to the
         cold serial run, and the warm run demonstrably skips every
         unchanged module (via stats, not timing)."""
-        serial = lint_paths([REPO_ROOT / "src"], LintConfig(root=REPO_ROOT))
+        serial = real_src_serial
         cache = tmp_path / "lint-cache.pickle"
         cold_parallel = lint_paths(
             [REPO_ROOT / "src"],

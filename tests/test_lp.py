@@ -1,21 +1,31 @@
-"""Unit and property tests for the §II feasibility LP."""
+"""Unit and property tests for the §II feasibility LP.
+
+The closed-form ``beta*`` is checked against a general LP solver
+(:mod:`tests.lp_reference`), whose witness ``u`` the two verifiers
+audit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.lp import (
     LP_TOL,
+    _necessary_conditions,
     check_lp_solution,
     lp_feasible,
-    lp_solve,
     lp_stress,
     tol_geq,
     tol_leq,
     verify_lemma_ii1,
 )
 from repro.core.model import Platform, Task, TaskSet
+from repro.oracle.generators import PROFILES, draw_instance
+
+from .lp_reference import reference_lp
 
 
 def ts(*utils):
@@ -89,9 +99,9 @@ class TestLPSolution:
             n = int(rng.integers(1, 9))
             taskset = ts(*rng.uniform(0.05, 0.8, size=n))
             platform = Platform.from_speeds(rng.uniform(0.5, 2.0, size=4).tolist())
-            sol = lp_solve(taskset, platform)
-            if sol.feasible:
-                assert check_lp_solution(sol.u, taskset, platform)
+            u, beta = reference_lp(taskset, platform)
+            if tol_leq(beta, 1.0):
+                assert check_lp_solution(u, taskset, platform)
 
     def test_check_rejects_bad_shapes(self):
         taskset, platform = ts(0.5), Platform.from_speeds([1.0])
@@ -122,24 +132,25 @@ class TestLPSolution:
 class TestLemmaII1:
     def test_holds_on_solver_output(self, rng):
         """Lemma II.1 is a theorem about every feasible LP solution — it
-        must hold on whatever HiGHS returns, for arbitrary alpha > 1."""
+        must hold on whatever the reference solver returns, for
+        arbitrary alpha > 1."""
         for _ in range(20):
             n = int(rng.integers(1, 8))
             taskset = ts(*rng.uniform(0.05, 0.9, size=n))
             platform = Platform.from_speeds(rng.uniform(0.3, 2.5, size=4).tolist())
-            sol = lp_solve(taskset, platform)
-            if not sol.feasible:
+            u, beta = reference_lp(taskset, platform)
+            if not tol_leq(beta, 1.0):
                 continue
             for alpha in (1.5, 2.0, 2.98, 3.34):
-                assert verify_lemma_ii1(sol.u, taskset, platform, alpha), (
+                assert verify_lemma_ii1(u, taskset, platform, alpha), (
                     f"Lemma II.1 violated at alpha={alpha}"
                 )
 
     def test_requires_alpha_above_one(self):
         taskset, platform = ts(0.5), Platform.from_speeds([1.0])
-        sol = lp_solve(taskset, platform)
+        u, _ = reference_lp(taskset, platform)
         with pytest.raises(ValueError):
-            verify_lemma_ii1(sol.u, taskset, platform, 1.0)
+            verify_lemma_ii1(u, taskset, platform, 1.0)
 
     def test_detects_violation(self):
         # A fake 'solution' parking a large task entirely on a machine
@@ -240,8 +251,48 @@ class TestLemmaII1Boundary:
             taskset = TaskSet(
                 [Task.from_utilization(w, 10.0), Task.from_utilization(0.3, 20.0)]
             )
-            sol = lp_solve(taskset, platform)
-            assert sol.feasible and sol.u is not None
-            assert check_lp_solution(sol.u, taskset, platform)
+            u, beta = reference_lp(taskset, platform)
+            assert tol_leq(beta, 1.0) and lp_feasible(taskset, platform)
+            assert check_lp_solution(u, taskset, platform)
             for alpha in (1.5, self.ALPHA, 3.0):
-                assert verify_lemma_ii1(sol.u, taskset, platform, alpha)
+                assert verify_lemma_ii1(u, taskset, platform, alpha)
+
+
+def _agrees_with_reference(taskset, platform):
+    """The closed form's ``beta*`` matches the solver's to 1e-9 relative,
+    and ``lp_feasible`` gives the verdict the solver's ``beta*`` gives."""
+    _, beta = reference_lp(taskset, platform)
+    closed = lp_stress(taskset, platform)
+    assert closed == pytest.approx(beta, rel=1e-9)
+    verdict = _necessary_conditions(taskset, platform) and bool(tol_leq(beta, 1.0))
+    assert lp_feasible(taskset, platform) is verdict
+
+
+#: real speeds, or small integers where ties are common
+_speeds = st.one_of(
+    st.lists(st.floats(0.25, 4.0), min_size=1, max_size=8),
+    st.lists(st.integers(1, 4).map(float), min_size=1, max_size=8),
+)
+_utilizations = st.one_of(
+    st.lists(st.floats(0.01, 4.0), max_size=10),
+    st.lists(st.integers(1, 8).map(lambda k: k / 4), max_size=10),
+)
+
+
+class TestClosedFormAgainstReference:
+    """``lp_stress``'s sorted-prefix closed form against the LP solver."""
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_generator_profiles(self, profile):
+        rng = np.random.default_rng(list(PROFILES).index(profile))
+        for _ in range(40):
+            _agrees_with_reference(*draw_instance(rng, profile))
+
+    @given(_utilizations, _speeds)
+    @settings(max_examples=150, deadline=None)
+    @example([], [1.0])  # n = 0
+    @example([0.5, 1.5], [1.0, 2.0, 2.0, 3.0])  # n < m
+    @example([0.7, 0.4, 0.9], [1.0])  # m = 1
+    @example([2.0, 2.0, 2.0], [2.0, 2.0, 1.0])  # ties in both
+    def test_hypothesis_instances(self, utils, speeds):
+        _agrees_with_reference(ts(*utils), Platform.from_speeds(speeds))
