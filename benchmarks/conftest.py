@@ -1,9 +1,10 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the harness benchmarks.
 
-Each ``bench_eXX`` module regenerates one evaluation artifact (DESIGN.md
-§3) under pytest-benchmark timing and archives the rendered table to
-``results/eXX.txt`` (+ ``.csv``) so the numbers in EXPERIMENTS.md can be
-traced to a run.
+``bench_e18_throughput``, ``bench_e19_kernels`` and ``bench_service``
+each time one harness artifact (E18, E20, E21) under pytest-benchmark
+and archive its rendered table to ``results/eNN.txt`` (+ ``.csv``).
+The paper experiments E1-E23 are not benchmarked here: tier-1 diffs
+their quick tables against ``results/quick/`` (tests/test_experiments.py).
 """
 
 from __future__ import annotations
