@@ -327,12 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: Path):
-    data = load_json(path)
-    return taskset_from_dict(data["taskset"]), platform_from_dict(data["platform"])
+    """The (taskset, platform) in ``path``, or None after printing why the
+    file is malformed; the caller then exits with the usage-error status."""
+    try:
+        data = load_json(path)
+        return taskset_from_dict(data["taskset"]), platform_from_dict(data["platform"])
+    except KeyError as exc:
+        reason = f"missing field {exc}"
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    taskset, platform = _load_instance(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
+    taskset, platform = instance
     if args.backend is None:
         report = feasibility_test(
             taskset, platform, args.scheduler, args.adversary, alpha=args.alpha
@@ -412,7 +424,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     from .sim.multiprocessor import simulate_partitioned
 
-    taskset, platform = _load_instance(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
+    taskset, platform = instance
     test = "edf" if args.policy == "edf" else "rms-ll"
     result = first_fit_partition(taskset, platform, test, alpha=args.alpha)
     if not result.success:
@@ -504,7 +519,10 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from .sim.gantt import render_gantt
     from .sim.multiprocessor import simulate_partitioned
 
-    taskset, platform = _load_instance(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
+    taskset, platform = instance
     test = "edf" if args.policy == "edf" else "rms-ll"
     result = first_fit_partition(taskset, platform, test, alpha=args.alpha)
     if not result.success:
@@ -539,7 +557,10 @@ def _cmd_slack(args: argparse.Namespace) -> int:
         system_scaling_margin,
     )
 
-    taskset, platform = _load_instance(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
+    taskset, platform = instance
     accept = ff_acceptance(platform, args.test, args.alpha)
     if not accept(taskset):
         print(

@@ -43,7 +43,7 @@ from __future__ import annotations
 from math import fsum
 from typing import TYPE_CHECKING
 
-from .model import Platform, TaskSet
+from .model import Platform, TaskSet, leq
 
 if TYPE_CHECKING:
     from numpy import ndarray
@@ -121,7 +121,8 @@ def lp_feasible(taskset: TaskSet, platform: Platform) -> bool:
     """
     if not _necessary_conditions(taskset, platform):
         return False
-    return bool(tol_leq(lp_stress(taskset, platform), 1.0))
+    # tol_leq's formula on one float: numpy stays unloaded
+    return leq(lp_stress(taskset, platform), 1.0, eps=LP_TOL)
 
 
 def check_lp_solution(

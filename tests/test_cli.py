@@ -266,6 +266,34 @@ class TestCommands:
         )
         assert main(["slack", str(inst)]) == 1
 
+    @pytest.mark.parametrize("command", ["test", "simulate", "gantt", "slack"])
+    @pytest.mark.parametrize(
+        "second_task, reason",
+        [
+            ({"wcet": 2.0, "period": 8.0}, None),
+            ({"wcet": 2.0}, "missing field 'period'"),
+            ({"wcet": -1, "period": 8.0}, "wcet must be positive and finite, got -1.0"),
+        ],
+        ids=["good", "no-period", "negative-wcet"],
+    )
+    def test_malformed_instance_is_a_usage_error(
+        self, tmp_path, capsys, command, second_task, reason
+    ):
+        """A malformed instance file is reported on one line naming the
+        field, with the usage-error status 2 and no traceback."""
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({
+            "taskset": {"tasks": [{"wcet": 1.0, "period": 10.0}, second_task]},
+            "platform": {"machines": [{"speed": 1.0}, {"speed": 2.0}]},
+        }))
+        code = main([command, str(inst)])
+        err = capsys.readouterr().err
+        if reason is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert err == f"error: {inst}: {reason}\n"
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

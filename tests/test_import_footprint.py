@@ -13,6 +13,8 @@
   scalar verdict, ``edf-dbf``'s exact demand analysis included, and
   every shard too narrow for the lockstep on ``--backend numpy`` (a
   lone instance of any size, a batch of eight) runs without it.
+* The §II LP's verdict ``lp_feasible`` loads no numpy: it compares one
+  float.
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
 * ``import repro.experiments`` and ``repro list`` load only the
@@ -275,6 +277,16 @@ def test_scalar_verdicts_load_no_numpy():
         """
     ))
     assert int(out[0]) > 0 and out[1:] == ["False"]
+
+
+def test_lp_feasible_loads_no_numpy():
+    code = """
+    from repro import Platform, Task, TaskSet, lp_feasible
+    platform = Platform.from_speeds([1.0, 2.0])
+    assert lp_feasible(TaskSet([Task.from_utilization(u, 10.0) for u in (1.5, 1.2)]), platform)
+    assert not lp_feasible(TaskSet([Task.from_utilization(2.5, 10.0)]), platform)
+    """
+    assert _loaded(code, ("numpy",)) == []
 
 
 def test_admission_tests_resolve_without_their_modules_preloaded():
