@@ -182,7 +182,9 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "Theorem" in out
+        # stdout starts with the table tier-1 diffs against
+        golden = Path(__file__).resolve().parent.parent / "results" / "quick" / "e01.txt"
+        assert out.startswith(golden.read_text())
         assert csv_path.exists()
         assert "theorem" in csv_path.read_text()
 

@@ -47,8 +47,7 @@ def _mask_timings(text):
 
 @pytest.mark.parametrize("eid", list(all_experiments()))
 def test_table_matches_golden(eid):
-    golden = GOLDEN_DIR / f"{eid}.txt"
-    expected = golden.read_text()
+    expected = (GOLDEN_DIR / f"{eid}.txt").read_text()
     actual = run(eid).render() + "\n"
     if eid == "e06":
         expected, actual = _mask_timings(expected), _mask_timings(actual)
