@@ -5,7 +5,8 @@ Reproduction of *Ahuja, Lu, Moseley, "Partitioned Feasibility Tests for
 Sporadic Tasks on Heterogeneous Machines" (IPPS 2016)*: the §III first-fit
 partitioner, the four approximate feasibility tests (Theorems I.1–I.4),
 the §II feasibility LP, exact adversaries, a discrete-event schedule
-simulator, synthetic workload generators, and the E1–E17 evaluation suite.
+simulator, synthetic workload generators, and the E01–E17, E22 and E23
+evaluation suite (19 experiments).
 
 Quickstart::
 
@@ -17,26 +18,31 @@ Quickstart::
     print(report.guarantee)
 """
 
-from .core import (
-    ALPHA_EDF_LP,
-    ALPHA_EDF_PARTITIONED,
-    ALPHA_RMS_LP,
-    ALPHA_RMS_PARTITIONED,
-    FeasibilityReport,
-    Machine,
-    PartitionResult,
-    Platform,
-    Task,
-    TaskSet,
-    edf_test_vs_any,
-    edf_test_vs_partitioned,
-    feasibility_test,
-    first_fit_partition,
-    lp_feasible,
-    lp_stress,
-    rms_test_vs_any,
-    rms_test_vs_partitioned,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core import (
+        ALPHA_EDF_LP,
+        ALPHA_EDF_PARTITIONED,
+        ALPHA_RMS_LP,
+        ALPHA_RMS_PARTITIONED,
+        FeasibilityReport,
+        Machine,
+        PartitionResult,
+        Platform,
+        Task,
+        TaskSet,
+        edf_test_vs_any,
+        edf_test_vs_partitioned,
+        feasibility_test,
+        first_fit_partition,
+        lp_feasible,
+        lp_stress,
+        rms_test_vs_any,
+        rms_test_vs_partitioned,
+    )
 
 __version__ = "1.0.0"
 
@@ -61,3 +67,9 @@ __all__ = [
     "rms_test_vs_partitioned",
     "__version__",
 ]
+
+#: the core names, resolved on first access: ``import repro.experiments``
+#: and ``repro list`` load none of ``repro.core``
+__getattr__ = lazy_exports(
+    __name__, {name: "core" for name in __all__ if name != "__version__"}
+)

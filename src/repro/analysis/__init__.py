@@ -6,8 +6,7 @@ process that needs one submodule (an E22 pool worker needs only
 :mod:`~repro.analysis.acceptance`) loads none of the others.
 """
 
-from importlib import import_module
-from typing import Any
+from .._lazy import lazy_exports
 
 #: public name -> the submodule that defines it
 _EXPORTS = {
@@ -39,17 +38,6 @@ _EXPORTS = {
     "empirical_cdf": "stats",
     "summarize": "stats",
 }
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        # also how ``from repro.analysis import acceptance`` falls back
-        # to importing the submodule
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = list(_EXPORTS)

@@ -23,22 +23,11 @@ import sys
 from pathlib import Path
 
 # Each handler imports the modules only it runs (numpy, the experiments,
-# the simulator, the workload generators), so `repro serve` does not
-# load them into a front end that never evaluates anything.
+# the simulator, the workload generators, repro.core itself), so `repro
+# serve` does not load them into a front end that never evaluates
+# anything, and `repro list` loads only the experiment table.
 from . import __version__
-from .core import constants as C
-from .core.feasibility import feasibility_test
-from .core.partition import first_fit_partition
-from .io_.serialize import (
-    load_json,
-    platform_from_dict,
-    platform_to_dict,
-    save_json,
-    taskset_from_dict,
-    taskset_to_dict,
-)
-from .io_.tables import write_csv
-from .kernels import BACKENDS
+from .kernels.backends import BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -328,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_instance(path: Path):
     """The (taskset, platform) in ``path``, or None after printing why the
-    file is malformed; the caller then exits with the usage-error status."""
+    file is unreadable or malformed; the caller then exits with the
+    usage-error status."""
+    from .io_.serialize import load_json, platform_from_dict, taskset_from_dict
+
     try:
         data = load_json(path)
         return taskset_from_dict(data["taskset"]), platform_from_dict(data["platform"])
@@ -336,6 +328,8 @@ def _load_instance(path: Path):
         reason = f"missing field {exc}"
     except (TypeError, ValueError) as exc:
         reason = str(exc)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
     print(f"error: {path}: {reason}", file=sys.stderr)
     return None
 
@@ -346,6 +340,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
         return 2
     taskset, platform = instance
     if args.backend is None:
+        from .core.feasibility import feasibility_test
+
         report = feasibility_test(
             taskset, platform, args.scheduler, args.adversary, alpha=args.alpha
         )
@@ -360,8 +356,6 @@ def _cmd_test(args: argparse.Namespace) -> int:
             backend=args.backend,
         )[0]
     if args.json:
-        import json
-
         from .io_.serialize import report_to_dict
 
         print(
@@ -396,6 +390,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from .io_.serialize import platform_to_dict, save_json, taskset_to_dict
     from .workloads.builder import generate_taskset
     from .workloads.platforms import geometric_platform
 
@@ -422,6 +417,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from .core.partition import first_fit_partition
     from .sim.multiprocessor import simulate_partitioned
 
     instance = _load_instance(args.instance)
@@ -489,12 +485,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         # across --jobs values (and clean for redirection into files).
         print(tele.render(), file=sys.stderr)
     if args.csv is not None:
+        from .io_.tables import write_csv
+
         write_csv(args.csv, result.rows)
-        print(f"\nrows written to {args.csv}")
+        print(f"rows written to {args.csv}", file=sys.stderr)
     return 0
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    from .core import constants as C
+
     for label, pc, sched in (
         ("EDF (Theorem I.3)", C.EDF_LP_CONSTANTS, "edf"),
         ("RMS (Theorem I.4)", C.RMS_LP_CONSTANTS, "rms"),
@@ -516,6 +516,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
+    from .core.partition import first_fit_partition
     from .sim.gantt import render_gantt
     from .sim.multiprocessor import simulate_partitioned
 

@@ -27,11 +27,14 @@ Public surface:
 See ``docs/kernels.md`` for the design and the bit-identity argument.
 """
 
-from .backends import BACKENDS, resolve_backend
-from . import batch as _batch
-from . import buffers as _buffers
-from .batch import BATCH_TESTS, Instance, first_fit_batch, test_feasibility_batch
-from .buffers import KernelCacheStats, kernel_cache_stats
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .backends import BACKENDS, resolve_backend
+    from .batch import BATCH_TESTS, Instance, first_fit_batch, test_feasibility_batch
+    from .buffers import KernelCacheStats, kernel_cache_stats
 
 
 def reset_kernel_caches() -> None:
@@ -43,11 +46,14 @@ def reset_kernel_caches() -> None:
     """
     import sys
 
-    _buffers.reset_kernel_caches()
-    _batch._LL_TABLES.clear()
+    from . import batch, buffers
+
+    buffers.reset_kernel_caches()
+    batch._LL_TABLES.clear()
     lockstep = sys.modules.get(__name__ + ".lockstep")
     if lockstep is not None:
         lockstep.reset_lockstep_caches()
+
 
 __all__ = [
     "BACKENDS",
@@ -60,3 +66,19 @@ __all__ = [
     "resolve_backend",
     "test_feasibility_batch",
 ]
+
+#: Names resolved on first access, so the ``repro`` argument parser takes
+#: :data:`BACKENDS` without loading the kernels or ``repro.core``.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "BACKENDS": "backends",
+        "resolve_backend": "backends",
+        "BATCH_TESTS": "batch",
+        "Instance": "batch",
+        "first_fit_batch": "batch",
+        "test_feasibility_batch": "batch",
+        "KernelCacheStats": "buffers",
+        "kernel_cache_stats": "buffers",
+    },
+)

@@ -49,8 +49,9 @@ Layers
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .callgraph import ProjectGraph
@@ -86,16 +87,7 @@ _LAZY = {
     "lint_sources": "engine",
     "run_self_test": "selftest",
 }
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "EngineStats",

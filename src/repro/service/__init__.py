@@ -23,9 +23,9 @@ Endpoints: ``POST /v1/test``, ``POST /v1/partition``, ``POST /v1/batch``,
 See ``docs/api.md`` ("Serving") for payload schemas.
 """
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_exports
 from .cache import CacheStats, LRUCache
 from .metrics import MetricsRegistry
 from .shard import ShardCore
@@ -54,16 +54,7 @@ _LAZY = {
     "ShardedFrontend": "frontend",
     "serve_sharded": "frontend",
 }
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "CacheStats",

@@ -367,7 +367,6 @@ class TestLintDrivenAccumulationFixes:
         machine must be filled to precisely its speed, after the DFS has
         probed (and backtracked from) the wrong arrangements first."""
         from repro.baselines.exact import exact_partitioned_edf_feasible
-        from repro.core.model import Platform, TaskSet
 
         tasks = tasks_from_utils([0.75, 0.5, 0.25, 0.25, 0.125, 0.125])
         platform = Platform.from_speeds([1.0, 1.0])

@@ -180,11 +180,13 @@ class TestCommands:
         code = main(
             ["experiment", "e01", "--scale", "quick", "--csv", str(csv_path)]
         )
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 0
-        # stdout starts with the table tier-1 diffs against
+        # stdout is exactly the table tier-1 diffs against; the CSV note
+        # goes to stderr with the telemetry
         golden = Path(__file__).resolve().parent.parent / "results" / "quick" / "e01.txt"
-        assert out.startswith(golden.read_text())
+        assert captured.out == golden.read_text()
+        assert captured.err == f"rows written to {csv_path}\n"
         assert csv_path.exists()
         assert "theorem" in csv_path.read_text()
 
@@ -275,19 +277,27 @@ class TestCommands:
             ({"wcet": 2.0, "period": 8.0}, None),
             ({"wcet": 2.0}, "missing field 'period'"),
             ({"wcet": -1, "period": 8.0}, "wcet must be positive and finite, got -1.0"),
+            ("missing", "No such file or directory"),
+            ("directory", "Is a directory"),
         ],
-        ids=["good", "no-period", "negative-wcet"],
+        ids=["good", "no-period", "negative-wcet", "missing-file", "directory"],
     )
     def test_malformed_instance_is_a_usage_error(
         self, tmp_path, capsys, command, second_task, reason
     ):
-        """A malformed instance file is reported on one line naming the
-        field, with the usage-error status 2 and no traceback."""
+        """A malformed instance file, or a path that is no readable file,
+        is reported on one line naming the field or the OS error, with
+        the usage-error status 2 and no traceback.  ``second_task`` is
+        the instance's second task, or ``"missing"`` / ``"directory"``
+        for what stands at the path instead of an instance file."""
         inst = tmp_path / "i.json"
-        inst.write_text(json.dumps({
-            "taskset": {"tasks": [{"wcet": 1.0, "period": 10.0}, second_task]},
-            "platform": {"machines": [{"speed": 1.0}, {"speed": 2.0}]},
-        }))
+        if second_task == "directory":
+            inst.mkdir()
+        elif second_task != "missing":
+            inst.write_text(json.dumps({
+                "taskset": {"tasks": [{"wcet": 1.0, "period": 10.0}, second_task]},
+                "platform": {"machines": [{"speed": 1.0}, {"speed": 2.0}]},
+            }))
         code = main([command, str(inst)])
         err = capsys.readouterr().err
         if reason is None:

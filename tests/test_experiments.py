@@ -69,8 +69,6 @@ class TestRegistry:
 
     def test_table_has_one_row_per_module(self):
         """A module missing from the table could never be run."""
-        from pathlib import Path
-
         import repro.experiments
         from repro.experiments.base import EXPERIMENTS
 

@@ -18,9 +18,19 @@
 * Building the ``repro`` argument parser loads none of the linter's
   analysis; only ``repro lint`` does.
 * ``import repro.experiments`` and ``repro list`` load only the
-  experiment table; fetching one experiment loads its own module and
-  the analysis submodules it uses, not the other experiments, the
+  experiment table: no experiment, no ``repro.core``, no serializer and
+  no kernels.  Fetching one experiment loads its own module and the
+  analysis submodules it uses, not the other experiments, the
   simulator or the rest of the analysis.
+* The package roots ``repro``, ``repro.io_``, ``repro.kernels``,
+  ``repro.analysis`` and ``repro.lint`` resolve their public names on
+  first access (``repro._lazy``), ``repro.service`` its client and
+  front-end names.  Their ``__all__`` lists are pinned, every name in
+  them resolves, and so does each submodule their export tables name,
+  as it did when the roots imported eagerly.
+* ``repro serve`` still loads the whole evaluation stack (all of
+  ``repro.core``, the kernels, the serializer) before it forks, so
+  each shard worker inherits it instead of importing it.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
   nor ``ssl``.
 
@@ -30,7 +40,9 @@ cannot hide a regression.
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -132,6 +144,24 @@ def test_experiment_table_loads_no_experiment():
     assert _loaded_under(code, ("repro.experiments.e",)) == []
 
 
+def test_experiment_table_loads_no_core():
+    """The table renders with ``repro.io_.tables`` alone."""
+    loaded = _loaded_under("import repro.experiments", ("repro.core", "repro.io_.serialize"))
+    assert loaded == []
+
+
+def test_list_loads_no_core_or_kernels():
+    """``repro list`` takes the parser's backend names from
+    ``repro.kernels.backends`` and imports nothing it does not print."""
+    code = """
+    import contextlib, io
+    from repro.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["list"])
+    """
+    assert _loaded_under(code, ("repro.core", "repro.kernels.batch")) == []
+
+
 def test_list_loads_no_experiment():
     out = _stdout(textwrap.dedent(
         """
@@ -174,6 +204,22 @@ def test_parser_loads_no_lint_analysis():
         )
     )
     assert _loaded(code, analysis + ("hashlib", "_hashlib")) == []
+
+
+def test_serve_loads_the_evaluation_stack_before_it_forks():
+    """What ``repro serve`` imports before ``fork_worker`` is what each
+    worker inherits instead of importing after the fork."""
+    code = """
+    import repro.cli
+    repro.cli.build_parser()
+    from repro.service.shard import fork_worker
+    """
+    core = importlib.import_module("repro.core")
+    stack = tuple(
+        f"repro.core.{info.name}" for info in pkgutil.iter_modules(core.__path__)
+    ) + ("repro.io_.serialize", "repro.kernels.batch", "repro.kernels.buffers", "repro.kernels.flat")
+    assert len(stack) == 14
+    assert _loaded(code, stack) == list(stack)
 
 
 def test_shard_worker_loads_no_http_stack():
@@ -326,6 +372,7 @@ def test_admission_test_table_names_every_registration():
         "repro.analysis",
         "repro.core",
         "repro.experiments",
+        "repro.io_",
         "repro.kernels",
         "repro.lint",
         "repro.service",
@@ -342,3 +389,83 @@ def test_public_names_still_resolve(package):
         """
     ))
     assert int(out[0]) > 0 and out[1:] == []
+
+
+@pytest.mark.parametrize(
+    "package, submodule",
+    [
+        ("repro", "core"),
+        ("repro.io_", "serialize"),
+        ("repro.io_", "tables"),
+        ("repro.kernels", "batch"),
+    ],
+)
+def test_submodules_resolve_as_attributes(package, submodule):
+    """After a bare ``import package``, ``package.submodule`` resolves
+    without an import of its own, as it did when the root was eager."""
+    code = f"import {package}\nprint({package}.{submodule}.__name__)"
+    assert _run(code) == [f"{package}.{submodule}"]
+
+
+def test_lazy_exports_contract():
+    """An unknown name raises ``AttributeError``; ``from pkg import
+    submodule`` still imports a submodule no export names; a resolved
+    name is cached in the package namespace."""
+    out = _run(textwrap.dedent(
+        """
+        import repro.lint
+        print(hasattr(repro.lint, "no_such_name"), "Finding" in vars(repro.lint))
+        from repro.lint import cli
+        print(cli.__name__, repro.lint.Finding is repro.lint.findings.Finding)
+        print("Finding" in vars(repro.lint))
+        """
+    ))
+    assert out == ["False", "False", "repro.lint.cli", "True", "True"]
+
+
+#: each lazily resolved package's ``__all__``, in order, as it was when
+#: the package imported its submodules eagerly
+_PUBLIC_NAMES = {
+    "repro": """
+        ALPHA_EDF_LP ALPHA_EDF_PARTITIONED ALPHA_RMS_LP ALPHA_RMS_PARTITIONED
+        FeasibilityReport Machine PartitionResult Platform Task TaskSet
+        edf_test_vs_any edf_test_vs_partitioned feasibility_test first_fit_partition
+        lp_feasible lp_stress rms_test_vs_any rms_test_vs_partitioned __version__
+    """,
+    "repro.io_": """
+        canonical_instance canonical_task_order certificate_from_dict
+        certificate_to_dict instance_digest load_json partition_result_from_dict
+        partition_result_to_dict platform_from_dict platform_to_dict
+        report_from_dict report_to_dict save_json task_from_dict task_to_dict
+        taskset_from_dict taskset_to_dict format_table rows_to_csv write_csv
+    """,
+    "repro.kernels": """
+        BACKENDS BATCH_TESTS Instance KernelCacheStats first_fit_batch
+        kernel_cache_stats reset_kernel_caches resolve_backend test_feasibility_batch
+    """,
+    "repro.analysis": """
+        AcceptanceCurve Tester acceptance_sweep exact_edf_tester exact_rms_tester
+        ff_tester lp_tester BreakdownStudy breakdown_utilizations HardInstance
+        search_hard_instance TaskSlack critical_tasks ff_acceptance per_task_slack
+        system_scaling_margin MinAlphaResult alpha_success_profile
+        min_alpha_first_fit RuntimePoint runtime_scaling SpeedupStudy
+        empirical_speedup_study Summary bootstrap_ci empirical_cdf summarize
+    """,
+    "repro.service": """
+        CacheStats LRUCache HttpClient HttpError ServiceClient ServiceError
+        MetricsRegistry ShardCore ShardedFrontend serve_sharded FieldError
+        PartitionQuery TestQuery ValidationError parse_batch_request
+        parse_partition_request parse_test_request
+    """,
+    "repro.lint": """
+        EngineStats Finding LintConfig LintResult ProgramRule ProjectGraph Rule
+        all_rules get_rule lint_changed lint_paths lint_source lint_sources
+        run_self_test
+    """,
+}
+
+
+@pytest.mark.parametrize("package", list(_PUBLIC_NAMES))
+def test_lazy_package_keeps_its_public_names(package):
+    module = importlib.import_module(package)
+    assert module.__all__ == _PUBLIC_NAMES[package].split()

@@ -1,11 +1,14 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never uses.
+"""No module in ``src/`` or ``tests/`` imports a name it never uses,
+or imports again inside a function a name it imports at top level.
 
-CI's ``ruff check`` (rule ``F401``) enforces the same, but only where
-ruff is installed; this AST scan runs with tier-1 everywhere.  A name
-counts as used when it appears as an identifier anywhere in its module,
-inside a string annotation, or in ``__all__``.  Package ``__init__``
-modules re-export what they import and are exempt, as is any import
-line carrying ``noqa: F401``.
+CI's ``ruff check`` (rules ``F401`` and ``F811``) enforces the same,
+but only where ruff is installed; these AST scans run with tier-1
+everywhere.  A name counts as used when it appears as an identifier
+anywhere in its module, inside a string annotation, or in ``__all__``.
+Package ``__init__`` modules re-export what they import and are exempt,
+as is any import line carrying ``noqa: F401`` (unused) or ``noqa: F811``
+(redefined).  A top-level import under ``if TYPE_CHECKING:`` binds
+nothing at run time, so a function may import the same name.
 """
 
 from __future__ import annotations
@@ -24,18 +27,26 @@ MODULES = sorted(
 )
 
 
+def _bound(node: ast.AST) -> list[str]:
+    """The names an import statement binds; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [(a.asname or a.name.split(".")[0]) for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names if a.name != "*"]
+    return []
+
+
+def _marked(node: ast.AST, lines: list[str], code: str) -> bool:
+    statement = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+    return f"noqa: {code}" in statement
+
+
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
     """Bound name → line of every import in ``tree`` not marked noqa."""
     bound: dict[str, int] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [(a.asname or a.name.split(".")[0]) for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names = [a.asname or a.name for a in node.names if a.name != "*"]
-        else:
-            continue
-        statement = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-        if "noqa: F401" not in statement:
+        names = _bound(node)
+        if names and not _marked(node, lines, "F401"):
             for name in names:
                 bound.setdefault(name, node.lineno)
     return bound
@@ -69,6 +80,54 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _is_type_checking(node: ast.stmt) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING",
+        "typing.TYPE_CHECKING",
+    )
+
+
+def _top_level_imports(body: list[ast.stmt]) -> set[str]:
+    """Names bound at run time by imports outside every function and
+    class, ``if``/``try`` blocks included."""
+    bound: set[str] = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if _is_type_checking(node):
+            bound |= _top_level_imports(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_bound(node))
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                bound |= _top_level_imports(getattr(node, field, []))
+    return bound
+
+
+def _redefined(tree: ast.Module, lines: list[str]) -> list[tuple[int, str]]:
+    """(line, name) of every function-level import, not marked noqa,
+    that binds a name the module imports at top level."""
+    top = _top_level_imports(tree.body)
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            names = _bound(node)
+            if names and not _marked(node, lines, "F811"):
+                found.update((node.lineno, name) for name in names if name in top)
+    return sorted(found)
+
+
+def redefined_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{line} `{name}`"
+        for line, name in _redefined(tree, source.splitlines())
+    ]
+
+
 def test_scanner_flags_an_unused_import():
     tree = "import os\nfrom typing import Any, TYPE_CHECKING\nx: 'Any' = 1\n"
     module = ast.parse(tree)
@@ -81,3 +140,26 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_scanner_flags_a_redefined_import():
+    source = (
+        "import json\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n"
+        "def f():\n"
+        "    import json\n"
+        "    from pathlib import Path\n"
+        "    def g():\n"
+        "        from os import sep as json\n"
+        "        import csv  # noqa: F811\n"
+        "    return json, Path, g\n"
+        "import csv\n"
+    )
+    assert _redefined(ast.parse(source), source.splitlines()) == [(6, "json"), (9, "json")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_redefined_imports(path):
+    assert redefined_imports(path) == []
