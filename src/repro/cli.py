@@ -583,9 +583,9 @@ def _cmd_slack(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.shard import fork_worker
 
-    # Fork the pool before the front end imports its HTTP stack (asyncio,
-    # ssl): a worker holds only what it runs, and its first verdict waits
-    # on no second interpreter's start-up.
+    # Fork the pool before the front end is imported: a worker holds only
+    # what it runs, and its first verdict waits on no second
+    # interpreter's start-up.
     pool = [
         fork_worker(
             k, cache_size=args.cache_size, backend=args.backend, chaos=args.chaos

@@ -51,7 +51,7 @@ IMPURE_TAGS = frozenset(
     }
 )
 
-#: effect tags that stall an asyncio event loop (REP012)
+#: effect tags that stall the front end's event loop (REP012)
 BLOCKING_TAGS = frozenset({"blocking", "process", "io", "lock"})
 
 

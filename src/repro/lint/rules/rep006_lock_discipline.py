@@ -7,7 +7,7 @@ Some state in this repo is shared between threads and guarded by one
 added later.  A mutation that slips outside the ``with self._lock:``
 block is a data race the test suite will almost never catch (races hide
 behind the GIL until a resize or preemption lands mid-update).  The
-asyncio front end and the shard worker are single-threaded by
+front end, its event loop and the shard worker are single-threaded by
 construction and carry a file pragma instead.
 
 Phase 1 records every mutation of ``self._x`` (assignment, ``+=``,

@@ -1,7 +1,8 @@
 """REP012 — blocking call reachable from an ``async def``.
 
-The sharded front end runs one asyncio event loop that multiplexes
-every client connection and every shard pipe.  A single synchronous
+The sharded front end runs one event loop (:mod:`repro.service.loop`,
+one ``selectors`` selector driving ``async def`` handlers) that
+multiplexes every client connection and every shard pipe.  A single synchronous
 block anywhere under a coroutine — ``time.sleep``, a subprocess wait,
 file IO, a held ``threading.Lock`` — freezes the whole loop: all
 shards, all clients, the health endpoint, for the full duration.  It
@@ -20,9 +21,9 @@ available.  This rule walks every ``async def`` in scope and flags
 
 Calls to other ``async def`` functions are skipped (the callee is
 awaited and reported at its own site if guilty), as are unresolvable
-calls (no speculation).  Legitimate blocking must move to
-``loop.run_in_executor`` or carry a ``# repro: noqa[REP012]`` with the
-reason (e.g. startup-only paths before the loop serves traffic).
+calls (no speculation).  Legitimate blocking must move to the
+worker processes or carry a ``# repro: noqa[REP012]`` with the reason
+(e.g. a fork, or startup-only paths before the loop serves traffic).
 """
 
 from __future__ import annotations

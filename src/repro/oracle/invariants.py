@@ -496,18 +496,17 @@ def check_service_roundtrip(
     acceptance — that the remapped partition verifies against the
     *submitted* task order.
     """
-    import asyncio
-
     from ..core.partition import PartitionResult
     from ..io_.serialize import partition_result_from_dict
     from ..service.frontend import ShardedFrontend
+    from ..service.loop import run
     from ..service.validation import ValidationError
 
     out: list[Violation] = []
     frontend = ShardedFrontend(workers=0, cache_size=16)
 
     def handle_test(payload: dict) -> dict:
-        return asyncio.run(frontend.handle_test(payload))
+        return run(frontend.handle_test(payload))
 
     if not taskset.is_implicit:
         # The theorem endpoint must refuse constrained deadlines with a

@@ -5,11 +5,14 @@ paper's Theorem I.1–I.4 verdicts (plus raw first-fit partitions) over
 HTTP from a long-lived process with canonical-instance caching and
 request-level metrics:
 
-* :mod:`~repro.service.frontend` — the asyncio HTTP front end
+* :mod:`~repro.service.frontend` — the single-threaded HTTP front end
   (``repro serve``): digest-routed shards, one in-process at
   ``--workers 0`` (the default) or N worker processes at
   ``--workers N``, each owning a private verdict LRU, byte-identical
   responses for every worker count;
+* :mod:`~repro.service.loop` — the front end's event loop: one
+  ``selectors`` selector driving ``async def`` handlers, so no serving
+  process loads asyncio or ``ssl``;
 * :mod:`~repro.service.shard` / :mod:`~repro.service.protocol` — the
   shard engine (:class:`~repro.service.shard.ShardCore`) and the frame
   protocol between the front end and worker processes;
@@ -44,8 +47,8 @@ if TYPE_CHECKING:
     from .frontend import ShardedFrontend, serve_sharded
 
 #: Names resolved on first access, so a shard worker importing
-#: ``repro.service.shard`` loads neither asyncio (the front end) nor
-#: the HTTP client stack.
+#: ``repro.service.shard`` loads neither the front end nor the HTTP
+#: client stack.
 _LAZY = {
     "HttpClient": "client",
     "HttpError": "client",

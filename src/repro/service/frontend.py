@@ -1,6 +1,6 @@
-"""The HTTP service: asyncio front end over digest-routed shards.
+"""The HTTP service: a single-threaded front end over digest-routed shards.
 
-One asyncio process owns the HTTP surface and routes every verdict
+One process owns the HTTP surface and routes every verdict
 request to a shard keyed by a prefix of the canonical
 :func:`~repro.io_.serialize.instance_digest`.  A shard is one
 :class:`~repro.service.shard.ShardCore` with a private verdict LRU:
@@ -39,24 +39,32 @@ canonical run performs the same admission probes as a direct call on
 the submitted instance, and (absent exact utilization ties) the
 remapped response is byte-identical to that direct call.
 
+The event loop is :mod:`repro.service.loop`: the handlers below are
+``async def`` coroutines driven by one ``selectors`` selector on one
+thread, so no serving process loads asyncio or ssl.  A request whose
+first byte has arrived must deliver its head and body within
+:data:`REQUEST_READ_TIMEOUT` or is answered ``408``; an idle keep-alive
+connection between requests is not timed.
+
 Worker lifecycle (``workers >= 1``): every worker is a fork
 (:func:`~repro.service.shard.fork_worker`) that keeps only its end of a
 ``socketpair``.  ``repro serve`` forks the first pool before it imports
-this module, so those workers never load asyncio or ssl.  If a worker
+this module, so those workers hold only what they run.  If a worker
 dies, the front end detects EOF on the pair, forks a replacement from
 the running loop with an *empty* LRU, replays every in-flight frame
 exactly once, and answers ``503`` only for a request whose replay also
-died.  SIGTERM drains: stop accepting, finish in-flight HTTP requests,
-send every worker a ``shutdown`` frame (FIFO after its pending work),
-then reap the processes.
+died.  SIGTERM drains: stop accepting, close idle connections, let busy
+ones finish within :data:`DRAIN_TIMEOUT`, send every worker a
+``shutdown`` frame (FIFO after its pending work), then reap the
+processes, escalating to SIGKILL.
 
 Forking from the loop is safe because the front end holds exactly one
-thread, always: nothing here uses asyncio's default executor.  Dead
-workers are reaped by polling ``waitpid(WNOHANG)`` and the listen
-address is resolved on the loop thread (:func:`_numeric_hosts`).  A
-second thread holding a lock at a fork would leave that lock held
-forever in the child; ``tests/test_shard.py`` counts the front end's
-threads after startup and after a respawn.
+thread, always.  Dead workers are reaped by polling
+``waitpid(WNOHANG)`` and the listen address is resolved on the loop
+thread (:func:`_listen`).  A second thread holding a lock at a fork
+would leave that lock held forever in the child;
+``tests/test_shard.py`` counts the front end's threads after startup
+and after a respawn.
 
 Consistency guarantees (see ``docs/service.md``): report and digest
 bytes are identical for every worker count and backend; the ``cached``
@@ -67,13 +75,12 @@ differ).
 """
 
 # repro: noqa-file[REP006] — every object here lives on the
-# single asyncio event-loop thread; there are no concurrent request
+# single event-loop thread; there are no concurrent request
 # threads to race with, so lock-guarding this state (or proving a
 # lock-holding caller chain for it) would be dead weight.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import pickle
@@ -81,17 +88,18 @@ import signal
 import socket
 import sys
 import time
-import traceback
 from typing import Any, Awaitable, Callable
 
 from .. import __version__
 from ..io_.serialize import canonical_task_order, shard_for_digest
+from .loop import Future, Loop, Stream, Task, gather, get_loop, sleep, wait_for
 from .metrics import MetricsRegistry, render_shard_prometheus
 from .protocol import (
+    FRAME_HEADER_BYTES,
     PartitionUnit,
     TestUnit,
     frame_bytes,
-    read_frame_async,
+    frame_length,
 )
 from .validation import (
     ValidationError,
@@ -121,6 +129,10 @@ MAX_HEADERS = 100
 #: before escalating to cancellation / SIGKILL.
 DRAIN_TIMEOUT = 30.0
 
+#: Once a request's first byte has arrived, its head and body must
+#: arrive within this many seconds, or it is answered ``408``.
+REQUEST_READ_TIMEOUT = 30.0
+
 #: Timeout for polling worker ``stats`` frames on ``/metrics`` — a
 #: worker buried under a long batch answers late; the scrape must not
 #: stall behind it.
@@ -133,6 +145,7 @@ _HTTP_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     411: "Length Required",
     413: "Content Too Large",
     431: "Request Header Fields Too Large",
@@ -198,9 +211,7 @@ class _PendingCall:
 
     __slots__ = ("future", "op", "payload", "replayed")
 
-    def __init__(
-        self, future: asyncio.Future, op: str, payload: Any, replayed: bool
-    ):
+    def __init__(self, future: Future, op: str, payload: Any, replayed: bool):
         self.future = future
         self.op = op
         self.payload = payload
@@ -296,12 +307,10 @@ class _WorkerHandle(_ShardHandle):
         self.state = "starting"  # starting | ok | restarting | dead
         self.restarts = 0
         self._forked = forked
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
+        self.stream: Stream | None = None
         self.pending: dict[int, _PendingCall] = {}
         self._next_seq = 0
-        self._reader_task: asyncio.Task | None = None
-        self._ready = asyncio.Event()
+        self._reader_task: Task | None = None
         self.draining = False
 
     @property
@@ -324,17 +333,18 @@ class _WorkerHandle(_ShardHandle):
                 chaos=self.frontend.chaos,
             )
         self.pid, parent = forked
-        self.reader, self.writer = await asyncio.open_connection(sock=parent)
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        loop = get_loop()
+        self.stream = Stream(loop, parent)
+        self._reader_task = Task(loop, self._read_loop(self.stream))
         self.state = "ok"
-        self._ready.set()
 
-    async def _read_loop(self) -> None:
+    async def _read_loop(self, stream: Stream) -> None:
         """Resolve responses until the worker's end of the pair closes."""
-        assert self.reader is not None
         try:
             while True:
-                seq, status, result = await read_frame_async(self.reader)
+                header = await stream.readexactly(FRAME_HEADER_BYTES)
+                blob = await stream.readexactly(frame_length(header))
+                seq, status, result = pickle.loads(blob)
                 call = self.pending.pop(seq, None)
                 if call is None or call.future.done():
                     continue
@@ -342,138 +352,125 @@ class _WorkerHandle(_ShardHandle):
                     call.future.set_result(result)
                 else:
                     call.future.set_exception(_WorkerError(str(result)))
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-        ):
+        except (ConnectionError, OSError):
             pass
         if self.draining:
+            self._fail(self.pending, "worker exited during the drain")
             return
         await self._respawn()
 
+    def _fail(self, calls: dict[int, _PendingCall], reason: str) -> None:
+        for call in calls.values():
+            if not call.future.done():
+                call.future.set_exception(ShardUnavailable(self.index, reason))
+
     async def _respawn(self) -> None:
-        """The crash-robustness path: new process, empty LRU, replay once."""
+        """The crash-robustness path: new process, empty LRU, replay once.
+
+        The replacement is forked before the dead worker is reaped, so no
+        request waits on the reap.
+        """
         self.state = "restarting"
-        self._ready.clear()
         self.restarts += 1
+        dead = self.pid
         self.frontend.log(
             f"shard {self.index} worker died "
-            f"(pid {self.pid}); respawning with an empty cache"
+            f"(pid {dead}); respawning with an empty cache"
         )
-        await self._reap(timeout=5.0)
-        if self.writer is not None:
-            self.writer.close()
-        orphans = self.pending
-        self.pending = {}
+        assert self.stream is not None
+        self.stream.close()
+        orphans, self.pending = self.pending, {}
         try:
             await self.start()
         except OSError as exc:
             self.state = "dead"
-            for call in orphans.values():
-                if not call.future.done():
-                    call.future.set_exception(
-                        ShardUnavailable(self.index, f"respawn failed: {exc}")
-                    )
+            self._fail(orphans, f"respawn failed: {exc}")
+            await _reap(dead, timeout=5.0)
             return
+        # Second death while holding a request: give up on it.
+        self._fail(
+            {s: c for s, c in orphans.items() if c.replayed},
+            "worker died twice while processing this request",
+        )
         replayed = 0
         for call in orphans.values():
             if call.future.done():
                 continue
-            if call.replayed:
-                # Second death while holding this request: give up.
-                call.future.set_exception(
-                    ShardUnavailable(
-                        self.index,
-                        "worker died twice while processing this request",
-                    )
-                )
-                continue
             call.replayed = True
-            seq = self._next_seq
-            self._next_seq += 1
-            self.pending[seq] = call
-            assert self.writer is not None
-            self.writer.write(frame_bytes((call.op, seq, call.payload)))
+            self._send(call)
             replayed += 1
         if replayed:
             self.frontend.log(
                 f"shard {self.index}: replayed {replayed} in-flight frame(s)"
             )
-            assert self.writer is not None
-            try:
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                pass  # the new worker died instantly; its reader loop handles it
-
-    async def _reap(self, timeout: float) -> None:
-        """Wait for the worker process, escalating to SIGKILL.
-
-        Polls ``waitpid(WNOHANG)`` rather than parking a blocking wait
-        on an executor thread: the next worker is forked from this
-        process, which must hold one thread only.
-        """
-        pid = self.pid
-        if pid is None:
-            return
-        deadline = time.monotonic() + timeout
-        delay = 0.001
-        while True:
-            try:
-                reaped, _ = os.waitpid(pid, os.WNOHANG)
-            except ChildProcessError:
-                return  # reaped already
-            if reaped:
-                return
-            if time.monotonic() >= deadline:
-                os.kill(pid, signal.SIGKILL)
-                deadline = float("inf")
-            await asyncio.sleep(delay)
-            delay = min(2 * delay, 0.05)
+        await _reap(dead, timeout=5.0)
 
     # -- calls --------------------------------------------------------------
+    def _send(self, call: _PendingCall) -> None:
+        seq = self._next_seq
+        self._next_seq += 1
+        self.pending[seq] = call
+        assert self.stream is not None
+        # A broken pipe is not an error here: the reader loop is about to
+        # see EOF and replay this pending frame on the new worker.
+        self.stream.write(frame_bytes((call.op, seq, call.payload)))
+
     async def call(self, op: str, payload: Any) -> Any:
         """Send one frame; await (and possibly survive one replay of) it."""
         if self.state == "dead":
             raise ShardUnavailable(self.index, "worker is not running")
-        await self._ready.wait()
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        seq = self._next_seq
-        self._next_seq += 1
-        self.pending[seq] = _PendingCall(future, op, payload, False)
-        assert self.writer is not None
-        try:
-            self.writer.write(frame_bytes((op, seq, payload)))
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            # The pipe broke under us; the reader loop is about to
-            # notice and replay this pending frame on the new worker.
-            pass
+        future = Future(get_loop())
+        self._send(_PendingCall(future, op, payload, False))
         return await future
 
     async def shutdown(self) -> None:
         """Drain: FIFO ``shutdown`` frame, then reap the process."""
         self.draining = True
-        if self.state in ("ok", "starting") and self.writer is not None:
+        if self.state in ("ok", "starting") and self.stream is not None:
             try:
                 await self.call("shutdown", None)
-            except (ShardUnavailable, _WorkerError, ConnectionError, OSError):
+            except (ShardUnavailable, _WorkerError):
                 pass
-            self.writer.close()
-        await self._reap(timeout=DRAIN_TIMEOUT)
+            self.stream.close()
+        await _reap(self.pid, timeout=DRAIN_TIMEOUT)
         if self._reader_task is not None:
             self._reader_task.cancel()
         self.state = "dead"
 
 
+async def _reap(pid: int | None, timeout: float) -> None:
+    """Wait for a worker process, escalating to SIGKILL.
+
+    Polls ``waitpid(WNOHANG)`` rather than parking a blocking wait on a
+    second thread: the next worker is forked from this process, which
+    must hold one thread only.
+    """
+    if pid is None:
+        return
+    deadline = time.monotonic() + timeout
+    delay = 0.001
+    while True:
+        try:
+            reaped, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return  # reaped already
+        if reaped:
+            return
+        if time.monotonic() >= deadline:
+            os.kill(pid, signal.SIGKILL)
+            deadline = float("inf")
+        await sleep(delay)
+        delay = min(2 * delay, 0.05)
+
+
 class _Conn:
     """One HTTP connection's drain-relevant state."""
 
-    __slots__ = ("writer", "busy")
+    __slots__ = ("stream", "task", "busy")
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
+    def __init__(self, stream: Stream):
+        self.stream = stream
+        self.task: Task | None = None
         self.busy = False
 
 
@@ -517,9 +514,8 @@ class ShardedFrontend:
                 for k in range(workers)
             ]
         )
-        self._server: asyncio.AbstractServer | None = None
+        self._listeners: list[socket.socket] = []
         self._conns: set[_Conn] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
         self._stopping = False
         self._started = time.monotonic()
         self.bound_port: int | None = None
@@ -530,78 +526,97 @@ class ShardedFrontend:
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker pool (if any) and bind the listening socket."""
+        """Spawn the worker pool (if any) and bind the listening sockets."""
         self._started = time.monotonic()
         for handle in self.handles:
             await handle.start()
-        self._server = await asyncio.start_server(
-            self._handle_conn, _numeric_hosts(self.host, self.port), self.port
-        )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
+        self._listeners = _listen(self.host, self.port)
+        for listener in self._listeners:
+            self._watch_listener(listener)
+        self.bound_port = self._listeners[0].getsockname()[1]
+
+    def _watch_listener(self, listener: socket.socket) -> None:
+        if not self._stopping:
+            get_loop().set_reader(listener.fileno(), lambda: self._accept(listener))
+
+    def _accept(self, listener: socket.socket) -> None:
+        """Take every pending connection, each into its own task."""
+        loop = get_loop()
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                # Out of descriptors, say: retry in a second rather than
+                # spin on a listener that stays readable.
+                self.log(f"accept failed: {exc}")
+                loop.set_reader(listener.fileno(), None)
+                loop.call_later(1.0, self._watch_listener, listener)
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Conn(Stream(loop, sock))
+            self._conns.add(conn)
+            conn.task = Task(loop, self._handle_conn(conn))
 
     async def drain(self) -> None:
         """Graceful shutdown: HTTP first, then the worker fan-out."""
         self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        for listener in self._listeners:
+            get_loop().set_reader(listener.fileno(), None)
+            listener.close()
         # Idle keep-alive connections would wait forever for a next
         # request; close them.  Busy ones finish their response first.
         for conn in list(self._conns):
             if not conn.busy:
-                conn.writer.close()
-        if self._conn_tasks:
-            done, stragglers = await asyncio.wait(
-                self._conn_tasks, timeout=DRAIN_TIMEOUT
-            )
-            for task in stragglers:
+                conn.stream.close()
+        tasks = [conn.task for conn in self._conns if conn.task is not None]
+        try:
+            await wait_for(gather(*tasks, return_exceptions=True), DRAIN_TIMEOUT)
+        except TimeoutError:
+            for task in tasks:
                 task.cancel()
-        await asyncio.gather(
+            await sleep(0)  # let each cancelled connection close its socket
+        await gather(
             *(handle.shutdown() for handle in self.handles),
             return_exceptions=True,
         )
 
     # -- HTTP ---------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(writer)
-        self._conns.add(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+    async def _handle_conn(self, conn: _Conn) -> None:
         try:
-            await self._conn_loop(reader, writer, conn)
+            await self._conn_loop(conn)
+        except Exception:  # noqa: BLE001 - one connection's bug stays with it
+            import traceback
+
+            self.log(f"connection failed:\n{traceback.format_exc()}")
         finally:
             self._conns.discard(conn)
-            writer.close()
+            conn.stream.close()
 
-    async def _conn_loop(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        conn: _Conn,
-    ) -> None:
+    async def _conn_loop(self, conn: _Conn) -> None:
+        stream = conn.stream
         while not self._stopping:
+            if not await stream.wait_data():
+                return
+            stream.deadline = time.monotonic() + REQUEST_READ_TIMEOUT
             try:
-                head = await _read_head(reader)
+                head = await _read_head(stream)
             except ValueError:
-                # readline() raises this for a line over the stream
-                # limit, _read_head for more than MAX_HEADERS lines
+                # a line over the stream's limit, or more than
+                # MAX_HEADERS lines
                 message = (
                     "request or header line too long, or more than "
                     f"{MAX_HEADERS} header lines"
                 )
-                await _respond(
-                    writer,
-                    431,
-                    _json_bytes(_error_body(message)),
-                    _JSON_TYPE,
-                    close=True,
-                )
+                body = _json_bytes(_error_body(message))
+                await _respond(stream, 431, body, _JSON_TYPE, close=True)
                 return
-            except (ConnectionError, OSError):
+            except TimeoutError:
+                body = _json_bytes(_timeout_body())
+                await _respond(stream, 408, body, _JSON_TYPE, close=True)
+                return
+            except OSError:
                 return
             if head is None:
                 return
@@ -610,12 +625,12 @@ class ShardedFrontend:
             conn.busy = True
             try:
                 status, body_bytes, content_type, close = await self._serve_one(
-                    method, target, reader, headers
+                    method, target, stream, headers
                 )
+                close = close or close_after or self._stopping
+                sent = await _respond(stream, status, body_bytes, content_type, close)
             finally:
                 conn.busy = False
-            close = close or close_after or self._stopping
-            sent = await _respond(writer, status, body_bytes, content_type, close)
             if close or not sent:
                 return
 
@@ -623,13 +638,14 @@ class ShardedFrontend:
         self,
         method: str,
         target: str,
-        reader: asyncio.StreamReader,
+        stream: Stream,
         headers: dict[str, str],
     ) -> tuple[int, bytes, str, bool]:
         """One request → (status, body, content type, close?).
 
         Bad payloads answer ``400`` with field-level errors, unknown paths
-        ``404``, wrong methods ``405``, handler bugs ``500`` with a
+        ``404``, wrong methods ``405``, a body not received within
+        :data:`REQUEST_READ_TIMEOUT` ``408``, handler bugs ``500`` with a
         generic body (the traceback goes to the server log, never to the
         client); every request, errors included, is timed and counted.
         """
@@ -641,7 +657,7 @@ class ShardedFrontend:
         content_type = _JSON_TYPE
         try:
             status, payload, content_type, close = await self._route(
-                method, path, query, reader, headers
+                method, path, query, stream, headers
             )
             body = payload if isinstance(payload, bytes) else _json_bytes(payload)
         except ValidationError as exc:
@@ -654,12 +670,18 @@ class ShardedFrontend:
             status = exc.status
             close = close or exc.close
             body = _json_bytes(exc.body)
-        except (asyncio.IncompleteReadError, ConnectionError):
+        except TimeoutError:
+            status = 408
+            close = True
+            body = _json_bytes(_timeout_body())
+        except ConnectionError:
             # Client hung up mid-body.
             status = 499
             close = True
             body = b""
         except Exception:
+            import traceback
+
             self.log(
                 f"unhandled error on {path}:\n{traceback.format_exc()}"
             )
@@ -669,9 +691,7 @@ class ShardedFrontend:
             self.metrics.observe(path, status, time.perf_counter() - t0)
         return status, body, content_type, close
 
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: dict[str, str]
-    ) -> Any:
+    async def _read_body(self, stream: Stream, headers: dict[str, str]) -> Any:
         try:
             length = int(headers.get("content-length", ""))
         except ValueError:
@@ -688,7 +708,7 @@ class ShardedFrontend:
             raise _HttpError(
                 400, _error_body("Content-Length must be non-negative"), close=True
             )
-        raw = await reader.readexactly(length)
+        raw = await stream.readexactly(length)
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -701,7 +721,7 @@ class ShardedFrontend:
         method: str,
         path: str,
         query: str,
-        reader: asyncio.StreamReader,
+        stream: Stream,
         headers: dict[str, str],
     ) -> tuple[int, Any, str, bool]:
         post_routes: dict[str, Callable[[Any], Awaitable[Any]]] = {
@@ -719,7 +739,7 @@ class ShardedFrontend:
                         405, _error_body("method not allowed; use GET"), close=True
                     )
                 raise _not_found(known)
-            payload = await self._read_body(reader, headers)
+            payload = await self._read_body(stream, headers)
             return 200, await handler(payload), _JSON_TYPE, False
         if method == "GET":
             if path not in get_paths:
@@ -816,7 +836,7 @@ class ShardedFrontend:
                 shard_for_digest(digest, len(self.handles)), []
             ).append(k)
         shard_ids = sorted(by_shard)
-        sub_results = await asyncio.gather(
+        sub_results = await gather(
             *(
                 self.handles[s].call(
                     "batch", [units[k] for k in by_shard[s]]
@@ -867,19 +887,11 @@ class ShardedFrontend:
             if handle.state != "ok":
                 return None
             try:
-                return await asyncio.wait_for(
-                    handle.call("stats", None), STATS_TIMEOUT
-                )
-            except (
-                asyncio.TimeoutError,
-                ShardUnavailable,
-                _WorkerError,
-                ConnectionError,
-                OSError,
-            ):
+                return await wait_for(handle.call("stats", None), STATS_TIMEOUT)
+            except (TimeoutError, ShardUnavailable, _WorkerError):
                 return None
 
-        stats = await asyncio.gather(*(poll(h) for h in self.handles))
+        stats = await gather(*(poll(h) for h in self.handles))
         return [h.snapshot(s) for h, s in zip(self.handles, stats)]
 
     async def metrics_json(self) -> dict[str, Any]:
@@ -897,32 +909,51 @@ class ShardedFrontend:
         )
 
 
-def _numeric_hosts(host: str | None, port: int) -> list[str]:
-    """The listen addresses ``host`` names, resolved on this thread.
+def _listen(host: str | None, port: int) -> list[socket.socket]:
+    """Listening sockets for every address ``host`` names.
 
-    asyncio resolves a host name (``localhost``, or ``""`` for every
-    interface) in its default executor, which would start a thread the
-    front end must never hold; numeric addresses it parses in place.
+    The name is resolved on this thread: a resolver thread is one the
+    front end must never hold.
     """
     infos = socket.getaddrinfo(
         host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
     )
-    return list(dict.fromkeys(info[4][0] for info in infos))
+    listeners = []
+    for family, kind, proto, _, address in dict.fromkeys(infos):
+        listener = socket.socket(family, kind, proto)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                listener.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            listener.bind(address)
+            listener.listen(100)
+            listener.setblocking(False)
+        except OSError:
+            listener.close()
+            for bound in listeners:
+                bound.close()
+            raise
+        listeners.append(listener)
+    return listeners
 
 
 def _json_bytes(body: Any) -> bytes:
     return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
-async def _read_head(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str]] | None:
+def _timeout_body() -> dict[str, Any]:
+    return _error_body(
+        f"request not received within {REQUEST_READ_TIMEOUT:g} s of its first byte"
+    )
+
+
+async def _read_head(stream: Stream) -> tuple[str, str, dict[str, str]] | None:
     """(method, target, headers) of the next request; ``None`` to hang up.
 
     Raises :class:`ValueError` for a line over the stream limit or more
     than :data:`MAX_HEADERS` header lines.
     """
-    request_line = await reader.readline()
+    request_line = await stream.readline()
     if not request_line or request_line.strip() == b"":
         return None
     try:
@@ -933,7 +964,7 @@ async def _read_head(
         return None  # not HTTP; drop the connection
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):  # the header lines, then the blank one
-        line = await reader.readline()
+        line = await stream.readline()
         if line in (b"\r\n", b"\n", b""):
             return method, target, headers
         if b":" in line:
@@ -943,7 +974,7 @@ async def _read_head(
 
 
 async def _respond(
-    writer: asyncio.StreamWriter,
+    stream: Stream,
     status: int,
     body: bytes,
     content_type: str,
@@ -958,10 +989,10 @@ async def _respond(
         + ("Connection: close\r\n" if close else "")
         + "\r\n"
     )
+    stream.write(head.encode("latin-1") + body)
     try:
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-    except (ConnectionError, OSError):
+        await stream.drain()
+    except ConnectionError:
         return False
     return True
 
@@ -1000,23 +1031,28 @@ def serve_sharded(
     ``pool`` holds the ``workers`` shard workers when the caller has
     forked them already (see :func:`~repro.service.shard.fork_worker`).
     """
+    frontend = ShardedFrontend(
+        host,
+        port,
+        workers=workers,
+        cache_size=cache_size,
+        backend=backend,
+        chaos=chaos,
+        quiet=quiet,
+        pool=pool,
+    )
+    loop = Loop()
 
     async def main() -> int:
-        frontend = ShardedFrontend(
-            host,
-            port,
-            workers=workers,
-            cache_size=cache_size,
-            backend=backend,
-            chaos=chaos,
-            quiet=quiet,
-            pool=pool,
-        )
         await frontend.start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
+        stop = Future(loop)
+
+        def request_stop() -> None:
+            if not stop.done():
+                stop.set_result(None)
+
         for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop.set)
+            loop.add_signal_handler(sig, request_stop)
         print(
             f"repro.service.frontend listening on "
             f"http://{host}:{frontend.bound_port} "
@@ -1025,7 +1061,7 @@ def serve_sharded(
             file=sys.stderr,
             flush=True,
         )
-        await stop.wait()
+        await stop
         print(
             "repro.service.frontend shutting down: draining requests "
             "and worker pool...",
@@ -1033,9 +1069,10 @@ def serve_sharded(
             flush=True,
         )
         await frontend.drain()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.remove_signal_handler(sig)
         print("repro.service.frontend stopped", file=sys.stderr, flush=True)
         return 0
 
-    return asyncio.run(main())
+    try:
+        return loop.run(main())
+    finally:
+        loop.close()

@@ -5,8 +5,10 @@ The front end (:mod:`repro.service.frontend`) and each shard worker
 message is a *frame*: an 8-byte big-endian length prefix followed by a
 pickled payload.  Pickle is safe here because both ends are the same
 codebase in the same trust domain — the socketpair is inherited at
-``exec`` time and never reachable from the network; the HTTP surface
-only ever sees JSON.
+``fork`` time and never reachable from the network; the HTTP surface
+only ever sees JSON.  The worker reads frames with the blocking
+:func:`recv_frame`; the front end reads them off its event loop
+(:mod:`repro.service.loop`), each header through :func:`frame_length`.
 
 Wire shapes
 -----------
@@ -42,17 +44,21 @@ from typing import Any
 from ..core.model import Platform, TaskSet
 
 __all__ = [
+    "FRAME_HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "TestUnit",
     "PartitionUnit",
     "frame_bytes",
+    "frame_length",
     "pickled",
-    "read_frame_async",
     "recv_frame",
     "send_frame",
 ]
 
 _LEN = struct.Struct(">Q")
+
+#: Size of a frame's length prefix.
+FRAME_HEADER_BYTES = _LEN.size
 
 #: Backstop against a corrupted length prefix; far above any legitimate
 #: frame (request bodies are already capped at the HTTP layer).
@@ -100,18 +106,13 @@ def frame_bytes(message: Any) -> bytes:
     return _LEN.pack(len(blob)) + blob
 
 
-async def read_frame_async(reader: Any) -> Any:
-    """Read one frame from an :class:`asyncio.StreamReader`.
-
-    Raises ``asyncio.IncompleteReadError`` at EOF (clean or mid-frame)
-    — the front end treats either as a dead worker.
-    """
-    header = await reader.readexactly(_LEN.size)
+def frame_length(header: bytes) -> int:
+    """The payload length a frame's header announces; a corrupt length
+    raises :class:`ConnectionError`."""
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ConnectionError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    blob = await reader.readexactly(length)
-    return pickle.loads(blob)
+    return length
 
 
 def send_frame(sock: socket.socket, message: Any) -> None:
@@ -137,13 +138,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 def recv_frame(sock: socket.socket) -> Any | None:
     """Read one frame, or ``None`` on clean EOF (peer closed)."""
-    header = _recv_exact(sock, _LEN.size)
+    header = _recv_exact(sock, FRAME_HEADER_BYTES)
     if header is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ConnectionError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    blob = _recv_exact(sock, length)
+    blob = _recv_exact(sock, frame_length(header))
     if blob is None:
         raise ConnectionError("peer closed between header and body")
     return pickle.loads(blob)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 
@@ -18,6 +17,7 @@ os.environ.setdefault("PYTHONHASHSEED", "0")
 
 from repro.core.model import Platform, Task, TaskSet
 from repro.service.frontend import ShardedFrontend
+from repro.service.loop import Future, Loop
 from repro.workloads.platforms import (
     big_little_platform,
     geometric_platform,
@@ -61,25 +61,33 @@ def biglittle() -> Platform:
 
 class InThreadServer:
     """A ``repro serve --workers 0`` front end on an ephemeral port,
-    serving from its own event-loop thread inside the test process."""
+    serving from its own event-loop thread inside the test process.
+
+    The front end binds on the calling thread; the loop then serves on
+    its own thread until :meth:`close` resolves ``stop`` from outside.
+    """
 
     def __init__(self, **kwargs):
         self.frontend = ShardedFrontend(workers=0, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.loop = Loop()
+        self.loop.run(self.frontend.start())
+        self.stop = Future(self.loop)
+        self.thread = threading.Thread(target=self.loop.run, args=(self._serve(),), daemon=True)
         self.thread.start()
-        self._run(self.frontend.start())
         self.host = self.frontend.host
         self.port = self.frontend.bound_port
         self.url = f"http://{self.host}:{self.port}"
 
-    def _run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout=60)
+    async def _serve(self) -> None:
+        await self.stop
+        await self.frontend.drain()
 
     def close(self) -> None:
-        self._run(self.frontend.drain())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
+        if self.stop.done():
+            return
+        self.loop.call_soon_threadsafe(self.stop.set_result, None)
+        self.thread.join(timeout=60)
+        assert not self.thread.is_alive(), "the in-thread server did not drain"
         self.loop.close()
 
 

@@ -154,6 +154,7 @@ class TestFailureCertificate:
         cert = partitioned_infeasibility_certificate(taskset, platform, result)
         # prefix utilization 2.1 > capacity 2.0: certifies here (genuinely
         # infeasible); build a case that does NOT certify:
+        assert cert.certifies
         taskset2 = ts(0.6, 0.6, 0.6)
         result2 = first_fit_partition(taskset2, platform, "edf", alpha=1.0)
         assert not result2.success  # 0.6+0.6 > 1 on each machine

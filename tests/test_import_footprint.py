@@ -8,8 +8,9 @@
   too.
 * A ``repro serve --workers N`` front end never evaluates, so it loads
   neither numpy nor the experiments, simulator or workload generators;
-  a shard worker never speaks HTTP, so it loads neither asyncio nor the
-  client stack.  numpy arrives with the first lockstep shard: every
+  it runs on its own ``selectors`` loop, so it loads neither asyncio nor
+  ``ssl``, and neither does a worker respawned from it.  A shard worker
+  never speaks HTTP, so it loads neither asyncio nor the client stack.  numpy arrives with the first lockstep shard: every
   scalar verdict, ``edf-dbf``'s exact demand analysis included, and
   every shard too narrow for the lockstep on ``--backend numpy`` (a
   lone instance of any size, a batch of eight) runs without it.
@@ -118,6 +119,18 @@ def test_front_end_loads_no_evaluation_code():
     """
     heavy = ("numpy", "repro.experiments", "repro.sim", "repro.workloads")
     assert _loaded(code, heavy) == []
+
+
+def test_front_end_loads_no_asyncio_or_tls():
+    """The front end runs on its own selectors loop, so neither it nor a
+    worker respawned from it carries asyncio or the TLS stack."""
+    code = """
+    import repro.cli
+    from repro.service.shard import fork_worker
+    import repro.service.frontend
+    """
+    stack = ("asyncio", "ssl", "_ssl", "subprocess", "logging", "concurrent.futures")
+    assert _loaded(code, stack) == []
 
 
 def _loaded_under(code: str, prefixes: tuple[str, ...]) -> list[str]:

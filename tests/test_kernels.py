@@ -10,7 +10,6 @@ backend fails these tests, not just a flipped verdict.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import struct
 import zlib
@@ -36,6 +35,7 @@ from repro.kernels import batch as batch_mod
 from repro.kernels import lockstep as lockstep_mod
 from repro.kernels import test_feasibility_batch as feasibility_batch
 from repro.oracle.generators import PROFILES, draw_instance
+from repro.service.loop import run
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -828,7 +828,7 @@ class TestServiceBackendRouting:
         from repro.service.frontend import ShardedFrontend
 
         service = ShardedFrontend(workers=0)
-        response = asyncio.run(service.handle_test(self._payloads(1)[0]))
+        response = run(service.handle_test(self._payloads(1)[0]))
         assert "backend" not in response["report"]
         assert service.handle_healthz()["backend"] == "scalar"
 
@@ -838,17 +838,17 @@ class TestServiceBackendRouting:
 
         payloads = self._payloads()
         service = ShardedFrontend(workers=0, backend=backend)
-        single = asyncio.run(service.handle_test(payloads[0]))
+        single = run(service.handle_test(payloads[0]))
         assert single["report"]["backend"] == backend
-        batch = asyncio.run(service.handle_batch({"instances": payloads}))
+        batch = run(service.handle_batch({"instances": payloads}))
         assert [r["report"]["backend"] for r in batch["results"]] == (
             [backend] * len(payloads)
         )
         # 1 /v1/test miss + the batch misses (payloads[0] already cached),
         # all counted by the one in-process shard
-        (shard,) = asyncio.run(service.metrics_json())["shards"]
+        (shard,) = run(service.metrics_json())["shards"]
         assert shard["stats"]["backend_tests"] == {backend: len(payloads)}
-        prom = asyncio.run(service.metrics_prometheus())
+        prom = run(service.metrics_prometheus())
         assert (
             f'repro_shard_backend_tests_total{{shard="0",backend="{backend}"}} '
             f"{len(payloads)}" in prom
@@ -863,8 +863,8 @@ class TestServiceBackendRouting:
         legacy = ShardedFrontend(workers=0)
         routed = ShardedFrontend(workers=0, backend=backend)
         for payload in payloads:
-            want = asyncio.run(legacy.handle_test(payload))
-            got = asyncio.run(routed.handle_test(payload))
+            want = run(legacy.handle_test(payload))
+            got = run(routed.handle_test(payload))
             report = dict(got["report"])
             assert report.pop("backend") == backend
             assert report == want["report"]

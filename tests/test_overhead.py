@@ -69,6 +69,7 @@ class TestPreemptionOverhead:
         )
         # a tight harmonic pair has no preemptions under EDF tie-breaking;
         # use an offset interferer instead
+        assert not loaded.any_miss
         from repro.sim.jobs import PeriodicSource
         from repro.sim.uniprocessor import simulate_uniprocessor
 

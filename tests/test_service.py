@@ -9,10 +9,10 @@ hardening, metrics, and the ``repro serve`` process lifecycle.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -39,6 +39,7 @@ from repro.io_.serialize import (
 )
 from repro.service import HttpClient, LRUCache, ServiceClient, ServiceError
 from repro.service.frontend import MAX_HEADERS, ShardedFrontend
+from repro.service.loop import run
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -204,10 +205,10 @@ class TestCacheIsolation:
         partition_query = {"test": "edf", "alpha": 1.5}
 
         def test(ts):
-            return asyncio.run(service.handle_test(self._body(ts, platform)))
+            return run(service.handle_test(self._body(ts, platform)))
 
         def partition(ts):
-            return asyncio.run(
+            return run(
                 service.handle_partition(self._body(ts, platform, **partition_query))
             )
 
@@ -227,7 +228,7 @@ class TestCacheIsolation:
         service = ShardedFrontend(workers=0)
         taskset, platform = _instance(701)
         permuted = taskset.subset(list(range(len(taskset)))[::-1])
-        response = asyncio.run(service.handle_batch({
+        response = run(service.handle_batch({
             "instances": [self._body(taskset, platform), self._body(permuted, platform)]
         }))
         a, b = (item["report"] for item in response["results"])
@@ -522,6 +523,33 @@ class TestHttpEdge:
         self._assert_still_serving(live_server)
 
 
+    def test_stalled_request_is_408_while_others_are_served(
+        self, live_server, monkeypatch
+    ):
+        """A client that sends half a request loses its connection after
+        REQUEST_READ_TIMEOUT; other clients are served meanwhile."""
+        monkeypatch.setattr("repro.service.frontend.REQUEST_READ_TIMEOUT", 1.0)
+        address = (live_server.host, live_server.port)
+        with socket.create_connection(address, timeout=10) as slow:
+            slow.sendall(b"POST /v1/test HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+            self._assert_still_serving(live_server)
+            assert select.select([slow], [], [], 0)[0] == []  # still pending
+            chunks = []
+            while chunk := slow.recv(65536):
+                chunks.append(chunk)
+        status, headers, body = _split_response(b"".join(chunks))
+        assert status == 408
+        assert headers["connection"] == "close"
+        assert "within 1 s" in json.loads(body)["error"]["message"]
+
+    def test_idle_keep_alive_connection_is_not_timed(self, live_server, monkeypatch):
+        monkeypatch.setattr("repro.service.frontend.REQUEST_READ_TIMEOUT", 0.2)
+        with HttpClient(live_server.host, live_server.port) as http:
+            assert http.request("GET", "/healthz")[0] == 200
+            time.sleep(0.5)
+            assert http.request("GET", "/healthz")[0] == 200
+
+
 class TestConstrainedValidation:
     """Deadline-axis validation (constrained-family satellites): the
     tolerant implicit check snaps float-round-trip deadlines, and the
@@ -643,6 +671,48 @@ class TestMetrics:
         _raw_post(base_url, "/v1/test", b"{not json")
         after = count()
         assert after == before + 1
+
+
+class TestInThreadDrain:
+    def test_drain_lets_a_busy_request_finish(self, start_server):
+        """A connection whose request head has arrived is busy: the drain
+        waits for its body and its response before the loop stops."""
+        server = start_server()
+        body = json.dumps({
+            "taskset": {"tasks": [{"wcet": 1, "period": 4}]},
+            "platform": {"machines": [{"speed": 1}]},
+            "scheduler": "edf",
+            "adversary": "partitioned",
+        }).encode()
+        head = b"POST /v1/test HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(head + body[:10])
+            time.sleep(0.2)  # the head is read, so the connection is busy
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            time.sleep(0.2)
+            assert closer.is_alive()  # the drain is waiting for this request
+            sock.sendall(body[10:])
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        status, headers, raw = _split_response(b"".join(chunks))
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert json.loads(raw)["cached"] is False
+
+    def test_drain_cancels_a_request_past_its_timeout(self, start_server, monkeypatch):
+        monkeypatch.setattr("repro.service.frontend.DRAIN_TIMEOUT", 0.2)
+        server = start_server()
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"POST /v1/test HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+            time.sleep(0.2)  # the head is read, so the connection is busy
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 5
+            assert sock.recv(65536) == b""  # closed, with no response
 
 
 class TestServeProcess:

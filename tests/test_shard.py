@@ -397,30 +397,59 @@ def _threads(pid: int) -> int:
     return len(os.listdir(f"/proc/{pid}/task"))
 
 
+def _mapped(pid: int) -> set[str]:
+    """Base names of the files ``pid`` maps."""
+    maps = Path(f"/proc/{pid}/maps").read_text()
+    return {line.split()[-1].rsplit("/", 1)[-1] for line in maps.splitlines()}
+
+
+def _matching(mapped: set[str], prefixes: tuple[str, ...]) -> list[str]:
+    return sorted(name for name in mapped if name.startswith(prefixes))
+
+
 @pytest.mark.skipif(
     not Path("/proc/self/maps").exists(), reason="reads /proc/<pid>/maps and task"
 )
 class TestServeProcessFootprint:
     """What a real ``repro serve --workers 1`` maps and runs.
 
-    The worker is forked before the front end imports asyncio, so it
-    maps no TLS or libcrypto.  The front end forks respawns from its
-    event loop, which is safe only while it holds exactly one thread.
+    The worker is forked before the front end imports its HTTP stack, so
+    it maps no TLS or libcrypto.  The front end's own loop loads neither
+    asyncio nor ssl, so a worker respawned from it maps no TLS either
+    (it does inherit the front end's ``_hashlib``, which digests
+    queries).  The front end forks respawns from its event loop, which
+    is safe only while it holds exactly one thread.
     """
+
+    _TLS = ("_ssl.", "libssl", "_asyncio.")
 
     def test_worker_maps_no_openssl(self):
         with _ShardedProc(1) as sharded:
             assert _post(sharded.url + "/v1/test", _request_body(7))[0] == 200
             (shard,) = json.loads(_get(sharded.url + "/healthz")[1])["shards"]
-            maps = Path(f"/proc/{shard['pid']}/maps").read_text()
+            mapped = _mapped(shard["pid"])
             sharded.terminate()
-        mapped = {line.split()[-1].rsplit("/", 1)[-1] for line in maps.splitlines()}
-        openssl = [
-            name
-            for name in mapped
-            if name.startswith(("_ssl.", "libssl", "_hashlib.", "libcrypto"))
-        ]
-        assert openssl == []
+        assert _matching(mapped, self._TLS + ("_hashlib.", "libcrypto")) == []
+
+    def test_front_end_maps_no_tls_or_asyncio(self):
+        with _ShardedProc(1) as sharded:
+            assert _post(sharded.url + "/v1/test", _request_body(7))[0] == 200
+            mapped = _mapped(sharded.proc.pid)
+            sharded.terminate()
+        assert _matching(mapped, self._TLS) == []
+        assert _matching(mapped, ("_hashlib.",)) != []  # the probe sees maps
+
+    def test_respawned_worker_maps_no_tls_or_asyncio(self):
+        poison = _request_body(8)
+        poison["taskset"]["tasks"][0]["name"] = CHAOS_EXIT_NAME
+        with _ShardedProc(1, "--chaos") as sharded:
+            assert _post(sharded.url + "/v1/test", poison)[0] == 503
+            assert _post(sharded.url + "/v1/test", _request_body(9))[0] == 200
+            (shard,) = json.loads(_get(sharded.url + "/healthz")[1])["shards"]
+            assert shard["restarts"] == 2
+            mapped = _mapped(shard["pid"])
+            sharded.terminate()
+        assert _matching(mapped, self._TLS) == []
 
     def test_front_end_holds_one_thread_across_a_respawn(self):
         poison = _request_body(8)

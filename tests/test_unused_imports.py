@@ -1,14 +1,19 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses,
-or imports again inside a function a name it imports at top level.
+imports again inside a function a name it imports at top level, or
+assigns a local variable it never reads.
 
-CI's ``ruff check`` (rules ``F401`` and ``F811``) enforces the same,
-but only where ruff is installed; these AST scans run with tier-1
-everywhere.  A name counts as used when it appears as an identifier
+CI's ``ruff check`` (rules ``F401``, ``F811`` and ``F841``) enforces
+the same, but only where ruff is installed; these AST scans run with
+tier-1 everywhere.  A name counts as used when it appears as an identifier
 anywhere in its module, inside a string annotation, or in ``__all__``.
 Package ``__init__`` modules re-export what they import and are exempt,
 as is any import line carrying ``noqa: F401`` (unused) or ``noqa: F811``
 (redefined).  A top-level import under ``if TYPE_CHECKING:`` binds
-nothing at run time, so a function may import the same name.
+nothing at run time, so a function may import the same name.  A local
+is a name a function binds by assignment, walrus, ``with ... as`` or
+``except ... as``; it counts as read when the function (or a function
+nested in it) loads it, and names starting with ``_`` or declared
+``global``/``nonlocal`` are exempt.  Tuple unpacking is not checked.
 """
 
 from __future__ import annotations
@@ -163,3 +168,75 @@ def test_scanner_flags_a_redefined_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_redefined_imports(path):
     assert redefined_imports(path) == []
+
+
+def _unused_locals(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every local a function binds and never reads."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read: set[str] = set()
+        for node in ast.walk(func):
+            targets: list[ast.expr | None] = []
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value:
+                targets = [node.target]
+            elif isinstance(node, ast.NamedExpr):
+                targets = [node.target]
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                targets = [item.optional_vars for item in node.items]
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                stored.setdefault(node.name, node.lineno)
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    stored.setdefault(target.id, node.lineno)
+        found.update(
+            (line, name)
+            for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        )
+    return sorted(found)
+
+
+def unused_locals(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{line} `{name}`"
+        for line, name in _unused_locals(tree)
+    ]
+
+
+def test_scanner_flags_an_unused_local():
+    source = (
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    dead = len(xs)\n"
+        "    _skip = 1\n"
+        "    with open(xs) as fh:\n"
+        "        pass\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    a, b = xs\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total += 1\n"
+        "    if (n := len(xs)):\n"
+        "        return g\n"
+    )
+    assert _unused_locals(ast.parse(source)) == [
+        (3, "dead"), (5, "fh"), (9, "exc"), (15, "n"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_locals(path):
+    assert unused_locals(path) == []
