@@ -183,12 +183,6 @@ def _med_coeff(scheduler: Scheduler) -> float:
     return 0.5 if scheduler == "edf" else SQRT2 - 1.0
 
 
-def _fast_coeff(scheduler: Scheduler, c_s: float) -> float:
-    """Guaranteed load fraction on fast machines: ``1 - 1/c_s`` for EDF,
-    ``ln 2 - 1/c_s`` for RMS (Lemma V.2)."""
-    return (1.0 - 1.0 / c_s) if scheduler == "edf" else (LN2 - 1.0 / c_s)
-
-
 def _max_c_f(alpha: float, c_s: float, scheduler: Scheduler) -> float:
     """Largest ``c_f`` keeping the fast-case condition at >= 1, or +inf.
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
+from .._hashing import sha256
 from ..core.certificates import FailureCertificate
 from ..core.model import Machine, Platform, Task, TaskSet
 from ..core.partition import PartitionResult
@@ -28,8 +29,10 @@ __all__ = [
     "certificate_from_dict",
     "report_to_dict",
     "report_from_dict",
+    "task_rows",
     "canonical_task_order",
     "canonical_instance",
+    "canonical_digest",
     "instance_digest",
     "shard_for_digest",
     "save_json",
@@ -231,23 +234,40 @@ def report_from_dict(data: dict[str, Any]) -> "FeasibilityReport":
 # service's verdict cache.
 
 
-def canonical_task_order(taskset: TaskSet) -> list[int]:
-    """Task indices in canonical order.
+#: One task as the canonical order and digest see it: (wcet, period, deadline).
+Row = tuple[float, float, float]
+
+
+def task_rows(taskset: TaskSet) -> list[Row]:
+    """``(wcet, period, deadline)`` per task, in task-set order."""
+    return [(t.wcet, t.period, t.deadline) for t in taskset]
+
+
+def _ranked(rows: Sequence[Row]) -> list[tuple[float, float, float, float, int]]:
+    """``rows`` sorted into canonical order, as
+    ``(-utilization, period, wcet, deadline, index)``.
 
     Primary key: utilization descending — the order first-fit processes
     tasks in.  Ties (exactly equal utilization) are broken by period,
-    wcet, then deadline, all ascending, so the order depends only on the
-    tasks' numeric parameters, never on their submission order.
+    wcet, then deadline, all ascending, and a full tie by submission
+    index, so the order depends only on the tasks' numeric parameters,
+    never on their submission order.
     """
-    return sorted(
-        range(len(taskset)),
-        key=lambda i: (
-            -taskset[i].utilization,
-            taskset[i].period,
-            taskset[i].wcet,
-            taskset[i].deadline,
-        ),
-    )
+    return sorted([(-(w / p), p, w, d, i) for i, (w, p, d) in enumerate(rows)])
+
+
+def _canonical_payload(
+    ranked: list[tuple[float, float, float, float, int]], speeds: Iterable[float]
+) -> dict[str, Any]:
+    return {
+        "tasks": [[w, p, d] for _, p, w, d, _ in ranked],
+        "speeds": sorted(speeds),
+    }
+
+
+def canonical_task_order(taskset: TaskSet) -> list[int]:
+    """Task indices in canonical order (see :func:`canonical_digest`)."""
+    return [r[-1] for r in _ranked(task_rows(taskset))]
 
 
 def canonical_instance(
@@ -261,14 +281,30 @@ def canonical_instance(
     instances canonicalize identically iff their parameters are
     bit-identical.
     """
-    order = canonical_task_order(taskset)
-    return {
-        "tasks": [
-            [taskset[i].wcet, taskset[i].period, taskset[i].deadline]
-            for i in order
-        ],
-        "speeds": sorted(m.speed for m in platform),
-    }
+    return _canonical_payload(_ranked(task_rows(taskset)), platform.speeds)
+
+
+def canonical_digest(
+    rows: Sequence[Row],
+    speeds: Iterable[float],
+    query: Mapping[str, Any] | None = None,
+) -> tuple[list[int], str]:
+    """Canonical task order and digest of an instance given as numbers.
+
+    ``rows`` holds ``(wcet, period, deadline)`` per task in submission
+    order, ``speeds`` the machine speeds in any order.  One sort yields
+    both the order (indices into ``rows``, as :func:`canonical_task_order`)
+    and the SHA-256 hex digest of the canonical JSON
+    (:func:`canonical_instance`, plus ``query`` under ``"query"``).  The
+    numbers are hashed as given: an ``int`` period serializes as ``10``,
+    a ``float`` one as ``10.0``.
+    """
+    ranked = _ranked(rows)
+    payload = _canonical_payload(ranked, speeds)
+    if query:
+        payload["query"] = dict(query)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return [r[-1] for r in ranked], sha256(blob.encode("utf-8")).hexdigest()
 
 
 def instance_digest(
@@ -282,17 +318,10 @@ def instance_digest(
     Invariant under task/machine permutation and renaming; sensitive to
     any change of wcet, period, deadline, or speed; stable across
     interpreter runs and platforms (pure function of the canonical JSON
-    byte string — no ``hash()`` involved).
+    byte string — no ``hash()`` involved).  The hash is CPython's
+    built-in SHA-256, so no process that digests maps OpenSSL.
     """
-    # imported here, not at module top: a shard worker only reads the
-    # digest the front end computed, so it never maps OpenSSL
-    import hashlib
-
-    payload = canonical_instance(taskset, platform)
-    if query:
-        payload["query"] = dict(query)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(task_rows(taskset), platform.speeds, query)[1]
 
 
 def shard_for_digest(digest: str, shards: int) -> int:

@@ -22,12 +22,12 @@ degrades to a cold start, never to an error.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .._hashing import sha256
 from .summaries import module_name_for_path
 
 __all__ = ["LintCache", "analyzer_digest", "content_hash"]
@@ -37,7 +37,7 @@ CACHE_VERSION = 1
 
 def content_hash(source: str) -> str:
     """Stable content address of one module's source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    return sha256(source.encode("utf-8")).hexdigest()
 
 
 _ANALYZER_DIGEST: str | None = None
@@ -48,7 +48,7 @@ def analyzer_digest() -> str:
     global _ANALYZER_DIGEST
     if _ANALYZER_DIGEST is None:
         package_dir = Path(__file__).resolve().parent
-        hasher = hashlib.sha256()
+        hasher = sha256()
         for path in sorted(package_dir.rglob("*.py")):
             hasher.update(path.relative_to(package_dir).as_posix().encode())
             hasher.update(b"\x00")

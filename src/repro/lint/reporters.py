@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from .._hashing import sha256
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import LintResult
 
@@ -77,13 +79,7 @@ def _partial_fingerprint(finding) -> str:
     unrelated edits that shift its line number — and re-opens it the
     moment the offending line itself changes.
     """
-    # Imported here, not at module level: every ``repro`` process builds
-    # the parser that imports this module, and hashlib maps libcrypto.
-    import hashlib
-
-    digest = hashlib.sha256(
-        "|".join(finding.fingerprint).encode("utf-8")
-    ).hexdigest()
+    digest = sha256("|".join(finding.fingerprint).encode("utf-8")).hexdigest()
     return digest[:20]
 
 

@@ -115,12 +115,6 @@ def _attr_call(call: ast.Call) -> tuple[str, str] | None:
     return None
 
 
-def _is_scope(node: ast.AST) -> bool:
-    return isinstance(
-        node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    )
-
-
 def _annotation_kind(ann: ast.expr | None) -> str | None:
     """Kind implied by a type annotation, if any."""
     if ann is None:

@@ -91,16 +91,10 @@ import time
 from typing import Any, Awaitable, Callable
 
 from .. import __version__
-from ..io_.serialize import canonical_task_order, shard_for_digest
+from ..io_.serialize import shard_for_digest
 from .loop import Future, Loop, Stream, Task, gather, get_loop, sleep, wait_for
 from .metrics import MetricsRegistry, render_shard_prometheus
-from .protocol import (
-    FRAME_HEADER_BYTES,
-    PartitionUnit,
-    TestUnit,
-    frame_bytes,
-    frame_length,
-)
+from .protocol import FRAME_HEADER_BYTES, TestUnit, frame_bytes, frame_length
 from .validation import (
     ValidationError,
     parse_batch_request,
@@ -110,8 +104,8 @@ from .validation import (
 from .shard import (
     _Worker,
     fork_worker,
-    partition_query_digest,
-    test_query_digest,
+    partition_query_unit,
+    test_query_unit,
 )
 
 __all__ = ["ShardedFrontend", "serve_sharded"]
@@ -772,41 +766,22 @@ class ShardedFrontend:
 
     async def handle_test(self, payload: Any) -> dict[str, Any]:
         """``POST /v1/test`` — one per-theorem verdict, cached."""
-        q = parse_test_request(payload)
-        digest, _ = test_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        unit = TestUnit(
-            digest=digest,
-            taskset=q.taskset,
-            order=tuple(order),
-            platform=q.platform,
-            scheduler=q.scheduler,
-            adversary=q.adversary,
-            alpha=q.alpha,
-        )
-        blob, cached = await self._shard_of(digest).call("test", unit)
+        unit, order = test_query_unit(parse_test_request(payload), chaos=self.chaos)
+        blob, cached = await self._shard_of(unit.digest).call("test", unit)
         return {
-            "digest": digest,
+            "digest": unit.digest,
             "cached": cached,
             "report": _remap_report_dict(blob, order),
         }
 
     async def handle_partition(self, payload: Any) -> dict[str, Any]:
         """``POST /v1/partition`` — a first-fit assignment, cached."""
-        q = parse_partition_request(payload)
-        digest = partition_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        unit = PartitionUnit(
-            digest=digest,
-            taskset=q.taskset,
-            order=tuple(order),
-            platform=q.platform,
-            test=q.test,
-            alpha=q.alpha,
+        unit, order = partition_query_unit(
+            parse_partition_request(payload), chaos=self.chaos
         )
-        blob, cached = await self._shard_of(digest).call("partition", unit)
+        blob, cached = await self._shard_of(unit.digest).call("partition", unit)
         return {
-            "digest": digest,
+            "digest": unit.digest,
             "cached": cached,
             "result": _remap_partition_dict(blob, order),
         }
@@ -818,22 +793,11 @@ class ShardedFrontend:
         units: list[TestUnit] = []
         by_shard: dict[int, list[int]] = {}
         for k, q in enumerate(queries):
-            digest, _ = test_query_digest(q)
-            order = canonical_task_order(q.taskset)
+            unit, order = test_query_unit(q, chaos=self.chaos)
             orders.append(order)
-            units.append(
-                TestUnit(
-                    digest=digest,
-                    taskset=q.taskset,
-                    order=tuple(order),
-                    platform=q.platform,
-                    scheduler=q.scheduler,
-                    adversary=q.adversary,
-                    alpha=q.alpha,
-                )
-            )
+            units.append(unit)
             by_shard.setdefault(
-                shard_for_digest(digest, len(self.handles)), []
+                shard_for_digest(unit.digest, len(self.handles)), []
             ).append(k)
         shard_ids = sorted(by_shard)
         sub_results = await gather(

@@ -17,8 +17,10 @@ Two layers live here:
   coordination at all.
 
 Canonical-query digest helpers (:func:`test_query_digest`,
-:func:`partition_query_digest`) also live here so the front end and
-the shards can never disagree on a cache key.
+:func:`partition_query_digest`) and the unit builders the front end
+routes with (:func:`test_query_unit`, :func:`partition_query_unit`)
+also live here, so the front end and the shards can never disagree on
+a cache key.
 """
 
 # repro: noqa-file[REP006] — a shard worker is serial by
@@ -38,11 +40,14 @@ from typing import Any
 
 # re-exported: benchmarks/perf/tracing.py wraps shard.feasibility_test (core.eval)
 from ..core.feasibility import feasibility_test, theorem_alpha  # noqa: F401
+from ..core.model import TaskSet
 from ..core.partition import first_fit_partition
 from ..io_.serialize import (
+    canonical_digest,
     instance_digest,
     partition_result_to_dict,
     report_to_dict,
+    task_rows,
 )
 from ..kernels import resolve_backend, test_feasibility_batch
 from .cache import LRUCache
@@ -56,21 +61,32 @@ __all__ = [
     "ShardCore",
     "test_query_digest",
     "partition_query_digest",
+    "test_query_unit",
+    "partition_query_unit",
     "fork_worker",
 ]
 
-#: Fault-injection hooks, active only when a worker runs with
+#: Fault-injection hooks, active only when the service runs with
 #: ``--chaos`` (tests and drills; never the default).  A task *name* is
-#: free-form client data that reaches the worker unchanged, which makes
-#: it a deterministic way to crash or stall a specific shard while it
-#: is processing a specific request.
+#: free-form client data; a ``--chaos`` front end copies these names into
+#: the unit it routes, which makes them a deterministic way to crash or
+#: stall a specific shard while it is processing a specific request.
 CHAOS_EXIT_NAME = "__chaos_exit__"
 CHAOS_EXIT_CODE = 23
 CHAOS_SLEEP_PREFIX = "__chaos_sleep_ms_"
 
 
-def test_query_digest(q: TestQuery) -> tuple[str, float]:
-    """Cache key and resolved alpha for a test query.
+def _chaos_hooks(taskset: TaskSet) -> tuple[str, ...]:
+    """The fault-injection task names in ``taskset``, in task order."""
+    return tuple(
+        t.name
+        for t in taskset
+        if t.name == CHAOS_EXIT_NAME or t.name.startswith(CHAOS_SLEEP_PREFIX)
+    )
+
+
+def _test_query(q: TestQuery) -> dict[str, Any]:
+    """The query parameters a test digest covers.
 
     Resolving ``alpha=None`` to the theorem's value first means an
     explicit ``alpha=2.0`` EDF/partitioned query and a defaulted one
@@ -79,33 +95,65 @@ def test_query_digest(q: TestQuery) -> tuple[str, float]:
     alpha = q.alpha if q.alpha is not None else theorem_alpha(
         q.scheduler, q.adversary  # type: ignore[arg-type]
     )
-    digest = instance_digest(
-        q.taskset,
-        q.platform,
-        query={
-            "kind": "test",
-            "scheduler": q.scheduler,
-            "adversary": q.adversary,
-            "alpha": alpha,
-        },
-    )
-    return digest, alpha
+    return {
+        "kind": "test",
+        "scheduler": q.scheduler,
+        "adversary": q.adversary,
+        "alpha": alpha,
+    }
+
+
+def _partition_query(q: PartitionQuery) -> dict[str, Any]:
+    return {"kind": "partition", "test": q.test, "alpha": q.alpha}
+
+
+def test_query_digest(q: TestQuery) -> tuple[str, float]:
+    """Cache key and resolved alpha for a test query."""
+    query = _test_query(q)
+    return instance_digest(q.taskset, q.platform, query=query), query["alpha"]
 
 
 def partition_query_digest(q: PartitionQuery) -> str:
     """Cache key for a partition query."""
-    return instance_digest(
-        q.taskset,
-        q.platform,
-        query={"kind": "partition", "test": q.test, "alpha": q.alpha},
+    return instance_digest(q.taskset, q.platform, query=_partition_query(q))
+
+
+def test_query_unit(q: TestQuery, *, chaos: bool = False) -> tuple[TestUnit, list[int]]:
+    """The unit that routes a test query, and its canonical task order.
+
+    The order and the digest come from one :func:`canonical_digest`
+    pass; ``chaos`` copies the query's fault-injection names into the
+    unit.
+    """
+    order, digest = canonical_digest(
+        task_rows(q.taskset), q.platform.speeds, _test_query(q)
     )
+    unit = TestUnit(
+        digest, q.taskset, order, q.platform, q.scheduler, q.adversary, q.alpha,
+        chaos=_chaos_hooks(q.taskset) if chaos else (),
+    )
+    return unit, order
+
+
+def partition_query_unit(
+    q: PartitionQuery, *, chaos: bool = False
+) -> tuple[PartitionUnit, list[int]]:
+    """The unit that routes a partition query, and its canonical task order."""
+    order, digest = canonical_digest(
+        task_rows(q.taskset), q.platform.speeds, _partition_query(q)
+    )
+    unit = PartitionUnit(
+        digest, q.taskset, order, q.platform, q.test, q.alpha,
+        chaos=_chaos_hooks(q.taskset) if chaos else (),
+    )
+    return unit, order
 
 
 class ShardCore:
     """Canonical-verdict evaluation plus one private LRU.
 
-    Verdicts are computed *on the canonical instance* (tasks subset
-    into canonical order — done lazily, only on a miss), pickled once,
+    Verdicts are computed *on the canonical instance* (built from the
+    unit's columns only on a miss), pickled once,
     and cached as those bytes under the caller-supplied digest.  A hit
     returns the stored bytes unchanged, so a reply frame carries one
     ``bytes`` object, and no caller ever holds a cached object it could
@@ -142,8 +190,8 @@ class ShardCore:
         if blob is not None:
             return blob, True
         result = first_fit_partition(
-            unit.taskset.subset(list(unit.order)),
-            unit.platform,
+            unit.canonical_taskset(),
+            unit.canonical_platform(),
             unit.test,
             alpha=unit.alpha,
         )
@@ -199,7 +247,7 @@ class ShardCore:
         for (scheduler, adversary, alpha), idxs in groups.items():
             reports = test_feasibility_batch(
                 [
-                    (units[t].taskset.subset(list(units[t].order)), units[t].platform)
+                    (units[t].canonical_taskset(), units[t].canonical_platform())
                     for t in idxs
                 ],
                 scheduler,  # type: ignore[arg-type]
@@ -233,12 +281,12 @@ class _Worker:
         self.core = ShardCore(cache_size=cache_size, backend=backend)
 
     def _apply_chaos(self, units: list[TestUnit | PartitionUnit]) -> None:
-        """Honour fault-injection task names (``--chaos`` runs only)."""
+        """Honour the fault-injection names a unit carries (``--chaos``
+        runs only)."""
         if not self.chaos:
             return
         for unit in units:
-            for task in unit.taskset:
-                name = task.name
+            for name in unit.chaos:
                 if name == CHAOS_EXIT_NAME:
                     # A real crash, not an exception: the point is to
                     # exercise the front end's dead-shard detection and

@@ -34,6 +34,8 @@
   each shard worker inherits it instead of importing it.
 * ``ServiceClient`` loads neither ``urllib.request``, ``http.client``
   nor ``ssl``.
+* ``instance_digest`` hashes with CPython's built-in SHA-256, so no
+  process that digests loads ``hashlib`` or OpenSSL's ``_hashlib``.
 
 Each check runs in a fresh interpreter, so modules other tests imported
 cannot hide a regression.
@@ -264,6 +266,18 @@ def test_shard_worker_loads_no_openssl():
     code = """
     from repro.service.shard import fork_worker
     import numpy
+    """
+    assert _loaded(code, ("hashlib", "_hashlib")) == []
+
+
+def test_instance_digest_loads_no_openssl():
+    """A digest runs on CPython's built-in SHA-256, so the front end
+    that computes one per query never maps ``_hashlib`` and libcrypto."""
+    code = """
+    from repro import Platform, Task, TaskSet
+    from repro.io_.serialize import instance_digest
+    taskset = TaskSet([Task(wcet=2, period=10), Task(wcet=6, period=8)])
+    assert len(instance_digest(taskset, Platform.from_speeds([1.0, 2.0]))) == 64
     """
     assert _loaded(code, ("hashlib", "_hashlib")) == []
 

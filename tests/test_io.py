@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import _hashing
 from repro.core.feasibility import feasibility_test
 from repro.core.model import Machine, Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.io_.serialize import (
+    canonical_digest,
     canonical_instance,
     canonical_task_order,
     certificate_from_dict,
@@ -23,10 +32,12 @@ from repro.io_.serialize import (
     save_json,
     task_from_dict,
     task_to_dict,
+    task_rows,
     taskset_from_dict,
     taskset_to_dict,
 )
 from repro.io_.tables import format_table, rows_to_csv, write_csv
+from repro.oracle.generators import PROFILES, draw_instance
 
 
 class TestSerialization:
@@ -334,6 +345,116 @@ class TestConstrainedDigest:
         canon = canonical_instance(self.TASKS, self._platform())
         deadlines = sorted(triple[2] for triple in canon["tasks"])
         assert deadlines == [3.5, 6.0, 8.0]
+
+
+def _reference_digest(taskset, platform, query=None):
+    """Order and digest as two passes compute them: a keyed index sort,
+    then ``hashlib`` over the canonical JSON."""
+    order = sorted(
+        range(len(taskset)),
+        key=lambda i: (
+            -taskset[i].utilization,
+            taskset[i].period,
+            taskset[i].wcet,
+            taskset[i].deadline,
+        ),
+    )
+    payload = {
+        "tasks": [
+            [taskset[i].wcet, taskset[i].period, taskset[i].deadline] for i in order
+        ],
+        "speeds": sorted(m.speed for m in platform),
+    }
+    if query:
+        payload["query"] = dict(query)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return order, hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: few distinct values, so equal utilizations (1/2 = 2/4 = 3/6), equal
+#: periods and whole duplicate tasks are common
+_WCETS = st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.01, 20.0)
+_PERIODS = st.sampled_from([2.0, 3.0, 4.0, 6.0, 10.0]) | st.floats(0.5, 50.0)
+
+
+@st.composite
+def _float_instances(draw):
+    tasks = []
+    for _ in range(draw(st.integers(1, 10))):
+        wcet, period = draw(_WCETS), draw(_PERIODS)
+        # None is implicit; a fraction below 1 constrains the deadline
+        share = draw(st.sampled_from([None, 1.0, 0.5]) | st.floats(0.05, 1.0))
+        deadline = None if share is None else max(share * period, 1e-3)
+        tasks.append(Task(wcet=wcet, period=period, deadline=deadline))
+    copies = draw(st.lists(st.integers(0, len(tasks) - 1), max_size=4))
+    tasks += [tasks[i] for i in copies]
+    order = draw(st.permutations(range(len(tasks))))
+    speeds = draw(
+        st.lists(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.1, 8.0),
+                 min_size=1, max_size=4)
+    )
+    return TaskSet(tasks[i] for i in order), Platform.from_speeds(speeds)
+
+
+class TestOnePassDigest:
+    """:func:`canonical_digest` computes the order and the digest in one
+    pass; both must equal the two-pass reference, bit for bit."""
+
+    QUERY = {"kind": "test", "scheduler": "rms", "adversary": "any", "alpha": 2.5}
+
+    def _check(self, taskset, platform):
+        for query in (None, self.QUERY):
+            order, digest = canonical_digest(
+                task_rows(taskset), platform.speeds, query
+            )
+            assert (order, digest) == _reference_digest(taskset, platform, query)
+            assert order == canonical_task_order(taskset)
+            assert digest == instance_digest(taskset, platform, query=query)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float_instances())
+    def test_matches_the_two_pass_reference(self, instance):
+        self._check(*instance)
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_matches_on_the_fuzz_profiles(self, profile):
+        rng = np.random.default_rng(20160516)
+        for _ in range(40):
+            self._check(*draw_instance(rng, profile))
+
+    def test_single_task_and_single_machine(self):
+        self._check(TaskSet([Task(wcet=1.5, period=4.0)]), Platform.from_speeds([2.0]))
+
+    def test_hashes_ints_as_ints(self):
+        """The pinned digests are built from ``int`` parameters, which
+        serialize without a ``.0``."""
+        ints = TestCanonicalDigest.TASKS
+        floats = TaskSet(Task(float(t.wcet), float(t.period)) for t in ints)
+        platform = Platform.from_speeds(TestCanonicalDigest.SPEEDS)
+        assert instance_digest(ints, platform) == TestCanonicalDigest.PINNED
+        assert instance_digest(floats, platform) != TestCanonicalDigest.PINNED
+
+
+class TestBuiltinSha256:
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=4096))
+    def test_equals_hashlib(self, data):
+        assert _hashing.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_is_not_openssl(self):
+        assert _hashing.sha256 is not hashlib.sha256
+        assert "_hashlib" not in type(_hashing.sha256()).__module__
+
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
+        # a None entry in sys.modules makes that import raise ImportError
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        fallback = _hashing.builtin_sha256()
+        assert fallback is hashlib.sha256
+        monkeypatch.setattr("repro.io_.serialize.sha256", fallback)
+        tasks = TestCanonicalDigest.TASKS
+        platform = Platform.from_speeds(TestCanonicalDigest.SPEEDS)
+        assert instance_digest(tasks, platform) == TestCanonicalDigest.PINNED
 
 
 class TestTables:

@@ -35,6 +35,7 @@ import pytest
 
 import repro
 from repro.core.bounds import ADMISSION_TEST_NAMES
+from repro.core.model import Machine, Platform, Task, TaskSet
 from repro.io_.serialize import (
     SHARD_KEY_HEX_DIGITS,
     canonical_task_order,
@@ -47,6 +48,7 @@ from repro.service.frontend import ShardedFrontend
 from repro.service.metrics import render_shard_prometheus
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    PartitionUnit,
     frame_bytes,
     recv_frame,
     send_frame,
@@ -206,6 +208,109 @@ class TestFrameProtocol:
         finally:
             a.close()
             b.close()
+
+
+def _units() -> tuple[Unit, Unit, PartitionUnit]:
+    """A test unit, a one-task one-machine one, and a constrained
+    partition unit with fault-injection names."""
+    pf = geometric_platform(5, 4.0)
+    ts = generate_taskset(
+        np.random.default_rng(11), 9, 0.7 * pf.total_speed, u_max=pf.fastest_speed
+    )
+    small = TaskSet([Task(wcet=0.5, period=2.0, name="only")])
+    constrained = TaskSet(
+        Task(t.wcet, t.period, name=f"t{i}", deadline=0.8 * t.period)
+        for i, t in enumerate(ts)
+    )
+    hooks = (CHAOS_EXIT_NAME, f"{CHAOS_SLEEP_PREFIX}5__")
+    return (
+        Unit("a" * 64, ts, canonical_task_order(ts), pf, "rms", "any", None),
+        Unit("0" * 64, small, [0], Platform.from_speeds([3.0]), "edf", "partitioned", 2.5),
+        PartitionUnit(
+            "f" * 64, constrained, canonical_task_order(constrained), pf,
+            "edf-dbf", 1.25, chaos=hooks,
+        ),
+    )
+
+
+def _frames() -> list[tuple]:
+    test, small, part = _units()
+    return [("test", 3, test), ("test", 4, small), ("partition", 5, part),
+            ("batch", 6, [test, small, test])]
+
+
+class TestUnitFrames:
+    """Test, batch and partition requests travel as packed columns."""
+
+    @pytest.mark.parametrize("message", _frames(), ids=lambda m: f"{m[0]}-{m[1]}")
+    def test_roundtrip_keeps_every_field(self, message):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, message)
+            decoded = recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        assert decoded == message
+        units = message[2] if message[0] == "batch" else [message[2]]
+        for unit in decoded[2] if message[0] == "batch" else [decoded[2]]:
+            assert unit in units
+
+    def test_columns_hold_the_canonical_instance(self):
+        """What a miss evaluates is the submitted instance permuted into
+        canonical order, names dropped."""
+        pf = geometric_platform(3, 2.0)
+        ts = TaskSet([Task(1.0, 4.0, name="x"), Task(3.0, 4.0, name="y", deadline=3.0),
+                      Task(1.0, 2.0, name="z")])
+        order = canonical_task_order(ts)
+        unit = Unit("c" * 64, ts, order, pf, "edf", "partitioned", None)
+        expected = TaskSet(Task(t.wcet, t.period, deadline=t.deadline)
+                           for t in ts.subset(order))
+        assert unit.canonical_taskset() == expected
+        assert unit.canonical_platform() == Platform(Machine(s) for s in pf.speeds)
+        assert list(unit.order) == order == [1, 2, 0]
+        assert unit.chaos == ()
+
+    def test_frames_carry_no_pickle(self):
+        for message in _frames():
+            assert frame_bytes(message)[8:9] != b"\x80"  # pickle's PROTO opcode
+
+    def test_a_misrouted_unit_is_refused(self):
+        test, _, _ = _units()
+        with pytest.raises(ValueError):
+            frame_bytes(("partition", 1, test))
+        with pytest.raises(ValueError):
+            frame_bytes(("test", 1, Unit("ab", TaskSet([Task(1.0, 2.0)]), [0],
+                                         Platform.from_speeds([1.0]), "edf",
+                                         "partitioned", None)))
+
+    @staticmethod
+    def _decode(body: bytes):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(len(body).to_bytes(8, "big") + body)
+            return recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("message", _frames()[1:3], ids=["test", "partition"])
+    def test_every_truncation_raises_connection_error(self, message):
+        body = frame_bytes(message)[8:]
+        for cut in range(1, len(body)):
+            with pytest.raises(ConnectionError):
+                self._decode(body[:cut])
+
+    def test_corrupt_frames_raise_connection_error(self):
+        body = frame_bytes(_frames()[1])[8:]
+        with pytest.raises(ConnectionError, match="trailing"):
+            self._decode(body + b"\0")
+        # a test frame announcing two units
+        with pytest.raises(ConnectionError):
+            self._decode(body[:9] + (2).to_bytes(4, sys.byteorder) + body[13:])
+        # a digest that is not ASCII
+        with pytest.raises(ConnectionError):
+            self._decode(body[:13] + b"\xff" + body[14:])
 
 
 class TestShardCoreMemory:
@@ -414,14 +519,15 @@ class TestServeProcessFootprint:
     """What a real ``repro serve --workers 1`` maps and runs.
 
     The worker is forked before the front end imports its HTTP stack, so
-    it maps no TLS or libcrypto.  The front end's own loop loads neither
-    asyncio nor ssl, so a worker respawned from it maps no TLS either
-    (it does inherit the front end's ``_hashlib``, which digests
-    queries).  The front end forks respawns from its event loop, which
-    is safe only while it holds exactly one thread.
+    it maps no TLS.  The front end's own loop loads neither asyncio nor
+    ssl, and it digests queries with CPython's built-in SHA-256, so a
+    worker respawned from it maps no TLS and no OpenSSL either.  The
+    front end forks respawns from its event loop, which is safe only
+    while it holds exactly one thread.
     """
 
     _TLS = ("_ssl.", "libssl", "_asyncio.")
+    _OPENSSL = ("_hashlib.", "libcrypto")
 
     def test_worker_maps_no_openssl(self):
         with _ShardedProc(1) as sharded:
@@ -429,15 +535,15 @@ class TestServeProcessFootprint:
             (shard,) = json.loads(_get(sharded.url + "/healthz")[1])["shards"]
             mapped = _mapped(shard["pid"])
             sharded.terminate()
-        assert _matching(mapped, self._TLS + ("_hashlib.", "libcrypto")) == []
+        assert _matching(mapped, self._TLS + self._OPENSSL) == []
 
     def test_front_end_maps_no_tls_or_asyncio(self):
         with _ShardedProc(1) as sharded:
             assert _post(sharded.url + "/v1/test", _request_body(7))[0] == 200
             mapped = _mapped(sharded.proc.pid)
             sharded.terminate()
-        assert _matching(mapped, self._TLS) == []
-        assert _matching(mapped, ("_hashlib.",)) != []  # the probe sees maps
+        assert _matching(mapped, ("_socket.",)) != []  # the probe sees maps
+        assert _matching(mapped, self._TLS + self._OPENSSL) == []
 
     def test_respawned_worker_maps_no_tls_or_asyncio(self):
         poison = _request_body(8)
@@ -449,7 +555,8 @@ class TestServeProcessFootprint:
             assert shard["restarts"] == 2
             mapped = _mapped(shard["pid"])
             sharded.terminate()
-        assert _matching(mapped, self._TLS) == []
+        assert _matching(mapped, ("_socket.",)) != []  # the probe sees maps
+        assert _matching(mapped, self._TLS + self._OPENSSL) == []
 
     def test_front_end_holds_one_thread_across_a_respawn(self):
         poison = _request_body(8)

@@ -1,10 +1,12 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses,
-imports again inside a function a name it imports at top level, or
-assigns a local variable it never reads.
+imports again inside a function a name it imports at top level, binds a
+module- or class-level ``def``/``class`` name twice with no use in
+between, or assigns a local variable it never reads; and no top-level
+function anywhere in the repository goes unreferenced.
 
 CI's ``ruff check`` (rules ``F401``, ``F811`` and ``F841``) enforces
-the same, but only where ruff is installed; these AST scans run with
-tier-1 everywhere.  A name counts as used when it appears as an identifier
+the first four, but only where ruff is installed; these AST scans run
+with tier-1 everywhere.  A name counts as used when it appears as an identifier
 anywhere in its module, inside a string annotation, or in ``__all__``.
 Package ``__init__`` modules re-export what they import and are exempt,
 as is any import line carrying ``noqa: F401`` (unused) or ``noqa: F811``
@@ -14,6 +16,21 @@ is a name a function binds by assignment, walrus, ``with ... as`` or
 ``except ... as``; it counts as read when the function (or a function
 nested in it) loads it, and names starting with ``_`` or declared
 ``global``/``nonlocal`` are exempt.  Tuple unpacking is not checked.
+
+A redefinition is a ``def`` or ``class`` statement directly in a module
+or class body whose name a later statement of that same body binds
+again (``def``, ``class``, assignment or import) with no load of the
+name in between; the second statement's decorators, default values,
+bases and right-hand side count as in between, so ``@f.setter`` and
+``f = wrap(f)`` are uses.  ``@overload`` stubs are exempt.
+
+An unreferenced function is a top-level, undecorated ``def`` in
+``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` whose name no
+module there mentions: as an identifier, an attribute, an imported
+name, or inside a string (``__all__``, a quoted annotation, a
+``getattr`` target).  Test functions, ``pytest_*`` hooks and dunders
+are called by their frameworks and are exempt; so is
+``tests/fixtures/``, which holds deliberately bad code.
 """
 
 from __future__ import annotations
@@ -29,6 +46,13 @@ MODULES = sorted(
     for tree in ("src", "tests")
     for path in (ROOT / tree).rglob("*.py")
     if path.name != "__init__.py"
+)
+#: every module whose references count, and whose functions must have one
+REPO_MODULES = sorted(
+    path
+    for tree in ("src", "tests", "benchmarks", "examples")
+    for path in (ROOT / tree).rglob("*.py")
+    if "fixtures" not in path.relative_to(ROOT / tree).parts
 )
 
 
@@ -240,3 +264,189 @@ def test_scanner_flags_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_locals(path):
     assert unused_locals(path) == []
+
+
+def _body_bindings(node: ast.stmt) -> list[str]:
+    """Names a statement directly in a module or class body binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and node.value is not None:
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    return _bound(node)
+
+
+def _evaluated_first(node: ast.stmt) -> list[ast.AST]:
+    """The parts of a binding statement that run before it binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = node.args
+        return [*node.decorator_list, *args.defaults, *args.kw_defaults]
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+        return [node.value]
+    return []
+
+
+def _loads(nodes: list[ast.AST]) -> set[str]:
+    return {
+        n.id
+        for node in nodes
+        if node is not None
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name)
+    }
+
+
+def _is_overload(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        ast.unparse(d) in ("overload", "typing.overload") for d in node.decorator_list
+    )
+
+
+def _redefined_defs(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every module- or class-level ``def``/``class``
+    rebound later in the same body with no use in between."""
+    found = []
+    bodies = [tree.body] + [
+        node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    for body in bodies:
+        for k, node in enumerate(body):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or _is_overload(node):
+                continue
+            for later in body[k + 1 :]:
+                if node.name in _loads(_evaluated_first(later)):
+                    break
+                if node.name in _body_bindings(later):
+                    found.append((node.lineno, node.name))
+                    break
+                if node.name in _loads([later]):
+                    break
+    return sorted(found)
+
+
+def redefined_defs(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{line} `{name}`"
+        for line, name in _redefined_defs(tree)
+    ]
+
+
+def test_scanner_flags_a_redefined_def():
+    source = (
+        "def f():\n"
+        "    pass\n"
+        "def f():\n"  # 3: f never used in between
+        "    pass\n"
+        "class C:\n"
+        "    def m(self): ...\n"
+        "    x = m\n"
+        "    def m(self): ...\n"  # used in between: fine
+        "    @property\n"
+        "    def p(self): ...\n"
+        "    @p.setter\n"
+        "    def p(self, v): ...\n"  # the decorator uses p
+        "    class Inner: ...\n"
+        "    Inner = 1\n"  # 14 rebinds the class
+        "def g(): ...\n"
+        "g = wrap(g)\n"
+        "from typing import overload\n"
+        "@overload\n"
+        "def h(x: int) -> int: ...\n"
+        "def h(x): ...\n"
+        "if flag:\n"
+        "    def k(): ...\n"
+        "else:\n"
+        "    def k(): ...\n"
+    )
+    assert _redefined_defs(ast.parse(source)) == [(1, "f"), (13, "Inner")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_redefined_defs(path):
+    assert redefined_defs(path) == []
+
+
+def _mentions(tree: ast.Module) -> set[str]:
+    """Every name a module mentions: identifiers, attributes, imported
+    names, and names inside string constants."""
+    found: set[str] = set()
+    exprs: list[ast.AST] = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                exprs.append(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                continue
+    for expr in exprs:
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """``where:line `name``` of every top-level, undecorated function no
+    module in ``trees`` mentions."""
+    mentioned: set[str] = set()
+    for tree in trees.values():
+        mentioned |= _mentions(tree)
+    found = []
+    for where, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if (
+                node.decorator_list
+                or name.startswith(("test_", "pytest_"))
+                or (name.startswith("__") and name.endswith("__"))
+            ):
+                continue
+            if name not in mentioned:
+                found.append(f"{where}:{node.lineno} `{name}`")
+    return found
+
+
+def test_scanner_flags_an_unreferenced_function():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = ['public']\n"
+            "def public(): ...\n"
+            "def dead(): ...\n"
+            "def called(): ...\n"
+            "def by_attribute(): ...\n"
+            "def by_string(): ...\n"
+            "@register\n"
+            "def registered(): ...\n"
+            "def test_case(): ...\n"
+            "def __getattr__(name): ...\n"
+        ),
+        "b.py": ast.parse(
+            "from a import called\n"
+            "import a\n"
+            "a.by_attribute()\n"
+            "getattr(a, 'by_string')\n"
+            "def helper(): dead_too()\n"
+        ),
+    }
+    assert _unreferenced(trees) == ["a.py:3 `dead`", "b.py:5 `helper`"]
+
+
+def test_no_unreferenced_functions():
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path)
+        )
+        for path in REPO_MODULES
+    }
+    assert _unreferenced(trees) == []
