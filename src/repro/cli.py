@@ -315,27 +315,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_instance(path: Path):
-    """The (taskset, platform) in ``path``, or None after printing why the
-    file is unreadable or malformed; the caller then exits with the
-    usage-error status."""
-    from .io_.serialize import load_json, platform_from_dict, taskset_from_dict
+#: what reading a JSON file can raise: no such file, a directory, not
+#: UTF-8, not JSON
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)
+
+
+def _refuse(path: Path, exc: Exception) -> int:
+    """Print why ``path`` was refused, one line per bad field, and
+    return the usage-error status."""
+    from .io_.serialize import ValidationError
+
+    reasons = exc.errors if isinstance(exc, ValidationError) else [
+        getattr(exc, "strerror", None) or exc
+    ]
+    for reason in reasons:
+        print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
+def _load_instance(path: Path, *, require_implicit: bool = False):
+    """The (taskset, platform) in ``path``, decoded as the service decodes
+    a request body, or None after printing why the file is unreadable or
+    malformed; the caller then exits with the usage-error status."""
+    from .io_.serialize import ValidationError, instance_from_dict, load_json
 
     try:
-        data = load_json(path)
-        return taskset_from_dict(data["taskset"]), platform_from_dict(data["platform"])
-    except KeyError as exc:
-        reason = f"missing field {exc}"
-    except (TypeError, ValueError) as exc:
-        reason = str(exc)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    return None
+        return instance_from_dict(load_json(path), require_implicit=require_implicit)
+    except _UNREADABLE + (ValidationError,) as exc:
+        _refuse(path, exc)
+        return None
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    # the theorem tests take implicit deadlines, as /v1/test does
+    instance = _load_instance(args.instance, require_implicit=True)
     if instance is None:
         return 2
     taskset, platform = instance
@@ -642,7 +655,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .oracle import replay_counterexample, run_fuzz, self_test
 
     if args.replay is not None:
-        violations = replay_counterexample(args.replay)
+        from .io_.serialize import ValidationError
+
+        try:
+            violations = replay_counterexample(args.replay)
+        except _UNREADABLE + (ValidationError,) as exc:
+            return _refuse(args.replay, exc)
         if violations:
             print(f"REPRODUCED: {args.replay}")
             for v in violations:

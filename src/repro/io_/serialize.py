@@ -3,26 +3,35 @@
 Round-trippable plain-dict encodings so experiments can be archived and
 instances shared/reproduced.  Floats are stored exactly (repr round-trip)
 — a reloaded instance produces bit-identical test verdicts.
+
+The instance decoders are the one boundary the service's request bodies,
+the CLI's instance files and fuzz replays share: they check every field,
+and report every bad one at once in a :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .._hashing import sha256
 from ..core.certificates import FailureCertificate
-from ..core.model import Machine, Platform, Task, TaskSet
+from ..core.model import Machine, Platform, Task, TaskSet, close
 from ..core.partition import PartitionResult
 
 __all__ = [
+    "FieldError",
+    "ValidationError",
     "task_to_dict",
     "task_from_dict",
     "taskset_to_dict",
     "taskset_from_dict",
     "platform_to_dict",
     "platform_from_dict",
+    "instance_from_dict",
     "partition_result_to_dict",
     "partition_result_from_dict",
     "certificate_to_dict",
@@ -45,6 +54,8 @@ __all__ = [
 #: moving an instance between shards.
 SHARD_KEY_HEX_DIGITS = 8
 
+_T = TypeVar("_T")
+
 
 def task_to_dict(task: Task) -> dict[str, Any]:
     """Plain-dict form of a task (deadline only when constrained)."""
@@ -58,25 +69,9 @@ def task_to_dict(task: Task) -> dict[str, Any]:
     return out
 
 
-def task_from_dict(data: dict[str, Any]) -> Task:
-    """Rebuild a task from its plain-dict form."""
-    deadline = data.get("deadline")
-    return Task(
-        wcet=float(data["wcet"]),
-        period=float(data["period"]),
-        name=str(data.get("name", "")),
-        deadline=float(deadline) if deadline is not None else None,
-    )
-
-
 def taskset_to_dict(taskset: TaskSet) -> dict[str, Any]:
     """Plain-dict form of a task set."""
     return {"tasks": [task_to_dict(t) for t in taskset]}
-
-
-def taskset_from_dict(data: dict[str, Any]) -> TaskSet:
-    """Rebuild a task set from its plain-dict form."""
-    return TaskSet(task_from_dict(d) for d in data["tasks"])
 
 
 def platform_to_dict(platform: Platform) -> dict[str, Any]:
@@ -88,12 +83,211 @@ def platform_to_dict(platform: Platform) -> dict[str, Any]:
     }
 
 
-def platform_from_dict(data: dict[str, Any]) -> Platform:
-    """Rebuild a platform from its plain-dict form."""
-    return Platform(
-        Machine(speed=float(d["speed"]), name=str(d.get("name", "")))
-        for d in data["machines"]
+# -- Checked decoding ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FieldError:
+    """One rejected field: where and why."""
+
+    field: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}" if self.field else self.message
+
+    def as_dict(self) -> dict[str, str]:
+        return {"field": self.field, "message": self.message}
+
+
+class ValidationError(ValueError):
+    """A payload failed validation; carries every field-level error."""
+
+    def __init__(self, errors: list[FieldError], message: str = "invalid request"):
+        self.errors = errors
+        self.message = message
+        detail = "; ".join(map(str, errors))
+        super().__init__(f"{message}: {detail}" if detail else message)
+
+    def as_dict(self) -> dict[str, Any]:
+        """The service's structured error body."""
+        return {
+            "error": {
+                "message": self.message,
+                "fields": [e.as_dict() for e in self.errors],
+            }
+        }
+
+
+def _positive_number(
+    value: Any, prefix: str, name: str, errors: list[FieldError]
+) -> float | None:
+    """``value`` as a positive, finite float, or None after naming field
+    ``prefix + name`` (joined only on error: most values are good)."""
+    # bool is an int subclass; reject it explicitly — `"wcet": true` is
+    # a client bug, not a wcet of 1.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.append(FieldError(prefix + name, f"must be a number, got {value!r}"))
+        return None
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:  # also false for NaN
+        errors.append(
+            FieldError(prefix + name, f"must be positive and finite, got {x!r}")
+        )
+        return None
+    return x
+
+
+def _task(
+    data: Any, field: str, errors: list[FieldError], require_implicit: bool = False
+) -> Task | None:
+    if not isinstance(data, dict):
+        errors.append(FieldError(field, "must be an object"))
+        return None
+    wcet = _positive_number(data.get("wcet"), field, ".wcet", errors)
+    period = _positive_number(data.get("period"), field, ".period", errors)
+    deadline = data.get("deadline")
+    if deadline is not None:
+        deadline = _positive_number(deadline, field, ".deadline", errors)
+        if deadline is None:
+            return None
+    if wcet is None or period is None:
+        return None
+    if require_implicit and deadline is not None:
+        # tolerant compare: a deadline that equals the period only after
+        # a float round-trip (e.g. serialized at lower precision) is
+        # still an implicit-deadline submission
+        if not close(deadline, period):
+            errors.append(FieldError(
+                f"{field}.deadline",
+                "the theorem tests require implicit deadlines "
+                "(omit 'deadline' or set it equal to 'period')",
+            ))
+            return None
+        # snap to implicit so Task.is_implicit (an exact structural
+        # predicate) holds downstream; otherwise a tolerantly-equal
+        # deadline would pass here and then fail the theorem tests' own
+        # implicit check mid-evaluation
+        deadline = None
+    return Task(wcet=wcet, period=period, deadline=deadline,
+                name=str(data.get("name", "")))
+
+
+def _machine(data: Any, field: str, errors: list[FieldError]) -> Machine | None:
+    if not isinstance(data, dict):
+        errors.append(FieldError(field, "must be an object"))
+        return None
+    speed = _positive_number(data.get("speed"), field, ".speed", errors)
+    if speed is None:
+        return None
+    return Machine(speed=speed, name=str(data.get("name", "")))
+
+
+def _items(
+    data: Any, field: str, key: str, ceiling: int | None, errors: list[FieldError]
+) -> list[Any] | None:
+    """``data[key]`` if it is a non-empty list of at most ``ceiling``
+    items, else None after naming what is wrong."""
+    if not isinstance(data, dict):
+        errors.append(FieldError(field, f"must be an object with a '{key}' list"))
+        return None
+    items = data.get(key)
+    if not isinstance(items, list) or not items:
+        errors.append(FieldError(f"{field}.{key}", "must be a non-empty list"))
+        return None
+    if ceiling is not None and len(items) > ceiling:
+        errors.append(
+            FieldError(f"{field}.{key}", f"at most {ceiling} {key} per instance")
+        )
+        return None
+    return items
+
+
+def _parse_taskset(
+    data: Any,
+    field: str,
+    errors: list[FieldError],
+    *,
+    require_implicit: bool = False,
+    ceiling: int | None = None,
+) -> TaskSet | None:
+    items = _items(data, field, "tasks", ceiling, errors)
+    if items is None:
+        return None
+    tasks = []
+    for i, td in enumerate(items):
+        task = _task(td, f"{field}.tasks[{i}]", errors, require_implicit)
+        if task is not None:
+            tasks.append(task)
+    return TaskSet(tasks) if len(tasks) == len(items) else None
+
+
+def _parse_platform(
+    data: Any, field: str, errors: list[FieldError], *, ceiling: int | None = None
+) -> Platform | None:
+    items = _items(data, field, "machines", ceiling, errors)
+    if items is None:
+        return None
+    machines = []
+    for j, md in enumerate(items):
+        machine = _machine(md, f"{field}.machines[{j}]", errors)
+        if machine is not None:
+            machines.append(machine)
+    return Platform(machines) if len(machines) == len(items) else None
+
+
+def _checked(decode: Callable[..., _T | None], data: Any, field: str) -> _T:
+    errors: list[FieldError] = []
+    decoded = decode(data, field, errors)
+    if decoded is None:
+        raise ValidationError(errors)
+    return decoded
+
+
+def instance_from_dict(
+    data: Any, *, require_implicit: bool = False
+) -> tuple[TaskSet, Platform]:
+    """Decode ``{"taskset": {"tasks": [...]}, "platform": {"machines":
+    [...]}}``, checking every field.
+
+    ``wcet``, ``period``, an optional ``deadline`` and ``speed`` must be
+    positive, finite numbers (``bool`` is not one), and both lists must
+    be non-empty lists of objects.  With ``require_implicit`` a deadline
+    must equal its period up to :func:`~repro.core.model.close` and is
+    then dropped, so the task is exactly implicit.  Raises
+    :class:`ValidationError` with one :class:`FieldError` per bad field
+    (``taskset.tasks[3].wcet``, ...).
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(
+            [FieldError("", "must be an object with 'taskset' and 'platform'")]
+        )
+    errors: list[FieldError] = []
+    taskset = _parse_taskset(
+        data.get("taskset"), "taskset", errors, require_implicit=require_implicit
     )
+    platform = _parse_platform(data.get("platform"), "platform", errors)
+    if taskset is None or platform is None:
+        raise ValidationError(errors)
+    return taskset, platform
+
+
+def task_from_dict(data: Any) -> Task:
+    """Decode one task as :func:`instance_from_dict` does."""
+    return _checked(_task, data, "task")
+
+
+def taskset_from_dict(data: Any) -> TaskSet:
+    """Decode ``{"tasks": [...]}`` as :func:`instance_from_dict` does."""
+    return _checked(_parse_taskset, data, "taskset")
+
+
+def platform_from_dict(data: Any) -> Platform:
+    """Decode ``{"machines": [...]}`` as :func:`instance_from_dict` does."""
+    return _checked(_parse_platform, data, "platform")
 
 
 def partition_result_to_dict(result: PartitionResult) -> dict[str, Any]:

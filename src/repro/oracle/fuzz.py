@@ -27,21 +27,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core.bounds import AdmissionTest, MachineState
+from ..core.bounds import ADMISSION_TEST_NAMES, AdmissionTest, MachineState
 from ..core.model import Platform, Task, TaskSet, leq
 from ..io_.serialize import (
+    FieldError,
+    ValidationError,
     instance_digest,
+    instance_from_dict,
     load_json,
-    platform_from_dict,
     platform_to_dict,
     save_json,
-    taskset_from_dict,
     taskset_to_dict,
 )
 from ..runner import run_trials
 from ..workloads.campaigns import Campaign, Trial
 from .generators import PROFILES, draw_instance
-from .invariants import OracleConfig, Violation, check_instance
+from .invariants import CHECKS, OracleConfig, Violation, check_instance
 from .shrink import shrink_instance
 
 __all__ = [
@@ -281,8 +282,7 @@ def run_fuzz(
         if not record["violations"]:
             continue
         violation_trials += 1
-        taskset = taskset_from_dict(record["taskset"])
-        platform = platform_from_dict(record["platform"])
+        taskset, platform = instance_from_dict(record)
         # one counterexample per distinct broken invariant on this trial
         seen: set[str] = set()
         for violation in record["violations"]:
@@ -343,6 +343,29 @@ def run_fuzz(
     )
 
 
+def _recorded_config(recorded: Any, invariant: str) -> OracleConfig:
+    """The check configuration a counterexample recorded, narrowed to
+    its invariant."""
+    if not isinstance(recorded, dict):
+        raise ValidationError([FieldError("config", "must be an object")])
+    tests = recorded.get("tests", list(OracleConfig.tests))
+    margin = recorded.get("margin", OracleConfig.margin)
+    errors = []
+    if not isinstance(tests, list) or not all(t in ADMISSION_TEST_NAMES for t in tests):
+        errors.append(FieldError(
+            "config.tests", f"must be a list of names from {list(ADMISSION_TEST_NAMES)}"
+        ))
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
+        0 <= margin < 1
+    ):
+        errors.append(
+            FieldError("config.margin", f"must be a number in [0, 1), got {margin!r}")
+        )
+    if errors:
+        raise ValidationError(errors)
+    return OracleConfig(tests=tuple(tests), checks=(invariant,), margin=float(margin))
+
+
 def replay_counterexample(
     path: str | Path, *, config: OracleConfig | None = None
 ) -> list[Violation]:
@@ -351,27 +374,29 @@ def replay_counterexample(
     Returns the violations observed *now* — empty means the recorded bug
     no longer reproduces (i.e. it has been fixed).  ``config`` overrides
     the recorded check configuration (needed to replay self-test cases,
-    whose broken-test injection cannot be serialized).
+    whose broken-test injection cannot be serialized).  A file that is
+    no counterexample, or whose instance or recorded configuration is
+    malformed, raises :class:`~repro.io_.serialize.ValidationError`
+    naming the bad fields.
     """
     data = load_json(path)
-    if data.get("schema") != COUNTEREXAMPLE_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {COUNTEREXAMPLE_SCHEMA} file "
-            f"(schema={data.get('schema')!r})"
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != COUNTEREXAMPLE_SCHEMA:
+        raise ValidationError(
+            [FieldError("schema", f"must be {COUNTEREXAMPLE_SCHEMA!r}, got {schema!r}")]
         )
-    taskset = taskset_from_dict(data["taskset"])
-    platform = platform_from_dict(data["platform"])
+    invariant = data.get("invariant")
+    if not isinstance(invariant, str) or invariant not in CHECKS:
+        raise ValidationError([FieldError(
+            "invariant", f"must be one of {sorted(CHECKS)}, got {invariant!r}"
+        )])
+    taskset, platform = instance_from_dict(data)
     if config is None:
-        recorded = data.get("config", {})
-        config = OracleConfig(
-            tests=tuple(recorded.get("tests", OracleConfig().tests)),
-            checks=(data["invariant"],),
-            margin=float(recorded.get("margin", 1e-6)),
-        )
+        config = _recorded_config(data.get("config", {}), invariant)
     return [
         v
         for v in check_instance(taskset, platform, config)
-        if v.invariant == data["invariant"]
+        if v.invariant == invariant
     ]
 
 
@@ -491,8 +516,7 @@ def self_test(
         if not record["violations"]:
             continue
         violation = record["violations"][0]
-        taskset = taskset_from_dict(record["taskset"])
-        platform = platform_from_dict(record["platform"])
+        taskset, platform = instance_from_dict(record)
         predicate, narrowed = _shrink_predicate(violation["invariant"], config)
         result = shrink_instance(
             taskset, platform, predicate, max_evaluations=shrink_budget

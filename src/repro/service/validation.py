@@ -8,16 +8,25 @@ HTTP layer renders as a structured 400 response.
 
 Validation is *exhaustive*, not fail-fast: one request reports every
 bad field at once, so a client fixes its payload in one round trip.
+Task sets and platforms are decoded as the CLI and fuzz replays decode
+them (:func:`~repro.io_.serialize.instance_from_dict`); this module adds
+the query fields and the request-size ceilings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from ..core.bounds import ADMISSION_TEST_NAMES
-from ..core.model import Machine, Platform, Task, TaskSet, close
+from ..core.model import Platform, TaskSet
+from ..io_.serialize import (
+    FieldError,
+    ValidationError,
+    _parse_platform,
+    _parse_taskset,
+    _positive_number,
+)
 
 __all__ = [
     "FieldError",
@@ -44,36 +53,6 @@ _ADVERSARIES = ("partitioned", "any")
 
 
 @dataclass(frozen=True)
-class FieldError:
-    """One rejected field: where and why."""
-
-    field: str
-    message: str
-
-    def as_dict(self) -> dict[str, str]:
-        return {"field": self.field, "message": self.message}
-
-
-class ValidationError(Exception):
-    """A payload failed validation; carries every field-level error."""
-
-    def __init__(self, errors: list[FieldError], message: str = "invalid request"):
-        self.errors = errors
-        self.message = message
-        detail = "; ".join(f"{e.field}: {e.message}" for e in errors)
-        super().__init__(f"{message}: {detail}" if detail else message)
-
-    def as_dict(self) -> dict[str, Any]:
-        """The service's structured error body."""
-        return {
-            "error": {
-                "message": self.message,
-                "fields": [e.as_dict() for e in self.errors],
-            }
-        }
-
-
-@dataclass(frozen=True)
 class TestQuery:
     """A validated ``/v1/test`` request (also one ``/v1/batch`` item)."""
 
@@ -94,111 +73,6 @@ class PartitionQuery:
     alpha: float = 1.0
 
 
-def _positive_number(
-    value: Any, field: str, errors: list[FieldError]
-) -> float | None:
-    # bool is an int subclass; reject it explicitly — `"wcet": true` is
-    # a client bug, not a wcet of 1.0.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(FieldError(field, f"must be a number, got {value!r}"))
-        return None
-    x = float(value)
-    if not (x > 0 and math.isfinite(x)):
-        errors.append(FieldError(field, f"must be positive and finite, got {x!r}"))
-        return None
-    return x
-
-
-def _parse_taskset(
-    data: Any, field: str, errors: list[FieldError], *, require_implicit: bool
-) -> TaskSet | None:
-    if not isinstance(data, dict):
-        errors.append(FieldError(field, "must be an object with a 'tasks' list"))
-        return None
-    tasks_data = data.get("tasks")
-    if not isinstance(tasks_data, list) or not tasks_data:
-        errors.append(FieldError(f"{field}.tasks", "must be a non-empty list"))
-        return None
-    if len(tasks_data) > MAX_TASKS:
-        errors.append(
-            FieldError(f"{field}.tasks", f"at most {MAX_TASKS} tasks per instance")
-        )
-        return None
-    tasks: list[Task] = []
-    ok = True
-    for i, td in enumerate(tasks_data):
-        here = f"{field}.tasks[{i}]"
-        if not isinstance(td, dict):
-            errors.append(FieldError(here, "must be an object"))
-            ok = False
-            continue
-        wcet = _positive_number(td.get("wcet"), f"{here}.wcet", errors)
-        period = _positive_number(td.get("period"), f"{here}.period", errors)
-        deadline: float | None = None
-        if td.get("deadline") is not None:
-            deadline = _positive_number(td["deadline"], f"{here}.deadline", errors)
-            if deadline is None:
-                ok = False
-        if wcet is None or period is None:
-            ok = False
-            continue
-        if require_implicit and deadline is not None:
-            # tolerant compare: a deadline that equals the period only
-            # after a float round-trip (e.g. serialized at lower
-            # precision) is still an implicit-deadline submission
-            if not close(deadline, period):
-                errors.append(
-                    FieldError(
-                        f"{here}.deadline",
-                        "the theorem tests require implicit deadlines "
-                        "(omit 'deadline' or set it equal to 'period')",
-                    )
-                )
-                ok = False
-                continue
-            # snap to implicit so Task.is_implicit (an exact structural
-            # predicate) holds downstream — otherwise a tolerantly-equal
-            # deadline would pass validation here and then blow up in
-            # the theorem tests' own implicit check mid-evaluation
-            deadline = None
-        tasks.append(Task(wcet=wcet, period=period, deadline=deadline,
-                          name=str(td.get("name", ""))))
-    return TaskSet(tasks) if ok else None
-
-
-def _parse_platform(
-    data: Any, field: str, errors: list[FieldError]
-) -> Platform | None:
-    if not isinstance(data, dict):
-        errors.append(FieldError(field, "must be an object with a 'machines' list"))
-        return None
-    machines_data = data.get("machines")
-    if not isinstance(machines_data, list) or not machines_data:
-        errors.append(FieldError(f"{field}.machines", "must be a non-empty list"))
-        return None
-    if len(machines_data) > MAX_MACHINES:
-        errors.append(
-            FieldError(
-                f"{field}.machines", f"at most {MAX_MACHINES} machines per instance"
-            )
-        )
-        return None
-    machines: list[Machine] = []
-    ok = True
-    for j, md in enumerate(machines_data):
-        here = f"{field}.machines[{j}]"
-        if not isinstance(md, dict):
-            errors.append(FieldError(here, "must be an object"))
-            ok = False
-            continue
-        speed = _positive_number(md.get("speed"), f"{here}.speed", errors)
-        if speed is None:
-            ok = False
-            continue
-        machines.append(Machine(speed=speed, name=str(md.get("name", ""))))
-    return Platform(machines) if ok else None
-
-
 def _require_object(payload: Any, what: str) -> dict[str, Any]:
     if not isinstance(payload, dict):
         raise ValidationError(
@@ -211,9 +85,12 @@ def _parse_test_fields(
     payload: dict[str, Any], errors: list[FieldError], prefix: str = ""
 ) -> TestQuery | None:
     taskset = _parse_taskset(
-        payload.get("taskset"), f"{prefix}taskset", errors, require_implicit=True
+        payload.get("taskset"), f"{prefix}taskset", errors,
+        require_implicit=True, ceiling=MAX_TASKS,
     )
-    platform = _parse_platform(payload.get("platform"), f"{prefix}platform", errors)
+    platform = _parse_platform(
+        payload.get("platform"), f"{prefix}platform", errors, ceiling=MAX_MACHINES
+    )
     scheduler = payload.get("scheduler", "edf")
     if scheduler not in _SCHEDULERS:
         errors.append(
@@ -226,7 +103,7 @@ def _parse_test_fields(
         )
     alpha: float | None = None
     if payload.get("alpha") is not None:
-        alpha = _positive_number(payload["alpha"], f"{prefix}alpha", errors)
+        alpha = _positive_number(payload["alpha"], prefix, "alpha", errors)
         if alpha is None:
             return None
     if taskset is None or platform is None or errors:
@@ -258,9 +135,11 @@ def parse_partition_request(payload: Any) -> PartitionQuery:
     # Constrained deadlines are fine here: the dbf admission tests accept
     # them, so only the generic task checks apply.
     taskset = _parse_taskset(
-        payload.get("taskset"), "taskset", errors, require_implicit=False
+        payload.get("taskset"), "taskset", errors, ceiling=MAX_TASKS
     )
-    platform = _parse_platform(payload.get("platform"), "platform", errors)
+    platform = _parse_platform(
+        payload.get("platform"), "platform", errors, ceiling=MAX_MACHINES
+    )
     test = payload.get("test", "edf")
     if test not in ADMISSION_TEST_NAMES:
         errors.append(
@@ -268,7 +147,7 @@ def parse_partition_request(payload: Any) -> PartitionQuery:
         )
     alpha = 1.0
     if payload.get("alpha") is not None:
-        parsed = _positive_number(payload["alpha"], "alpha", errors)
+        parsed = _positive_number(payload["alpha"], "", "alpha", errors)
         if parsed is not None:
             alpha = parsed
     if taskset is None or platform is None or errors:

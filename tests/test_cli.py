@@ -275,21 +275,30 @@ class TestCommands:
         "second_task, reason",
         [
             ({"wcet": 2.0, "period": 8.0}, None),
-            ({"wcet": 2.0}, "missing field 'period'"),
-            ({"wcet": -1, "period": 8.0}, "wcet must be positive and finite, got -1.0"),
+            ({"wcet": 2.0}, "taskset.tasks[1].period: must be a number, got None"),
+            (
+                {"wcet": -1, "period": 8.0},
+                "taskset.tasks[1].wcet: must be positive and finite, got -1.0",
+            ),
+            ({"wcet": True, "period": 8.0},
+             "taskset.tasks[1].wcet: must be a number, got True"),
+            ({"wcet": 2.0, "period": "8"},
+             "taskset.tasks[1].period: must be a number, got '8'"),
             ("missing", "No such file or directory"),
             ("directory", "Is a directory"),
         ],
-        ids=["good", "no-period", "negative-wcet", "missing-file", "directory"],
+        ids=["good", "no-period", "negative-wcet", "bool-wcet", "string-period",
+             "missing-file", "directory"],
     )
     def test_malformed_instance_is_a_usage_error(
         self, tmp_path, capsys, command, second_task, reason
     ):
         """A malformed instance file, or a path that is no readable file,
-        is reported on one line naming the field or the OS error, with
-        the usage-error status 2 and no traceback.  ``second_task`` is
-        the instance's second task, or ``"missing"`` / ``"directory"``
-        for what stands at the path instead of an instance file."""
+        is reported on one line naming the field (as the service names
+        it in a 400) or the OS error, with the usage-error status 2 and
+        no traceback.  ``second_task`` is the instance's second task, or
+        ``"missing"`` / ``"directory"`` for what stands at the path
+        instead of an instance file."""
         inst = tmp_path / "i.json"
         if second_task == "directory":
             inst.mkdir()
@@ -305,6 +314,85 @@ class TestCommands:
         else:
             assert code == 2
             assert err == f"error: {inst}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "gantt", "slack"])
+    @pytest.mark.parametrize(
+        "instance, reasons",
+        [
+            (
+                {"taskset": {"tasks": []}, "platform": {"machines": [{"speed": 1}]}},
+                ["taskset.tasks: must be a non-empty list"],
+            ),
+            (
+                {"taskset": {"tasks": [{"wcet": 1, "period": 10}]}, "platform": [1]},
+                ["platform: must be an object with a 'machines' list"],
+            ),
+            (
+                {
+                    "taskset": {"tasks": [{"wcet": "1", "period": 10}, 7]},
+                    "platform": {"machines": [{"speed": False}, {"speed": 2}]},
+                },
+                [
+                    "taskset.tasks[0].wcet: must be a number, got '1'",
+                    "taskset.tasks[1]: must be an object",
+                    "platform.machines[0].speed: must be a number, got False",
+                ],
+            ),
+            ([1], ["must be an object with 'taskset' and 'platform'"]),
+        ],
+        ids=["empty-tasks", "platform-list", "three-fields", "not-an-object"],
+    )
+    def test_every_bad_field_is_reported(
+        self, tmp_path, capsys, command, instance, reasons
+    ):
+        """Every bad field of an instance file is named at once, one
+        ``error: PATH: FIELD: MESSAGE`` line each, with status 2."""
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps(instance))
+        code = main([command, str(inst)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "".join(f"error: {inst}: {r}\n" for r in reasons)
+
+    def _deadline_instance(self, tmp_path, deadline):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({
+            "taskset": {"tasks": [{"wcet": 1.0, "period": 10, "deadline": deadline}]},
+            "platform": {"machines": [{"speed": 1.0}]},
+        }))
+        return inst
+
+    def test_test_refuses_a_constrained_deadline(self, tmp_path, capsys):
+        """The theorem tests take implicit deadlines: ``repro test`` names
+        the deadline and exits 2, as ``/v1/test`` answers 400, rather
+        than raising mid-evaluation with REJECTED's status 1."""
+        inst = self._deadline_instance(tmp_path, 4)
+        code = main(["test", str(inst)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {inst}: taskset.tasks[0].deadline: the theorem tests require "
+            "implicit deadlines (omit 'deadline' or set it equal to 'period')\n"
+        )
+
+    @pytest.mark.parametrize("backend", [None, "scalar", "numpy"])
+    def test_test_snaps_a_near_implicit_deadline(self, tmp_path, capsys, backend):
+        inst = self._deadline_instance(tmp_path, 10.0000000001)
+        extra = [] if backend is None else ["--backend", backend]
+        code = main(["test", str(inst), *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict: ACCEPTED" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "gantt", "slack"])
+    def test_constrained_deadlines_reach_the_other_commands(
+        self, tmp_path, capsys, command
+    ):
+        """Only ``repro test`` asks for implicit deadlines; the simulator
+        and the sensitivity analysis take a constrained one as given."""
+        inst = self._deadline_instance(tmp_path, 4)
+        assert main([command, str(inst)]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -411,6 +499,61 @@ class TestFuzzCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "no longer reproduces" in out
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ({"schema": "other/v9"},
+             "schema: must be 'repro.oracle.counterexample/v1', got 'other/v9'"),
+            ({"schema": None},
+             "schema: must be 'repro.oracle.counterexample/v1', got None"),
+            ({"invariant": "no-such-check"},
+             "invariant: must be one of ["),
+            ({"invariant": ["roundtrip"]}, "invariant: must be one of ["),
+            ({"platform": {"machines": []}},
+             "platform.machines: must be a non-empty list"),
+            ({"taskset": {"tasks": [{"wcet": 1, "period": -2}]}},
+             "taskset.tasks[0].period: must be positive and finite, got -2.0"),
+            ({"config": []}, "config: must be an object"),
+            ({"config": {"tests": ["no-such-test"]}}, "config.tests: must be a list"),
+            ({"config": {"margin": "0"}},
+             "config.margin: must be a number in [0, 1), got '0'"),
+        ],
+        ids=["wrong-schema", "no-schema", "unknown-invariant", "list-invariant",
+             "no-machines", "negative-period", "config-list", "unknown-test",
+             "string-margin"],
+    )
+    def test_fuzz_replay_usage_errors(self, tmp_path, capsys, edit, reason):
+        """A file that is no counterexample, or whose instance or recorded
+        configuration is malformed, is a usage error (status 2, one line),
+        never the traceback-and-1 that ``REPRODUCED`` would be mistaken
+        for."""
+        data = json.loads(self.FIXTURE.read_text())
+        data.update(edit)
+        bad = tmp_path / "ce.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["fuzz", "--replay", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: {reason}")
+        assert captured.err.count("\n") == 1
+
+    def test_fuzz_replay_of_an_unreadable_file(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        absent = tmp_path / "absent.json"
+        for path in (listed, garbled, absent):
+            assert main(["fuzz", "--replay", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {listed}: schema: must be "
+            "'repro.oracle.counterexample/v1', got None\n"
+            f"error: {garbled}: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)\n"
+            f"error: {absent}: No such file or directory\n"
+        )
 
     def test_fuzz_self_test(self, capsys):
         rc = main(["fuzz", "--self-test"])

@@ -16,12 +16,15 @@ from repro.core.feasibility import feasibility_test
 from repro.core.model import Machine, Platform, Task, TaskSet
 from repro.core.partition import first_fit_partition
 from repro.io_.serialize import (
+    FieldError,
+    ValidationError,
     canonical_digest,
     canonical_instance,
     canonical_task_order,
     certificate_from_dict,
     certificate_to_dict,
     instance_digest,
+    instance_from_dict,
     load_json,
     partition_result_from_dict,
     partition_result_to_dict,
@@ -433,6 +436,170 @@ class TestOnePassDigest:
         platform = Platform.from_speeds(TestCanonicalDigest.SPEEDS)
         assert instance_digest(ints, platform) == TestCanonicalDigest.PINNED
         assert instance_digest(floats, platform) != TestCanonicalDigest.PINNED
+
+
+#: values no number field accepts (``None`` is a bad wcet, period or
+#: speed, but an absent deadline); ``_DROP`` removes the key instead
+_DROP = object()
+_BAD_NUMBERS = [
+    True, False, "1", [], {}, -1, 0, -0.5, float("inf"), float("nan"), 10**400
+]
+
+
+def _profile_instance(profile, seed):
+    return draw_instance(np.random.default_rng(seed), profile)
+
+
+class TestCheckedDecoder:
+    """The one decoder from plain dicts (``/v1/*`` bodies, CLI instance
+    files, fuzz replays) reproduces what the encoders wrote and names
+    every bad field exactly once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(PROFILES)), st.integers(0, 2**32 - 1))
+    def test_decodes_what_the_encoders_wrote(self, profile, seed):
+        taskset, platform = _profile_instance(profile, seed)
+        payload = json.loads(json.dumps({
+            "taskset": taskset_to_dict(taskset),
+            "platform": platform_to_dict(platform),
+        }))
+        ts2, pf2 = instance_from_dict(payload)
+        assert ts2 == taskset and pf2 == platform
+        assert [(t.wcet, t.period, t.deadline, t.name) for t in ts2] == [
+            (t.wcet, t.period, t.deadline, t.name) for t in taskset
+        ]
+        assert [(m.speed, m.name) for m in pf2] == [
+            (m.speed, m.name) for m in platform
+        ]
+        assert taskset_from_dict(payload["taskset"]) == taskset
+        assert platform_from_dict(payload["platform"]) == platform
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(PROFILES)), st.integers(0, 2**32 - 1), st.data())
+    def test_k_bad_fields_give_k_errors(self, profile, seed, data):
+        taskset, platform = _profile_instance(profile, seed)
+        tasks = taskset_to_dict(taskset)["tasks"]
+        machines = platform_to_dict(platform)["machines"]
+        bad_tasks = data.draw(st.dictionaries(
+            st.integers(0, len(tasks) - 1),
+            st.sets(st.sampled_from(["wcet", "period", "deadline", "*"]), min_size=1),
+        ))
+        bad_machines = data.draw(st.dictionaries(
+            st.integers(0, len(machines) - 1), st.sampled_from(["speed", "*"])
+        ))
+        expected = set()
+        for i, fields in bad_tasks.items():
+            if "*" in fields:
+                tasks[i] = data.draw(st.sampled_from([None, 1.5, "task", []]))
+                expected.add(f"taskset.tasks[{i}]")
+                continue
+            for name in fields:
+                absent_ok = name == "deadline"
+                value = data.draw(st.sampled_from(
+                    _BAD_NUMBERS + ([] if absent_ok else [None, _DROP])
+                ))
+                if value is _DROP:
+                    del tasks[i][name]
+                else:
+                    tasks[i][name] = value
+                expected.add(f"taskset.tasks[{i}].{name}")
+        for j, name in bad_machines.items():
+            if name == "*":
+                machines[j] = data.draw(st.sampled_from([None, 2.0, "m"]))
+                expected.add(f"platform.machines[{j}]")
+            else:
+                machines[j]["speed"] = data.draw(st.sampled_from(_BAD_NUMBERS + [None]))
+                expected.add(f"platform.machines[{j}].speed")
+        payload = {"taskset": {"tasks": tasks}, "platform": {"machines": machines}}
+        if not expected:
+            assert instance_from_dict(payload) == (taskset, platform)
+            return
+        with pytest.raises(ValidationError) as exc:
+            instance_from_dict(payload)
+        fields = [e.field for e in exc.value.errors]
+        assert len(fields) == len(expected)
+        assert set(fields) == expected
+
+    def test_implicit_deadlines_snap_within_tolerance(self):
+        def payload(deadline):
+            task = {"wcet": 1.0, "period": 10.0, "deadline": deadline}
+            return {"taskset": {"tasks": [task]},
+                    "platform": {"machines": [{"speed": 1.0}]}}
+
+        near = payload(10.0000000001)
+        (task,), _ = instance_from_dict(near, require_implicit=True)
+        assert task.is_implicit and task.deadline == 10.0
+        assert task_from_dict(near["taskset"]["tasks"][0]).deadline == 10.0000000001
+        with pytest.raises(ValidationError) as exc:
+            instance_from_dict(payload(4), require_implicit=True)
+        assert [e.field for e in exc.value.errors] == ["taskset.tasks[0].deadline"]
+
+    def test_an_int_beyond_the_float_range_is_refused(self):
+        """``float()`` of a 401-digit JSON integer overflows; it is a bad
+        field, not an uncaught ``OverflowError`` (a 500 from the service,
+        a traceback from the CLI)."""
+        from repro.service.validation import parse_test_request
+
+        payload = json.loads(
+            '{"taskset": {"tasks": [{"wcet": 1, "period": 1%s}]},'
+            ' "platform": {"machines": [{"speed": 1}]}}' % ("0" * 400)
+        )
+        expected = [
+            FieldError("taskset.tasks[0].period", "must be positive and finite, got inf")
+        ]
+        for decode in (instance_from_dict, parse_test_request):
+            with pytest.raises(ValidationError) as exc:
+                decode(payload)
+            assert exc.value.errors == expected
+
+    def test_only_the_service_has_ceilings(self, monkeypatch):
+        from repro.service import validation
+
+        monkeypatch.setattr(validation, "MAX_TASKS", 2)
+        monkeypatch.setattr(validation, "MAX_MACHINES", 1)
+        payload = {
+            "taskset": {"tasks": [{"wcet": 1, "period": 2}] * 3},
+            "platform": {"machines": [{"speed": 1}] * 2},
+        }
+        assert len(instance_from_dict(payload)[0]) == 3
+        with pytest.raises(ValidationError) as exc:
+            validation.parse_test_request(payload)
+        assert exc.value.errors == [
+            FieldError("taskset.tasks", "at most 2 tasks per instance"),
+            FieldError("platform.machines", "at most 1 machines per instance"),
+        ]
+
+    def test_batch_items_prefix_their_fields(self):
+        from repro.service.validation import parse_batch_request
+
+        good = {"taskset": {"tasks": [{"wcet": 1, "period": 2}]},
+                "platform": {"machines": [{"speed": 1}]}}
+        with pytest.raises(ValidationError) as exc:
+            parse_batch_request({"instances": [
+                good, good, {"platform": {"machines": [{}]}}
+            ]})
+        assert [e.as_dict() for e in exc.value.errors] == [
+            {"field": "instances[2].taskset",
+             "message": "must be an object with a 'tasks' list"},
+            {"field": "instances[2].platform.machines[0].speed",
+             "message": "must be a number, got None"},
+        ]
+
+    def test_a_non_object_is_named_at_the_root(self):
+        with pytest.raises(ValidationError) as exc:
+            instance_from_dict([1])
+        assert exc.value.errors == [
+            FieldError("", "must be an object with 'taskset' and 'platform'")
+        ]
+        assert str(exc.value.errors[0]) == (
+            "must be an object with 'taskset' and 'platform'"
+        )
+
+    def test_service_reexports_the_error_types(self):
+        from repro.service import validation
+
+        assert validation.ValidationError is ValidationError
+        assert validation.FieldError is FieldError
 
 
 class TestBuiltinSha256:

@@ -1,12 +1,14 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses,
 imports again inside a function a name it imports at top level, binds a
 module- or class-level ``def``/``class`` name twice with no use in
-between, or assigns a local variable it never reads; and no top-level
-function anywhere in the repository goes unreferenced.
+between, assigns a local variable it never reads, or reads a name that
+nothing binds; and no top-level function anywhere in the repository
+goes unreferenced.
 
-CI's ``ruff check`` (rules ``F401``, ``F811`` and ``F841``) enforces
-the first four, but only where ruff is installed; these AST scans run
-with tier-1 everywhere.  A name counts as used when it appears as an identifier
+CI's ``ruff check`` (rules ``F401``, ``F811``, ``F841`` and ``F821``)
+enforces the first five, but only where ruff is installed; these scans
+run with tier-1 everywhere, so undefined names are no longer a CI-only
+check.  A name counts as used when it appears as an identifier
 anywhere in its module, inside a string annotation, or in ``__all__``.
 Package ``__init__`` modules re-export what they import and are exempt,
 as is any import line carrying ``noqa: F401`` (unused) or ``noqa: F811``
@@ -24,6 +26,14 @@ name in between; the second statement's decorators, default values,
 bases and right-hand side count as in between, so ``@f.setter`` and
 ``f = wrap(f)`` are uses.  ``@overload`` stubs are exempt.
 
+An undefined name is one that some scope reads (module, function,
+class, method, lambda or comprehension) where the compiler's symbol
+table resolves it to the module's globals, but the module binds it
+nowhere (no assignment, import, ``def``/``class``, nor a ``global``
+declaration that a function assigns) and it is no builtin.  The symbol
+table is static, so a name bound only on some branch, or only under
+``if TYPE_CHECKING:``, counts as bound.
+
 An unreferenced function is a top-level, undecorated ``def`` in
 ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` whose name no
 module there mentions: as an identifier, an attribute, an imported
@@ -36,6 +46,8 @@ are called by their frameworks and are exempt; so is
 from __future__ import annotations
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 
 import pytest
@@ -370,6 +382,92 @@ def test_scanner_flags_a_redefined_def():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_redefined_defs(path):
     assert redefined_defs(path) == []
+
+
+#: names every module can read without binding them
+_PREDEFINED = set(dir(builtins)) | {"__file__", "__path__", "__builtins__", "__cached__"}
+
+
+def _scopes(table: symtable.SymbolTable) -> list[symtable.SymbolTable]:
+    """``table`` and every scope nested in it."""
+    return [table] + [s for child in table.get_children() for s in _scopes(child)]
+
+
+def _undefined(source: str, filename: str = "<module>") -> list[tuple[int, str]]:
+    """(line of the reading scope, name) of every name read as a global
+    that the module never binds and that is no builtin."""
+    module = symtable.symtable(source, filename, "exec")
+    scopes = _scopes(module)
+    bound = {
+        sym.get_name()
+        for scope in scopes
+        for sym in scope.get_symbols()
+        if (scope is module or sym.is_declared_global())
+        and (sym.is_assigned() or sym.is_imported() or sym.is_namespace())
+    }
+    return sorted({
+        (scope.get_lineno(), sym.get_name())
+        for scope in scopes
+        for sym in scope.get_symbols()
+        if sym.is_referenced()
+        and (scope is module or sym.is_global())
+        and sym.get_name() not in bound | _PREDEFINED
+    })
+
+
+def undefined_names(path: Path) -> list[str]:
+    return [
+        f"{path.relative_to(ROOT)}:{line} `{name}`"
+        for line, name in _undefined(path.read_text(encoding="utf-8"), str(path))
+    ]
+
+
+def test_scanner_flags_an_undefined_name():
+    source = (
+        "import os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n"
+        "try:\n"
+        "    import tomllib\n"
+        "except ImportError:\n"
+        "    tomllib = None\n"
+        "print(len(os.sep), at_module)\n"  # read by the module (line 0)
+        "def f(x, *args, **kw):\n"
+        "    global counter\n"
+        "    counter = x\n"
+        "    total = sum(y for y in args if y > x) + in_function\n"  # by f (10)
+        "    def inner():\n"
+        "        return total, kw, __file__, tomllib\n"
+        "    return inner, lambda z: z + in_lambda\n"  # by the lambda (16)
+        "class C(Base):\n"  # a base is read by the module
+        "    size = 3\n"
+        "    twice = size * 2 + in_class\n"  # by the class body (17)
+        "    def m(self) -> 'Path':\n"
+        "        return counter, [q for q in in_method], size_unbound\n"  # by m (20)
+        "    def n(self):\n"
+        "        return super().__init__(), C, self.size, __name__\n"
+    )
+    assert _undefined(source) == [
+        (0, "Base"),
+        (0, "at_module"),
+        (10, "in_function"),
+        (16, "in_lambda"),
+        (17, "in_class"),
+        (20, "in_method"),
+        (20, "size_unbound"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(
+        p for tree in ("src", "tests") for p in (ROOT / tree).rglob("*.py")
+    ),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_undefined_names(path):
+    assert undefined_names(path) == []
 
 
 def _mentions(tree: ast.Module) -> set[str]:
