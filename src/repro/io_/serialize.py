@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .._hashing import sha256
 from ..core.certificates import FailureCertificate
@@ -86,9 +85,12 @@ def platform_to_dict(platform: Platform) -> dict[str, Any]:
 # -- Checked decoding ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldError:
-    """One rejected field: where and why."""
+class FieldError(NamedTuple):
+    """One rejected field: where and why.
+
+    A ``NamedTuple`` rather than a dataclass: the serving workers import
+    this module before they fork, and building a dataclass compiles its
+    methods at import, which raises every process's peak RSS."""
 
     field: str
     message: str
